@@ -393,8 +393,9 @@ pub struct AxisLine {
     pub label: String,
     /// Jobs that completed successfully.
     pub jobs: usize,
-    /// Total job seconds spent on this axis value.
-    pub seconds: f64,
+    /// Seconds the axis value's jobs spent executing, queue waits
+    /// excluded (those depend on what else was queued, not on the job).
+    pub exec_seconds: f64,
     /// Mean `T0` fault coverage (detected / total) over ok jobs.
     pub mean_coverage: f64,
     /// Mean loaded fraction (`total_len / |T0|`) over ok jobs.
@@ -463,7 +464,7 @@ impl CampaignSummary {
                     AxisLine {
                         label: label.to_string(),
                         jobs: ok.len(),
-                        seconds: rs.iter().map(|r| r.seconds).sum(),
+                        exec_seconds: rs.iter().map(|r| r.exec_seconds).sum(),
                         mean_coverage: mean(|m| {
                             m.faults_detected as f64 / m.faults_total.max(1) as f64
                         }),
@@ -549,7 +550,7 @@ impl fmt::Display for CampaignSummary {
         writeln!(
             f,
             "  {:<10} {:>4} {:>9} {:>9} {:>8} {:>8} {:>8}",
-            "circuit", "ok", "seconds", "coverage", "loaded", "storage", "removed"
+            "circuit", "ok", "exec s", "coverage", "loaded", "storage", "removed"
         )?;
         for line in &self.circuits {
             writeln!(
@@ -557,16 +558,16 @@ impl fmt::Display for CampaignSummary {
                 "  {:<10} {:>4} {:>9.3} {:>8.1}% {:>7.0}% {:>7.0}% {:>8}",
                 line.label,
                 line.jobs,
-                line.seconds,
+                line.exec_seconds,
                 100.0 * line.mean_coverage,
                 100.0 * line.mean_loaded_fraction,
                 100.0 * line.mean_storage_ratio,
                 line.gates_removed,
             )?;
         }
-        writeln!(f, "  {:<18} {:>4} {:>9}", "backend", "ok", "seconds")?;
+        writeln!(f, "  {:<18} {:>4} {:>9}", "backend", "ok", "exec s")?;
         for line in &self.backends {
-            writeln!(f, "  {:<18} {:>4} {:>9.3}", line.label, line.jobs, line.seconds)?;
+            writeln!(f, "  {:<18} {:>4} {:>9.3}", line.label, line.jobs, line.exec_seconds)?;
         }
         Ok(())
     }
@@ -649,11 +650,18 @@ mod tests {
         assert!((s27.mean_coverage - 1.0).abs() < 1e-9);
         assert!((s27.mean_loaded_fraction - 0.5).abs() < 1e-9);
         assert_eq!(s27.gates_removed, 4);
+        // Axis lines sum execution time only: 0.75 of each job's 0.5 + 1.5
+        // seconds; the queued quarter shows in the header line alone.
+        assert!((s27.exec_seconds - 1.5).abs() < 1e-9);
         let packed = summary.backends.iter().find(|l| l.label == "packed").unwrap();
         assert_eq!(packed.jobs, 2);
+        assert!((packed.exec_seconds - 1.875).abs() < 1e-9);
         let rendered = summary.to_string();
         assert!(rendered.contains("6 jobs"));
         assert!(rendered.contains("s27"));
+        assert!(rendered.contains("1.00s queued + 3.00s executing"), "{rendered}");
+        let s27_row = rendered.lines().find(|l| l.trim_start().starts_with("s27")).unwrap();
+        assert!(s27_row.contains("1.500") && !s27_row.contains("2.000"), "{s27_row}");
     }
 
     #[test]

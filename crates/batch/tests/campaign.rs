@@ -139,6 +139,25 @@ fn full_13_circuit_suite_campaign_reuses_artifacts_and_matches_sessions() {
     assert_campaign_shares_and_matches(&names);
 }
 
+/// The benchmark's `cold_suite` campaign at the CLI defaults
+/// (`subseq-bist run --circuits s27,a298,a344,a382,a400,a526 --threads 2`:
+/// seed 1999, 1024-vector `T0` cap, 300-trial compaction budget,
+/// verification on) must reproduce its pinned summary digest. The digest
+/// covers every `T0`, detection time and scheme result, so any drift in
+/// generation or compaction shows here. Release-only: the `T0` builds
+/// take minutes unoptimized.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "T0 generation at the paper's budgets; run with --release")]
+fn pinned_cold_suite_campaign_digest() {
+    let campaign = Campaign::new()
+        .suite_circuits(["s27", "a298", "a344", "a382", "a400", "a526"])
+        .seeds([1999])
+        .tgen(TgenConfig::new().max_length(1024).compaction_budget(300));
+    let outcome = CampaignEngine::new().threads(2).run(&campaign, &mut []).unwrap();
+    assert_eq!(outcome.summary.jobs_ok, 6);
+    assert_eq!(format!("{:016x}", outcome.summary.digest()), "da8e08e90d01257b");
+}
+
 #[test]
 fn campaign_jsonl_stream_is_schema_valid() {
     let dir = std::env::temp_dir().join("bist_batch_campaign_test");

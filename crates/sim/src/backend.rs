@@ -50,13 +50,26 @@
 //! [`ExpansionIter`](bist_expand::ExpansionIter) this keeps the whole
 //! `8·n·|S|`-vector pipeline allocation-flat.
 //!
+//! The packed engines keep machine state explicit:
+//! [`SimBackend::resume_tape_obs`] loads every lane from a
+//! [`MachineState`] — the good machine's flip-flops and, per fault, the
+//! faulty machine's, re-packed into lanes at chunk load so a shrinking
+//! fault list still fills whole words — and snapshots the lanes at
+//! requested times. It is the engines' only stepping loop: a plain
+//! detection pass is the resumed pass from [`MachineState::reset`],
+//! which loads all-`X` lanes exactly as before and allocates nothing
+//! extra.
+//!
 //! Every engine validates its inputs at the boundary — width mismatches,
 //! empty streams and oversized fault chunks surface as typed
 //! [`SimError`]s rather than panics deep inside the engine.
 
 use crate::good::{stream_machine_fused_tape, validate_width};
 use crate::packed::{LaneMask, PackedWord};
-use crate::{Fault, FaultSite, Logic, PackedValue, PackedValue256, PackedValue512, SimError};
+use crate::{
+    Fault, FaultSite, Logic, MachineState, PackedValue, PackedValue256, PackedValue512, Resumed,
+    SimError,
+};
 use bist_expand::VectorSource;
 use bist_netlist::{Circuit, GateKind, GateTape, RunArity};
 use bist_obs::{CancelKind, CancelToken, CounterHandle, HistogramHandle, Obs};
@@ -75,7 +88,8 @@ pub(crate) const OUT_FORCE: u8 = 2;
 /// criterion — a fault is detected at time `u` if some primary output is
 /// binary in the fault-free machine and the complementary binary value in
 /// the faulty machine at `u`, both machines starting from the all-`X`
-/// state.
+/// state — or, for [`resume_tape_obs`](Self::resume_tape_obs), from an
+/// explicit [`MachineState`].
 pub trait SimBackend: fmt::Debug + Send + Sync {
     /// Short engine name for reports (e.g. `"packed64"`).
     fn name(&self) -> &'static str;
@@ -135,6 +149,52 @@ pub trait SimBackend: fmt::Debug + Send + Sync {
     ) -> Result<Vec<Option<usize>>, SimError> {
         let _ = obs;
         self.detection_times_tape(tape, source, faults)
+    }
+
+    /// The resumable pass — the one entry point of the packed engines,
+    /// which run every detection pass through it from
+    /// [`MachineState::reset`]. Every lane starts from `from` (the good
+    /// machine from its good state, each fault's machine from that
+    /// fault's row, re-packed into whatever lane the fault lands in), the
+    /// stream's first vector is applied at time `from.time()`, and
+    /// detection times are reported as times since reset. A resumed pass
+    /// reports exactly what the from-reset pass over the whole history
+    /// reports for every fault `from` tracks.
+    ///
+    /// `capture` lists times, strictly ascending and after `from.time()`,
+    /// at which to snapshot the flip-flop state (the state *before* the
+    /// vector of that time, so `from.time() + len` is the state the
+    /// stream leaves behind); see [`Resumed::states`]. Capturing costs
+    /// O(faults × flip-flops) per capture time on top of the sweep.
+    ///
+    /// The default implementation serves plain from-reset passes through
+    /// [`detection_times_tape_obs`](Self::detection_times_tape_obs) and
+    /// rejects anything else, so engines without explicit state keep
+    /// working.
+    ///
+    /// # Errors
+    ///
+    /// As for [`detection_times_tape`](Self::detection_times_tape), plus
+    /// [`SimError::ResumeUnsupported`] from engines that cannot load or
+    /// capture state, [`SimError::StateMismatch`] when `from` was
+    /// captured on a tape with another flip-flop count,
+    /// [`SimError::MissingFaultState`] when a fault is not tracked by a
+    /// non-reset `from`, and [`SimError::InvalidCapture`] for
+    /// out-of-order capture times.
+    fn resume_tape_obs(
+        &self,
+        tape: &GateTape,
+        from: &MachineState,
+        source: &dyn VectorSource,
+        faults: &[Fault],
+        capture: &[usize],
+        obs: &Obs,
+    ) -> Result<Resumed, SimError> {
+        if from.is_reset() && capture.is_empty() {
+            let times = self.detection_times_tape_obs(tape, source, faults, obs)?;
+            return Ok(Resumed { times, states: Vec::new() });
+        }
+        Err(SimError::ResumeUnsupported { engine: self.name() })
     }
 }
 
@@ -521,14 +581,15 @@ fn eval_segment<W: PackedWord>(
 }
 
 /// One shard's reusable simulation state: injector tables, the packed
-/// value table, the flip-flop state and the forced-pin staging buffer.
-/// Allocated once per shard and reused across every chunk it runs — a
-/// chunk pass performs no heap allocation.
+/// value table, the flip-flop state, the forced-pin staging buffer and
+/// the shard's sweep tallies. Allocated once per shard and reused across
+/// every chunk it runs — a chunk pass performs no heap allocation.
 struct ShardScratch<W: PackedWord> {
     injector: Injector,
     values: Vec<W>,
     state: Vec<W>,
     pins: Vec<W>,
+    stats: SweepStats,
 }
 
 impl<W: PackedWord> ShardScratch<W> {
@@ -538,35 +599,164 @@ impl<W: PackedWord> ShardScratch<W> {
             values: vec![W::ALL_X; tape.num_nodes()],
             state: vec![W::ALL_X; tape.num_dffs()],
             pins: Vec::new(),
+            stats: SweepStats::default(),
+        }
+    }
+}
+
+/// Where a pass starts and when it snapshots its lanes, validated once
+/// per call and shared by every chunk of every shard.
+struct PassPlan<'a> {
+    from: &'a MachineState,
+    /// Capture times since reset, strictly ascending, all after
+    /// `from.time()`.
+    capture: &'a [usize],
+}
+
+impl<'a> PassPlan<'a> {
+    /// Checks `from` against the tape and the capture times against
+    /// `from`.
+    fn new(
+        tape: &GateTape,
+        from: &'a MachineState,
+        capture: &'a [usize],
+    ) -> Result<Self, SimError> {
+        let dffs = tape.num_dffs();
+        if !from.is_reset() && from.good().len() != dffs {
+            return Err(SimError::StateMismatch { state_dffs: from.good().len(), tape_dffs: dffs });
+        }
+        let mut after = from.time();
+        for &time in capture {
+            if time <= after {
+                return Err(SimError::InvalidCapture { time });
+            }
+            after = time;
+        }
+        Ok(PassPlan { from, capture })
+    }
+
+    /// Whether this is a plain from-reset detection pass.
+    fn is_plain(&self) -> bool {
+        self.from.is_reset() && self.capture.is_empty()
+    }
+
+    /// Packs the starting flip-flop values of `chunk` (lane `i` ← fault
+    /// `i`) and of the good machine (every other lane) into `state`.
+    fn load<W: PackedWord>(&self, chunk: &[Fault], state: &mut [W]) -> Result<(), SimError> {
+        if self.from.is_reset() {
+            state.fill(W::ALL_X);
+            return Ok(());
+        }
+        for (w, &v) in state.iter_mut().zip(self.from.good()) {
+            *w = W::splat(v);
+        }
+        for (lane, &fault) in chunk.iter().enumerate() {
+            let row = self.from.row(fault).ok_or(SimError::MissingFaultState { fault })?;
+            for (w, &v) in state.iter_mut().zip(self.from.row_values(row)) {
+                w.set_lane(lane, v);
+            }
+        }
+        Ok(())
+    }
+
+    /// Turns the shards' merged captures into the snapshots.
+    fn states(&self, captured: Captured) -> Vec<Option<MachineState>> {
+        self.capture
+            .iter()
+            .zip(captured.0)
+            .map(|(&at, snap)| {
+                Some(MachineState::captured(at, snap.good?, snap.faults, snap.values))
+            })
+            .collect()
+    }
+}
+
+/// What a pass captured at one capture time.
+#[derive(Debug, Default)]
+struct Snapshot {
+    /// The good machine's flip-flop values, once some chunk got there
+    /// (chunks stop at their last detection, so the good lane is only as
+    /// far along as the longest walk).
+    good: Option<Vec<Logic>>,
+    /// The faults still undetected there, in fault-list order...
+    faults: Vec<Fault>,
+    /// ...and their flip-flop values, one row each.
+    values: Vec<Logic>,
+}
+
+/// A shard's snapshots, one per capture time — empty, and allocation
+/// free, for passes that capture nothing.
+#[derive(Debug, Default)]
+struct Captured(Vec<Snapshot>);
+
+impl Captured {
+    fn new(plan: &PassPlan<'_>) -> Self {
+        Captured(plan.capture.iter().map(|_| Snapshot::default()).collect())
+    }
+
+    /// Records capture `ci` from a chunk's latched `state`: the good lane
+    /// (once) and every still-undetected fault lane. Kept out of line so
+    /// the sweep loop it is called from stays as tight as a plain pass's.
+    #[cold]
+    #[inline(never)]
+    fn record<W: PackedWord>(
+        &mut self,
+        ci: usize,
+        chunk: &[Fault],
+        state: &[W],
+        undetected: W::Mask,
+    ) {
+        let snap = &mut self.0[ci];
+        if snap.good.is_none() {
+            snap.good = Some(state.iter().map(|w| w.lane(W::LANES - 1)).collect());
+        }
+        undetected.for_each_lane(|lane| {
+            snap.faults.push(chunk[lane]);
+            snap.values.extend(state.iter().map(|w| w.lane(lane)));
+        });
+    }
+
+    /// Folds a later shard's snapshots into this one's.
+    fn merge(&mut self, other: Captured) {
+        for (snap, more) in self.0.iter_mut().zip(other.0) {
+            if snap.good.is_none() {
+                snap.good = more.good;
+            }
+            snap.faults.extend(more.faults);
+            snap.values.extend(more.values);
         }
     }
 }
 
 /// One pass over the stream with up to `W::LANES - 1` faulty machines in
-/// the low lanes and the fault-free machine fused into the top lane. The
-/// good machine sees no forces (the injector never loads its lane), so
-/// each output word carries the reference value and all faulty values of
-/// that output in the same pass — no precollected PO trace. The walk
-/// stops at the vector that detects the chunk's last undetected fault.
+/// the low lanes and the fault-free machine fused into the top lane,
+/// every lane starting from `plan`'s machine state. The good machine sees
+/// no forces (the injector never loads its lane), so each output word
+/// carries the reference value and all faulty values of that output in
+/// the same pass — no precollected PO trace. The walk stops at the vector
+/// that detects the chunk's last undetected fault.
 fn run_chunk<W: PackedWord>(
     tape: &GateTape,
     source: &dyn VectorSource,
+    plan: &PassPlan<'_>,
     chunk: &[Fault],
     times: &mut [Option<usize>],
+    captured: &mut Captured,
     scratch: &mut ShardScratch<W>,
-    stats: &mut SweepStats,
 ) -> Result<(), SimError> {
     let good_lane = W::LANES - 1;
     scratch.injector.load(tape, chunk, good_lane)?;
     scratch.values.fill(W::ALL_X);
-    scratch.state.fill(W::ALL_X);
-    let ShardScratch { injector, values, state, pins } = scratch;
+    plan.load(chunk, &mut scratch.state)?;
+    let ShardScratch { injector, values, state, pins, stats } = scratch;
     stats.chunks += 1;
     stats.patches += injector.forced_gates.len() as u64;
     let mut vectors = 0u64;
     let mut early_exit = false;
 
     let mut undetected = W::Mask::first_n(chunk.len());
+    let base = plan.from.time();
+    let mut next_capture = 0usize;
 
     let gate_out = tape.gate_out();
     let starts = tape.fanin_start();
@@ -646,7 +836,7 @@ fn run_chunk<W: PackedWord>(
             };
             let newly = diff.intersect(undetected);
             if !newly.is_empty() {
-                newly.for_each_lane(|lane| times[lane] = Some(t));
+                newly.for_each_lane(|lane| times[lane] = Some(base + t));
                 undetected = undetected.subtract(newly);
             }
         }
@@ -665,6 +855,10 @@ fn run_chunk<W: PackedWord>(
             }
             state[k] = v;
         }
+        if plan.capture.get(next_capture) == Some(&(base + t + 1)) {
+            captured.record(next_capture, chunk, state, undetected);
+            next_capture += 1;
+        }
         true
     });
     stats.vectors += vectors;
@@ -677,38 +871,42 @@ fn run_chunk<W: PackedWord>(
 fn run_shard<W: PackedWord>(
     tape: &GateTape,
     source: &dyn VectorSource,
+    plan: &PassPlan<'_>,
     faults: &[Fault],
     times: &mut [Option<usize>],
     sweep: &SweepObs,
-) -> Result<(), SimError> {
+) -> Result<Captured, SimError> {
     let per_chunk = W::LANES - 1;
     let start = sweep.is_active().then(Instant::now);
-    let mut stats = SweepStats::default();
     let mut scratch = ShardScratch::<W>::new(tape);
+    let mut captured = Captured::new(plan);
     for (chunk, slots) in faults.chunks(per_chunk).zip(times.chunks_mut(per_chunk)) {
         sweep.check_cancelled()?;
-        run_chunk::<W>(tape, source, chunk, slots, &mut scratch, &mut stats)?;
+        run_chunk::<W>(tape, source, plan, chunk, slots, &mut captured, &mut scratch)?;
     }
     if let Some(start) = start {
-        sweep.flush(&stats, elapsed_us(start));
+        sweep.flush(&scratch.stats, elapsed_us(start));
     }
-    Ok(())
+    Ok(captured)
 }
 
 /// Splits the fault list across `threads` scoped OS threads, each running
-/// `run_shard` on its own contiguous slice of faults and result slots.
-/// Shard boundaries are rounded to whole chunks so no pass is wasted on a
+/// `run_shard` on its own contiguous slice of faults and result slots,
+/// and folds the shards' results in fault-list order with `merge`. Shard
+/// boundaries are rounded to whole chunks so no pass is wasted on a
 /// partial word mid-list. Shared by both state layouts — the layout only
 /// decides what `run_shard` does inside one shard.
-pub(crate) fn shard_across_threads<F>(
+pub(crate) fn shard_across_threads<R, F>(
     faults: &[Fault],
     times: &mut [Option<usize>],
     threads: usize,
     per_chunk: usize,
     run_shard: F,
-) -> Result<(), SimError>
+    merge: impl Fn(&mut R, R),
+) -> Result<R, SimError>
 where
-    F: Fn(&[Fault], &mut [Option<usize>]) -> Result<(), SimError> + Sync,
+    R: Send,
+    F: Fn(&[Fault], &mut [Option<usize>]) -> Result<R, SimError> + Sync,
 {
     let shard = faults.len().div_ceil(threads).div_ceil(per_chunk).max(1) * per_chunk;
     if threads == 1 || faults.len() <= shard {
@@ -721,25 +919,46 @@ where
             .zip(times.chunks_mut(shard))
             .map(|(chunk, slots)| scope.spawn(move || run_shard(chunk, slots)))
             .collect();
+        let mut merged: Option<R> = None;
         for handle in handles {
-            handle.join().expect("shard thread panicked")?;
+            let result = handle.join().expect("shard thread panicked")?;
+            match &mut merged {
+                None => merged = Some(result),
+                Some(acc) => merge(acc, result),
+            }
         }
-        Ok(())
+        Ok(merged.expect("a fault list longer than one shard has shards"))
     })
 }
 
-/// [`shard_across_threads`] over the interleaved array-of-words engine.
-fn run_sharded<W: PackedWord>(
+/// The interleaved array-of-words engine behind every resumable backend:
+/// validates the call, runs `W`-wide chunks over `threads` shards from
+/// `from`, and assembles the requested snapshots. A plain from-reset
+/// pass allocates nothing beyond the times vector and each shard's
+/// scratch block.
+fn resume_interleaved<W: PackedWord>(
     tape: &GateTape,
+    from: &MachineState,
     source: &dyn VectorSource,
     faults: &[Fault],
-    times: &mut [Option<usize>],
+    capture: &[usize],
     threads: usize,
-    sweep: &SweepObs,
-) -> Result<(), SimError> {
-    shard_across_threads(faults, times, threads, W::LANES - 1, |chunk, slots| {
-        run_shard::<W>(tape, source, chunk, slots, sweep)
-    })
+    obs: &Obs,
+) -> Result<Resumed, SimError> {
+    validate_width(tape.num_inputs(), source)?;
+    let plan = PassPlan::new(tape, from, capture)?;
+    let sweep = SweepObs::new(obs);
+    let mut times = vec![None; faults.len()];
+    let captured = shard_across_threads(
+        faults,
+        &mut times,
+        threads,
+        W::LANES - 1,
+        |chunk, slots| run_shard::<W>(tape, source, &plan, chunk, slots, &sweep),
+        Captured::merge,
+    )?;
+    let states = plan.states(captured);
+    Ok(Resumed { times, states })
 }
 
 // ---------------------------------------------------------------------
@@ -773,11 +992,20 @@ impl SimBackend for PackedBackend {
         faults: &[Fault],
         obs: &Obs,
     ) -> Result<Vec<Option<usize>>, SimError> {
-        validate_width(tape.num_inputs(), source)?;
-        let sweep = SweepObs::new(obs);
-        let mut times = vec![None; faults.len()];
-        run_shard::<PackedValue>(tape, source, faults, &mut times, &sweep)?;
-        Ok(times)
+        let reset = MachineState::reset();
+        Ok(self.resume_tape_obs(tape, &reset, source, faults, &[], obs)?.times)
+    }
+
+    fn resume_tape_obs(
+        &self,
+        tape: &GateTape,
+        from: &MachineState,
+        source: &dyn VectorSource,
+        faults: &[Fault],
+        capture: &[usize],
+        obs: &Obs,
+    ) -> Result<Resumed, SimError> {
+        resume_interleaved::<PackedValue>(tape, from, source, faults, capture, 1, obs)
     }
 }
 
@@ -968,47 +1196,57 @@ impl SimBackend for ShardedBackend {
         faults: &[Fault],
         obs: &Obs,
     ) -> Result<Vec<Option<usize>>, SimError> {
-        validate_width(tape.num_inputs(), source)?;
+        let reset = MachineState::reset();
+        Ok(self.resume_tape_obs(tape, &reset, source, faults, &[], obs)?.times)
+    }
+
+    /// Resumes on the interleaved layout at any width. The bit-plane
+    /// layout runs plain from-reset passes only and answers anything else
+    /// with [`SimError::ResumeUnsupported`].
+    fn resume_tape_obs(
+        &self,
+        tape: &GateTape,
+        from: &MachineState,
+        source: &dyn VectorSource,
+        faults: &[Fault],
+        capture: &[usize],
+        obs: &Obs,
+    ) -> Result<Resumed, SimError> {
         // threads >= 1 is a construction invariant of every constructor.
         debug_assert!(self.threads >= 1);
-        let sweep = SweepObs::new(obs);
-        let mut times = vec![None; faults.len()];
-        use crate::planes::run_sharded_planes;
+        let threads = self.threads;
         match (self.layout, self.width) {
-            (StateLayout::BitPlanes, WordWidth::W64) => {
-                run_sharded_planes::<1>(tape, source, faults, &mut times, self.threads, &sweep)?;
-            }
-            (StateLayout::BitPlanes, WordWidth::W256) => {
-                run_sharded_planes::<4>(tape, source, faults, &mut times, self.threads, &sweep)?;
-            }
-            (StateLayout::BitPlanes, WordWidth::W512) => {
-                run_sharded_planes::<8>(tape, source, faults, &mut times, self.threads, &sweep)?;
+            (StateLayout::BitPlanes, width) => {
+                validate_width(tape.num_inputs(), source)?;
+                if !PassPlan::new(tape, from, capture)?.is_plain() {
+                    return Err(SimError::ResumeUnsupported { engine: self.name() });
+                }
+                let sweep = SweepObs::new(obs);
+                let mut times = vec![None; faults.len()];
+                use crate::planes::run_sharded_planes;
+                match width {
+                    WordWidth::W64 => {
+                        run_sharded_planes::<1>(tape, source, faults, &mut times, threads, &sweep)?;
+                    }
+                    WordWidth::W256 => {
+                        run_sharded_planes::<4>(tape, source, faults, &mut times, threads, &sweep)?;
+                    }
+                    WordWidth::W512 => {
+                        run_sharded_planes::<8>(tape, source, faults, &mut times, threads, &sweep)?;
+                    }
+                }
+                Ok(Resumed { times, states: Vec::new() })
             }
             (StateLayout::Interleaved, WordWidth::W64) => {
-                run_sharded::<PackedValue>(tape, source, faults, &mut times, self.threads, &sweep)?;
+                resume_interleaved::<PackedValue>(tape, from, source, faults, capture, threads, obs)
             }
-            (StateLayout::Interleaved, WordWidth::W256) => {
-                run_sharded::<PackedValue256>(
-                    tape,
-                    source,
-                    faults,
-                    &mut times,
-                    self.threads,
-                    &sweep,
-                )?;
-            }
-            (StateLayout::Interleaved, WordWidth::W512) => {
-                run_sharded::<PackedValue512>(
-                    tape,
-                    source,
-                    faults,
-                    &mut times,
-                    self.threads,
-                    &sweep,
-                )?;
-            }
+            (StateLayout::Interleaved, WordWidth::W256) => resume_interleaved::<PackedValue256>(
+                tape, from, source, faults, capture, threads, obs,
+            ),
+            (StateLayout::Interleaved, WordWidth::W512) => resume_interleaved::<PackedValue512>(
+                tape, from, source, faults, capture, threads, obs,
+            ),
         }
-        Ok(times)
     }
 }
 

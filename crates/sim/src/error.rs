@@ -1,3 +1,4 @@
+use crate::Fault;
 use std::fmt;
 
 /// Errors from the simulation engines.
@@ -47,6 +48,34 @@ pub enum SimError {
         /// explicit cancellation request).
         deadline_expired: bool,
     },
+    /// A resumed pass was asked of an engine that cannot load or capture
+    /// machine state (the scalar reference, the bit-plane layout, a
+    /// simulator routing faults through an optimized compile).
+    ResumeUnsupported {
+        /// Name of the engine.
+        engine: &'static str,
+    },
+    /// A [`MachineState`](crate::MachineState) was resumed on a tape
+    /// with a different number of flip-flops.
+    StateMismatch {
+        /// Flip-flops the state holds per machine.
+        state_dffs: usize,
+        /// Flip-flops of the tape.
+        tape_dffs: usize,
+    },
+    /// A resumed pass was asked to simulate a fault the (non-reset)
+    /// machine state does not track — typically one detected before the
+    /// state was captured.
+    MissingFaultState {
+        /// The untracked fault.
+        fault: Fault,
+    },
+    /// A capture time was not strictly after the resumed state's time
+    /// and every earlier capture time.
+    InvalidCapture {
+        /// The offending capture time.
+        time: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -75,6 +104,19 @@ impl fmt::Display for SimError {
                     write!(f, "sweep cancelled by request")
                 }
             }
+            SimError::ResumeUnsupported { engine } => {
+                write!(f, "engine {engine} cannot resume from a machine state")
+            }
+            SimError::StateMismatch { state_dffs, tape_dffs } => write!(
+                f,
+                "machine state holds {state_dffs} flip-flops per machine, the tape has {tape_dffs}"
+            ),
+            SimError::MissingFaultState { fault } => {
+                write!(f, "machine state does not track fault {fault}")
+            }
+            SimError::InvalidCapture { time } => {
+                write!(f, "capture time {time} is not after the resume point and earlier captures")
+            }
         }
     }
 }
@@ -100,6 +142,13 @@ mod tests {
         assert!(tape.to_string().contains("17"));
         assert!(SimError::Cancelled { deadline_expired: true }.to_string().contains("deadline"));
         assert!(SimError::Cancelled { deadline_expired: false }.to_string().contains("request"));
+        let engine = SimError::ResumeUnsupported { engine: "scalar" };
+        assert!(engine.to_string().contains("scalar"));
+        let state = SimError::StateMismatch { state_dffs: 3, tape_dffs: 14 };
+        assert!(state.to_string().contains("14"));
+        let fault = Fault::output(bist_netlist::NodeId::from_index(7), true);
+        assert!(SimError::MissingFaultState { fault }.to_string().contains("s-a-1"));
+        assert!(SimError::InvalidCapture { time: 12 }.to_string().contains("12"));
     }
 
     #[test]

@@ -28,6 +28,12 @@
 //!   detection times (the `udet(f)` of Procedure 1) and consume
 //!   replayable [`VectorSource`] streams, so lazily expanded sequences
 //!   simulate without materialization.
+//! * [`MachineState`] — the explicit, cloneable state of a pass (the
+//!   good machine's flip-flops plus each fault's).
+//!   [`FaultSimulator::resume`] / [`SimBackend::resume_tape_obs`]
+//!   continue a pass from one and snapshot new ones, so sequences that
+//!   grow or change late (test generation, static compaction) are
+//!   re-simulated only from the change on.
 //! * [`FaultCoverage`] — fault list + detection times bookkeeping.
 //!
 //! # Example
@@ -65,6 +71,7 @@ mod packed;
 mod planes;
 pub mod reference;
 mod simulator;
+mod state;
 mod stepped;
 pub mod transition;
 
@@ -92,6 +99,7 @@ pub use logic::Logic;
 pub use mapped::{detection_times_mapped, detection_times_mapped_obs};
 pub use packed::{LaneMask, PackedValue, PackedValue256, PackedValue512, PackedVec, PackedWord};
 pub use simulator::FaultSimulator;
+pub use state::{MachineState, Resumed};
 pub use stepped::SteppedSim;
 pub use transition::{
     detects_transition, transition_detection_times, transition_universe, TransitionFault,

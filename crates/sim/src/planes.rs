@@ -391,7 +391,12 @@ pub(crate) fn run_sharded_planes<const N: usize>(
     threads: usize,
     sweep: &SweepObs,
 ) -> Result<(), SimError> {
-    crate::backend::shard_across_threads(faults, times, threads, 64 * N - 1, |chunk, slots| {
-        run_shard_planes::<N>(tape, source, chunk, slots, sweep)
-    })
+    crate::backend::shard_across_threads(
+        faults,
+        times,
+        threads,
+        64 * N - 1,
+        |chunk, slots| run_shard_planes::<N>(tape, source, chunk, slots, sweep),
+        |(), ()| {},
+    )
 }

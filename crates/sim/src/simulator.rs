@@ -24,10 +24,17 @@
 //! expanded sequences of the paper's scheme can be simulated straight from
 //! the lazy [`ExpansionIter`](bist_expand::ExpansionIter) without ever
 //! materializing `Sexp`.
+//!
+//! Machine state is explicit: [`FaultSimulator::resume`] continues a
+//! pass from a [`MachineState`] (the good machine's flip-flops plus each
+//! fault's) and can snapshot the state at chosen times, so a caller that
+//! extends or edits a sequence re-simulates only the vectors after the
+//! change. Every query above is that pass started from
+//! [`MachineState::reset`].
 
 use crate::backend::{PackedBackend, ScalarBackend, ShardedBackend, SimBackend, WordWidth};
 use crate::good::GoodTrace;
-use crate::{Fault, SimError};
+use crate::{Fault, MachineState, Resumed, SimError};
 use bist_expand::{TestSequence, VectorSource};
 use bist_netlist::{Circuit, CompiledCircuit, GateTape};
 use bist_obs::Obs;
@@ -240,6 +247,61 @@ impl<'c> FaultSimulator<'c> {
                 &self.obs,
             ),
             None => self.backend.detection_times_tape_obs(&self.tape, source, faults, &self.obs),
+        }
+    }
+
+    /// Resumes a pass from an explicit machine state — the incremental
+    /// form of [`detection_times_stream`](Self::detection_times_stream)
+    /// (which is this call from [`MachineState::reset`] without
+    /// captures). The stream continues whatever history left `from`
+    /// behind; detection times are times since reset, and each requested
+    /// `capture` time yields a snapshot to resume from later. See
+    /// [`SimBackend::resume_tape_obs`] for the exact contract.
+    ///
+    /// ```
+    /// use bist_expand::TestSequence;
+    /// use bist_netlist::benchmarks;
+    /// use bist_sim::{collapse, fault_universe, FaultSimulator, MachineState};
+    ///
+    /// let c = benchmarks::s27();
+    /// let faults = collapse(&c, &fault_universe(&c)).representatives().to_vec();
+    /// let sim = FaultSimulator::new(&c);
+    /// let prefix: TestSequence = "0111 1001 0111 1001".parse()?;
+    /// let burst: TestSequence = "0100 1011 1001 0000 0000 1011".parse()?;
+    /// // Walk the prefix once, keeping the state it leaves behind.
+    /// let walked = sim.resume(&MachineState::reset(), &prefix, &faults, &[4])?;
+    /// let state = walked.states[0].clone().expect("undetected faults walk the whole prefix");
+    /// let pending: Vec<_> =
+    ///     faults.iter().zip(&walked.times).filter(|(_, t)| t.is_none()).map(|(&f, _)| f).collect();
+    /// // Continuing over the burst matches simulating prefix ++ burst.
+    /// let resumed = sim.resume(&state, &burst, &pending, &[])?;
+    /// let whole = sim.detection_times(&prefix.concat(&burst)?, &pending)?;
+    /// assert_eq!(resumed.times, whole);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// As for [`SimBackend::resume_tape_obs`];
+    /// [`SimError::ResumeUnsupported`] on a simulator that routes faults
+    /// through an optimized compile, unless the pass is a plain
+    /// from-reset one.
+    pub fn resume(
+        &self,
+        from: &MachineState,
+        source: &dyn VectorSource,
+        faults: &[Fault],
+        capture: &[usize],
+    ) -> Result<Resumed, SimError> {
+        match &self.compiled {
+            Some(compiled) if !compiled.site_map().is_identity() => {
+                if from.is_reset() && capture.is_empty() {
+                    let times = self.detection_times_stream(source, faults)?;
+                    return Ok(Resumed { times, states: Vec::new() });
+                }
+                Err(SimError::ResumeUnsupported { engine: "mapped" })
+            }
+            _ => self.backend.resume_tape_obs(&self.tape, from, source, faults, capture, &self.obs),
         }
     }
 

@@ -10,6 +10,11 @@
 //! × threads 1/2/4 × both state layouts) and compared bit-for-bit
 //! against the node-graph oracle in [`bist_sim::reference`].
 //!
+//! Each corpus circuit also gets a seeded resume case: the engines that
+//! keep explicit machine state resume from a random prefix and must
+//! reproduce the oracle's times for every fault the prefix left
+//! undetected.
+//!
 //! Two entry points, like the 13-circuit campaign acceptance test:
 //! a fast subset that runs in debug `cargo test` on every push, and the
 //! full ≥200-circuit sweep, ignored in debug and executed in release CI.
@@ -18,9 +23,11 @@ use bist_expand::{TestSequence, TestVector};
 use bist_netlist::fuzz::fuzz_circuit;
 use bist_netlist::{compile_staged, CircuitBuilder, CompileOptions, GateKind, GateTape};
 use bist_sim::{
-    collapse, detection_times_mapped, fault_universe, reference, FaultSite, SimBackend, SiteRoute,
+    collapse, detection_times_mapped, fault_universe, reference, Fault, FaultSite, MachineState,
+    Obs, SimBackend, SimError, SiteRoute,
 };
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 mod common;
@@ -64,11 +71,57 @@ fn run_corpus(seeds: std::ops::Range<u64>, max_faults: usize, max_seq_len: usize
                 circuit.name()
             );
         }
+        // Seeded resume case: every engine that keeps explicit machine
+        // state walks a random prefix, then resumes the faults it left
+        // undetected — shuffled, so they land in other lanes — over the
+        // rest, and must reproduce the oracle's times for all of them.
+        let at = rng.gen_range(1..len);
+        let (prefix, rest) = (seq.subsequence(0, at - 1), seq.subsequence(at, len - 1));
+        let reset = MachineState::reset();
+        for engine in &grid {
+            let walked = match engine.resume_tape_obs(
+                &tape,
+                &reset,
+                &prefix,
+                &faults,
+                &[at],
+                &Obs::noop(),
+            ) {
+                Err(SimError::ResumeUnsupported { .. }) => continue,
+                walked => walked.unwrap_or_else(|e| {
+                    panic!("{} failed on {} (seed {seed}): {e}", engine.name(), circuit.name())
+                }),
+            };
+            let mut pending: Vec<usize> = Vec::new();
+            for (i, &t) in walked.times.iter().enumerate() {
+                match t {
+                    Some(_) => assert_eq!(t, oracle[i], "{} prefix (seed {seed})", engine.name()),
+                    None => pending.push(i),
+                }
+            }
+            let Some(state) = &walked.states[0] else {
+                assert!(pending.is_empty(), "{} lost the state (seed {seed})", engine.name());
+                continue;
+            };
+            pending.shuffle(&mut rng);
+            let subset: Vec<Fault> = pending.iter().map(|&i| faults[i]).collect();
+            let resumed =
+                engine.resume_tape_obs(&tape, state, &rest, &subset, &[], &Obs::noop()).unwrap();
+            for (&i, &t) in pending.iter().zip(&resumed.times) {
+                assert_eq!(
+                    t,
+                    oracle[i],
+                    "{} resumed at {at} diverges from the oracle on {} (seed {seed})",
+                    engine.name(),
+                    circuit.name()
+                );
+            }
+        }
     }
 }
 
 /// Fast subset: runs in debug builds on every `cargo test`, covering all
-/// five shape classes several times over.
+/// five shape classes several times over, with a resume case each.
 #[test]
 fn randomized_differential_fast_subset() {
     run_corpus(0..48, 48, 10);

@@ -5,10 +5,30 @@
 //! omission is kept if the sequence still detects every fault of the
 //! target set. Because sequential-circuit fault simulation is the cost
 //! driver, the procedure takes an explicit *budget* of trial simulations.
+//!
+//! Trials are incremental. Omitting vector `u` leaves the prefix
+//! `[0, u)` unchanged, and with it every detection before `u`, so a trial
+//! re-simulates only the target faults detected at `u` or later,
+//! resuming from the nearest *checkpoint* at or before `u` rather than
+//! from the all-`X` state. Checkpoints are [`MachineState`]s at every
+//! multiple of `2⌊√len⌋` vectors. The spacing follows from the input
+//! length alone; denser checkpoints measured no faster, and each one
+//! holds a row per still-undetected fault. One from-reset pass at the
+//! start captures them, yields the detection times and checks that the
+//! input detects the whole target set. A successful trial keeps the
+//! checkpoints up to `u` and replaces the later ones with snapshots from
+//! its own walk; a failed trial changes nothing. A trial with no target
+//! fault detected at or after `u` succeeds without simulating (it still
+//! counts against the budget). Sequences, trial counts and removals are
+//! exactly those of re-simulating every candidate from scratch.
+//!
+//! Checkpoints past the last detection time are never read — a trial
+//! there has nothing to simulate — so the snapshots a walk could not
+//! reach (every chunk stopped at its last detection) are simply absent.
 
-use bist_expand::TestSequence;
+use bist_expand::{TestSequence, TestVector, VectorSource};
 use bist_netlist::Circuit;
-use bist_sim::{Fault, FaultSimulator, SimError};
+use bist_sim::{Fault, FaultSimulator, MachineState, SimError};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -38,6 +58,9 @@ impl CompactionStats {
     }
 }
 
+const UNDETECTED_KEEP: &str =
+    "static_compact requires the input sequence to detect every kept fault";
+
 /// Compacts `sequence` while preserving detection of every fault in
 /// `keep`.
 ///
@@ -45,7 +68,9 @@ impl CompactionStats {
 /// omission all positions are reconsidered, exactly like the omission loop
 /// of the paper's Procedure 2 but with a whole fault set as the criterion.
 /// Stops when no further vector can be omitted or `budget` trial
-/// simulations have been spent.
+/// simulations have been spent. Builds its own simulator (compiling the
+/// circuit's tape); test generation runs the same loop on the simulator
+/// it already holds.
 ///
 /// # Errors
 ///
@@ -62,22 +87,37 @@ pub fn static_compact(
     budget: usize,
     seed: u64,
 ) -> Result<CompactionStats, SimError> {
-    let sim = FaultSimulator::new(circuit);
-    let detects_all = |seq: &TestSequence| -> Result<bool, SimError> {
-        if seq.is_empty() {
-            return Ok(keep.is_empty());
-        }
-        let times = sim.detection_times(seq, keep)?;
-        Ok(times.iter().all(Option::is_some))
-    };
-    assert!(
-        detects_all(sequence)?,
-        "static_compact requires the input sequence to detect every kept fault"
-    );
+    compact_on(&FaultSimulator::new(circuit), sequence, keep, budget, seed)
+}
+
+/// The compaction loop over a caller-supplied simulator.
+pub(crate) fn compact_on(
+    sim: &FaultSimulator<'_>,
+    sequence: &TestSequence,
+    keep: &[Fault],
+    budget: usize,
+    seed: u64,
+) -> Result<CompactionStats, SimError> {
+    let original_len = sequence.len();
+    let mut current = sequence.clone();
+    if sequence.is_empty() {
+        assert!(keep.is_empty(), "{UNDETECTED_KEEP}");
+        return Ok(CompactionStats { sequence: current, original_len, removed: 0, trials: 0 });
+    }
+    let spacing = 2 * original_len.isqrt();
+    let walked = sim.resume(
+        &MachineState::reset(),
+        sequence,
+        keep,
+        &checkpoint_times(spacing, 1, original_len),
+    )?;
+    assert!(walked.times.iter().all(Option::is_some), "{UNDETECTED_KEEP}");
+    let mut udet: Vec<usize> = walked.times.into_iter().flatten().collect();
+    // `checkpoints[j]` is the state before vector `j * spacing`.
+    let mut checkpoints: Vec<Option<MachineState>> =
+        std::iter::once(Some(MachineState::reset())).chain(walked.states).collect();
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-    let mut current = sequence.clone();
-    let original_len = sequence.len();
     let mut trials = 0usize;
 
     'outer: loop {
@@ -94,16 +134,37 @@ pub fn static_compact(
             if u >= current.len() {
                 continue;
             }
-            let candidate = current.without(u);
-            if candidate.is_empty() {
-                continue;
-            }
             trials += 1;
-            if detects_all(&candidate)? {
-                current = candidate;
-                // Restart the scan over the shortened sequence.
-                continue 'outer;
+            // Only faults detected at `u` or later can be lost.
+            let pending: Vec<usize> = (0..keep.len()).filter(|&i| udet[i] >= u).collect();
+            let new_len = current.len() - 1;
+            if !pending.is_empty() {
+                let c = u / spacing;
+                let continuation = Omitted { seq: &current, from: c * spacing, skip: u };
+                if continuation.is_empty() {
+                    // `u` is the last vector and its own checkpoint: the
+                    // faults detected there are lost.
+                    continue;
+                }
+                let from = checkpoints[c]
+                    .as_ref()
+                    .expect("checkpoints up to the last detection time are captured");
+                let faults: Vec<Fault> = pending.iter().map(|&i| keep[i]).collect();
+                let capture = checkpoint_times(spacing, c + 1, new_len);
+                let resumed = sim.resume(from, &continuation, &faults, &capture)?;
+                if resumed.times.iter().any(Option::is_none) {
+                    continue;
+                }
+                for (&i, t) in pending.iter().zip(resumed.times) {
+                    udet[i] = t.expect("checked above");
+                }
+                checkpoints.truncate(c + 1);
+                checkpoints.extend(resumed.states);
             }
+            checkpoints.truncate(new_len.div_ceil(spacing));
+            current = current.without(u);
+            // Restart the scan over the shortened sequence.
+            continue 'outer;
         }
         break;
     }
@@ -114,6 +175,40 @@ pub fn static_compact(
         sequence: current,
         trials,
     })
+}
+
+/// Checkpoint times `j * spacing` for `j >= first`, below `len`.
+fn checkpoint_times(spacing: usize, first: usize, len: usize) -> Vec<usize> {
+    (first * spacing..len).step_by(spacing).collect()
+}
+
+/// `seq[from..]` with the vector at `skip` left out: a trial's
+/// continuation after its checkpoint, streamed without building the
+/// candidate sequence.
+struct Omitted<'a> {
+    seq: &'a TestSequence,
+    from: usize,
+    skip: usize,
+}
+
+impl VectorSource for Omitted<'_> {
+    fn width(&self) -> usize {
+        self.seq.width()
+    }
+
+    fn num_vectors(&self) -> usize {
+        self.seq.len() - self.from - 1
+    }
+
+    fn visit(&self, visitor: &mut dyn FnMut(usize, &TestVector) -> bool) {
+        let vectors = self.seq.vectors();
+        let kept = vectors[self.from..self.skip].iter().chain(&vectors[self.skip + 1..]);
+        for (t, v) in kept.enumerate() {
+            if !visitor(t, v) {
+                return;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,11 +1,27 @@
 //! Fault-simulation-guided test sequence generation (STRATEGATE
 //! substitute).
+//!
+//! The generator grows `T0` burst by burst and keeps the
+//! fault-simulation state explicit: after each accepted burst it holds
+//! the [`MachineState`] the sequence leaves its still-undetected faults
+//! (and the good machine) in. A candidate burst is simulated alone,
+//! resumed from that state against the remaining faults, and its
+//! detection times are already times within the whole sequence. An
+//! accepted burst is cut after its last new detection and its kept
+//! vectors are walked once more for the surviving faults to step the
+//! state past them; a rejected burst leaves the state untouched. Every
+//! vector of `T0` is therefore simulated a bounded number of times,
+//! instead of the whole prefix being replayed from the all-`X` state for
+//! every candidate. The compaction that follows runs on the same
+//! simulator ([`crate::static_compact`]).
 
-use crate::{static_compact, RandomSequence, TgenConfig};
+use crate::compact::compact_on;
+use crate::{RandomSequence, TgenConfig};
 use bist_expand::TestSequence;
 use bist_netlist::{Circuit, GateTape};
 use bist_sim::{
-    collapse, fault_universe, Fault, FaultCoverage, FaultSimulator, PackedBackend, SimError,
+    collapse, fault_universe, Fault, FaultCoverage, FaultSimulator, MachineState, PackedBackend,
+    SimError,
 };
 use std::sync::Arc;
 
@@ -35,8 +51,12 @@ impl GeneratedTest {
 /// not-yet-detected fault of the collapsed universe. Generation stops when
 /// every fault is detected, the stall limit is reached, or the length cap
 /// is hit; the sequence is then statically compacted while preserving the
-/// detected set, and finally re-simulated to obtain definitive detection
-/// times.
+/// detected set, and the compacted sequence is fault-simulated once for
+/// its definitive detection times.
+///
+/// Each burst is simulated alone, resumed from the machine state the
+/// accepted prefix left its undetected faults in, so generation costs
+/// time linear in the final length rather than quadratic.
 ///
 /// # Errors
 ///
@@ -102,69 +122,79 @@ fn generate_on(
     let mut source =
         RandomSequence::new(circuit.num_inputs(), config.hold_probability, config.seed);
 
-    let mut t0: Option<TestSequence> = None;
-    let mut remaining: Vec<Fault> = faults.clone();
+    let mut t0 = TestSequence::new(circuit.num_inputs());
+    // First detection time of every fault under `t0`: appending vectors
+    // never moves a detection, so these are final once recorded.
+    let mut times: Vec<Option<usize>> = vec![None; faults.len()];
+    // The faults `t0` does not detect yet, their indices in `faults`, and
+    // the machine state `t0` leaves them in.
+    let mut pending: Vec<Fault> = faults.clone();
+    let mut slots: Vec<usize> = (0..faults.len()).collect();
+    let mut state = MachineState::reset();
     let mut stall = 0usize;
     let mut burst_len = config.burst_len;
 
-    while !remaining.is_empty() && stall < config.max_stall {
-        let current_len = t0.as_ref().map_or(0, TestSequence::len);
-        if current_len >= config.max_length {
+    while !pending.is_empty() && stall < config.max_stall {
+        if t0.len() >= config.max_length {
             break;
         }
-        let burst = source.burst(burst_len.min(config.max_length - current_len));
-        let candidate = match &t0 {
-            None => burst,
-            Some(prefix) => prefix.concat(&burst).expect("same width"),
-        };
-        let times = sim.detection_times(&candidate, &remaining)?;
-        let newly = times.iter().filter(|t| t.is_some()).count();
-        if newly > 0 {
-            remaining = remaining
-                .iter()
-                .zip(&times)
-                .filter_map(|(&f, &t)| if t.is_none() { Some(f) } else { None })
-                .collect();
-            // Truncate the useless tail of the burst: nothing after the
-            // last new detection contributes (new detections always fall
-            // inside the freshly appended burst, so earlier detections are
-            // unaffected).
-            let last_useful =
-                times.iter().flatten().copied().max().expect("newly > 0 implies a time");
-            t0 = Some(candidate.subsequence(0, last_useful));
-            stall = 0;
-        } else {
+        let burst = source.burst(burst_len.min(config.max_length - t0.len()));
+        let found = sim.resume(&state, &burst, &pending, &[])?.times;
+        let Some(last_useful) = found.iter().flatten().copied().max() else {
             stall += 1;
             // Occasionally try longer bursts: deep faults need longer
             // justification sequences.
             if stall.is_multiple_of(10) {
                 burst_len = (burst_len * 2).min(128);
             }
+            continue;
+        };
+        // Truncate the useless tail of the burst: nothing after the last
+        // new detection contributes.
+        let kept = burst.subsequence(0, last_useful - t0.len());
+        let mut found_in = found.iter();
+        slots.retain(|&i| match found_in.next() {
+            Some(&Some(t)) => {
+                times[i] = Some(t);
+                false
+            }
+            _ => true,
+        });
+        let mut found_in = found.iter();
+        pending.retain(|_| found_in.next().is_some_and(Option::is_none));
+        if !pending.is_empty() {
+            // Walk the kept vectors once more, for the survivors only, to
+            // step their machines (and the good one) past them.
+            let end = t0.len() + kept.len();
+            state = sim
+                .resume(&state, &kept, &pending, &[end])?
+                .states
+                .pop()
+                .flatten()
+                .expect("undetected faults walk the whole kept burst");
         }
+        for v in &kept {
+            t0.push(v.clone()).expect("same width");
+        }
+        stall = 0;
     }
 
-    let t0 = match t0 {
-        Some(seq) => seq,
+    if t0.is_empty() {
         // Degenerate: nothing was ever detected; keep one burst so the
         // contract (nonempty sequence) holds.
-        None => source.burst(config.burst_len),
-    };
+        t0 = source.burst(config.burst_len);
+        times = sim.detection_times(&t0, &faults)?;
+    }
 
-    // Compact while preserving the detected set, then re-simulate for
-    // final detection times.
-    let detected: Vec<Fault> = {
-        let times = sim.detection_times(&t0, &faults)?;
-        faults
-            .iter()
-            .zip(&times)
-            .filter_map(|(&f, &t)| if t.is_some() { Some(f) } else { None })
-            .collect()
-    };
-    let compacted = if config.compaction_budget > 0 && !detected.is_empty() {
-        static_compact(circuit, &t0, &detected, config.compaction_budget, config.seed)?.sequence
-    } else {
-        t0
-    };
+    // Compact while preserving the detected set, then re-simulate the
+    // compacted sequence for final detection times.
+    let detected: Vec<Fault> =
+        faults.iter().zip(&times).filter_map(|(&f, t)| t.map(|_| f)).collect();
+    if config.compaction_budget == 0 || detected.is_empty() {
+        return Ok(GeneratedTest { sequence: t0, coverage: FaultCoverage::new(faults, times) });
+    }
+    let compacted =
+        compact_on(sim, &t0, &detected, config.compaction_budget, config.seed)?.sequence;
     let coverage = FaultCoverage::simulate(sim, &compacted, faults)?;
     Ok(GeneratedTest { sequence: compacted, coverage })
 }

@@ -12,10 +12,14 @@
 //!   when they detect new faults, until the fault list is exhausted or the
 //!   generator stalls. This is the spirit of random/simulation-based
 //!   sequential ATPG; it exercises exactly the code paths the paper's
-//!   scheme needs from `T0`.
+//!   scheme needs from `T0`. Each burst is simulated alone, resumed from
+//!   the machine state the accepted prefix left behind, so generation is
+//!   linear in the length of `T0`.
 //! * [`static_compact`] — restoration-style static compaction (substitute
 //!   for \[12\]): vectors are tentatively omitted and the omission is kept
-//!   when the full target fault set stays detected.
+//!   when the full target fault set stays detected. A trial re-simulates
+//!   only the faults detected at or after the omitted vector, from the
+//!   nearest machine-state checkpoint before it.
 //! * [`Lfsr`] and [`RandomSequence`] — pseudo-random stimulus sources,
 //!   also used by the LFSR-with-hold baseline of \[3\] in `bist-core`.
 //!
