@@ -3,26 +3,23 @@
 //! engine, on small circuits and on the `a5378`/`a35932` analogs where
 //! throughput on the expanded vector stream is the binding constraint.
 //!
-//! Since PR 4 every engine executes the compiled gate tape; the historic
-//! row names (`packed64/*`, `sharded/*`) are kept so `BENCH_fault_sim.json`
-//! tracks the node-graph → compiled-core trajectory across PRs. Groups
-//! covering the tape itself: `compile_tape/*` (one-off tape construction
-//! per circuit), `detect/tape/*` (detection over a shared precompiled
-//! tape — the Session/campaign hot path), `detect/blocked/*` (the PR 5
-//! blocked bit-plane sweep per word width) and `state_layout/*` (the A/B
-//! between the bit-plane layout and the interleaved array-of-words
-//! layout at the memory-bound widths — the row pair that decides the
-//! production default per host).
+//! Every engine executes the compiled gate tape; the historic row names
+//! (`packed64/*`, `sharded/*`) are kept so `BENCH_fault_sim.json` tracks
+//! the node-graph → compiled-core trajectory. Groups covering the tape
+//! itself: `compile_tape/*` (one-off tape construction per circuit) and
+//! `detect/tape/*` (detection over a shared precompiled tape — the
+//! Session/campaign hot path).
 //!
 //! Writes `BENCH_fault_sim.json` into the workspace root. Run with
-//! `--smoke` (as CI does) for a fast schema-checking pass.
+//! `--smoke` (as CI does) for a fast schema-checking pass, which writes
+//! `BENCH_fault_sim.smoke.json` instead.
 
 use bist_bench::timing::{self, Report};
 use subseq_bist::expand::expansion::{Expand, ExpansionConfig};
 use subseq_bist::netlist::{benchmarks, compile_staged, GateTape};
 use subseq_bist::sim::{
     collapse, detection_times_mapped, fault_universe, Fault, FaultSimulator, PackedBackend,
-    ShardedBackend, SimBackend, StateLayout, WordWidth,
+    ShardedBackend, SimBackend, WordWidth,
 };
 use subseq_bist::tgen::Lfsr;
 use subseq_bist::CompileOptions;
@@ -115,39 +112,6 @@ fn main() {
             opt_ns / 1e6,
             tape_ns / opt_ns
         );
-        // The blocked bit-plane sweep at every word width (single
-        // thread, shared tape) — the alternative state layout.
-        for width in [64usize, 256, 512] {
-            let engine = ShardedBackend::with_layout(
-                1,
-                WordWidth::from_lanes(width).expect("valid"),
-                StateLayout::BitPlanes,
-            )
-            .expect("threads >= 1");
-            report.run(format!("detect/blocked/{name}/w{width}"), || {
-                engine.detection_times_tape(&tape, &stream, &faults).expect("ok")
-            });
-        }
-        // State-layout A/B at the memory-bound widths: the bit-plane
-        // layout vs the interleaved array-of-words layout, same tape,
-        // same stream, same fault list — the row pair that decides the
-        // production default per host.
-        for width in [256usize, 512] {
-            for (layout, label) in
-                [(StateLayout::BitPlanes, "planes"), (StateLayout::Interleaved, "interleaved")]
-            {
-                let engine = ShardedBackend::with_layout(
-                    1,
-                    WordWidth::from_lanes(width).expect("valid"),
-                    layout,
-                )
-                .expect("threads >= 1");
-                report.run(format!("state_layout/{label}/{name}/w{width}"), || {
-                    engine.detection_times_tape(&tape, &stream, &faults).expect("ok")
-                });
-            }
-        }
-
         let baseline = report
             .run(format!("packed64/{name}/f{max_faults}"), || {
                 packed.detection_times_stream(&stream, &faults).expect("ok")

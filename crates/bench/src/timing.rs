@@ -156,22 +156,37 @@ impl Report {
         out
     }
 
-    /// Writes `BENCH_<name>.json` into the workspace root, after
-    /// validating the document against the report schema — a schema
-    /// regression fails the bench run (and CI, which runs every bench in
-    /// smoke mode) instead of silently corrupting the trajectory files.
+    /// The report's file name: `BENCH_<name>.json` for a full run,
+    /// `BENCH_<name>.smoke.json` in smoke mode, so a smoke run never
+    /// overwrites the committed trajectory file.
+    fn file_name(&self) -> String {
+        let mode = if smoke() { ".smoke" } else { "" };
+        format!("BENCH_{}{mode}.json", self.name)
+    }
+
+    /// Writes [`file_name`](Self::file_name) into the workspace root of
+    /// the running bench (two levels above the `CARGO_MANIFEST_DIR` that
+    /// cargo sets for the bench process), after validating the document
+    /// against the report schema — a schema regression fails the bench
+    /// run (and CI, which runs every bench in smoke mode) instead of
+    /// silently corrupting the trajectory files.
     ///
     /// # Errors
     ///
-    /// I/O errors from the write; `InvalidData` if the rendered JSON does
-    /// not round-trip through [`validate_json`].
+    /// I/O errors from the write; `NotFound` if the process was not
+    /// started by cargo; `InvalidData` if the rendered JSON does not
+    /// round-trip through [`validate_json`].
     pub fn write_json(&self) -> std::io::Result<std::path::PathBuf> {
         let json = self.to_json();
         validate_json(&json)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(format!("BENCH_{}.json", self.name));
+        let manifest_dir = std::env::var_os("CARGO_MANIFEST_DIR").ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::NotFound,
+                "CARGO_MANIFEST_DIR is unset: run benches through `cargo bench`",
+            )
+        })?;
+        let path = std::path::Path::new(&manifest_dir).join("../..").join(self.file_name());
         std::fs::write(&path, json)?;
         Ok(path)
     }
@@ -496,6 +511,17 @@ mod tests {
         set_smoke(false);
         assert!(m.iters >= 1);
         assert!(m.median_ns > 0.0);
+    }
+
+    #[test]
+    fn smoke_reports_never_take_the_ledger_name() {
+        let _serial = BENCH_GUARD.lock().unwrap();
+        let r = Report::new("unit");
+        assert_eq!(r.file_name(), "BENCH_unit.json");
+        set_smoke(true);
+        let smoke_name = r.file_name();
+        set_smoke(false);
+        assert_eq!(smoke_name, "BENCH_unit.smoke.json");
     }
 
     #[test]

@@ -452,8 +452,8 @@ mod tests {
             assert!(c.num_outputs() >= 1);
             let tape = GateTape::compile(&c);
             assert_eq!(tape.num_gates(), c.num_gates());
-            let tiled: usize = tape.tiles().iter().map(|t| (t.end - t.start) as usize).sum();
-            assert_eq!(tiled, c.num_gates(), "tiles partition seed {seed}");
+            let covered: usize = tape.runs().iter().map(|r| (r.end - r.start) as usize).sum();
+            assert_eq!(covered, c.num_gates(), "runs partition seed {seed}");
             for &g in c.eval_order() {
                 let crate::NodeKind::Gate(kind) = c.node(g).kind() else { unreachable!() };
                 kinds.insert(*kind);

@@ -64,7 +64,7 @@ pub(crate) struct TapeSpec {
 
 /// Levelize-sort-emit back end shared by [`GateTape::compile`] and the
 /// staged compiler: lays out the given gate list in (level, opcode,
-/// arity-class) order and records run/tile boundaries. For the identity
+/// arity-class) order and records run boundaries. For the identity
 /// gate list this reproduces `compile`'s output byte for byte.
 pub(crate) fn assemble(spec: TapeSpec) -> GateTape {
     // Longest distance from a source (PI/DFF/off-tape node = 0). The gate
@@ -114,18 +114,6 @@ pub(crate) fn assemble(spec: TapeSpec) -> GateTape {
         fanin.extend_from_slice(gate_fanin);
         fanin_start.push(u32::try_from(fanin.len()).expect("fanin count exceeds u32"));
     }
-    // Split each run into cache-sized tiles. Tiles never cross run
-    // boundaries, so every tile is still homogeneous in kind/arity
-    // and an engine dispatches once per tile.
-    let mut tiles = Vec::with_capacity(runs.len());
-    for run in &runs {
-        let mut start = run.start;
-        while start < run.end {
-            let end = run.end.min(start + GateTape::TILE_GATES as u32);
-            tiles.push(GateRun { kind: run.kind, arity: run.arity, start, end });
-            start = end;
-        }
-    }
     GateTape {
         num_nodes: spec.num_nodes,
         inputs: spec.inputs,
@@ -137,7 +125,6 @@ pub(crate) fn assemble(spec: TapeSpec) -> GateTape {
         fanin_start,
         fanin,
         runs,
-        tiles,
         pos_of_node,
     }
 }
@@ -185,8 +172,6 @@ pub struct GateRun {
 /// let out = tape.gate_out()[0] as usize;
 /// assert_eq!(tape.gate_pos(out), Some(0));
 /// assert!(!tape.fanin_of(0).is_empty());
-/// // Tiles refine the runs into cache-sized blocks:
-/// assert!(tape.tiles().len() >= tape.runs().len());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GateTape {
@@ -211,26 +196,12 @@ pub struct GateTape {
     fanin: Vec<u32>,
     /// Maximal same-kind/same-arity ranges of the tape, in order.
     runs: Vec<GateRun>,
-    /// The runs re-split into blocks of at most
-    /// [`TILE_GATES`](Self::TILE_GATES) positions — the sweep-blocking
-    /// unit of the bit-plane engines, precomputed here so every engine
-    /// pass walks a ready-made schedule.
-    tiles: Vec<GateRun>,
     /// Tape position of each node's driving gate; `u32::MAX` for
     /// non-gate nodes (PIs and flip-flops).
     pos_of_node: Vec<u32>,
 }
 
 impl GateTape {
-    /// Maximum gates per sweep tile ([`tiles`](Self::tiles)).
-    ///
-    /// Sized for the L1 data cache: a tile of 1024 two-input gates
-    /// touches at most ~3·1024 distinct value slots per bit plane; at
-    /// 8 bytes per slot across the ones and zeros rows that is ≈48 KiB
-    /// of plane data — so one tile's fanin window stays cache-resident
-    /// while a blocked engine revisits the tile once per plane of a
-    /// wide word.
-    pub const TILE_GATES: usize = 1024;
     /// Compiles `circuit` into its flat tape form: levelize, sort each
     /// level by opcode and arity class, lay the gates out contiguously
     /// and record the [`GateRun`] boundaries. `O(nodes log nodes)` —
@@ -356,16 +327,6 @@ impl GateTape {
     #[must_use]
     pub fn runs(&self) -> &[GateRun] {
         &self.runs
-    }
-
-    /// The runs re-split into blocks of at most
-    /// [`TILE_GATES`](Self::TILE_GATES) positions, in tape order — the
-    /// precomputed schedule of the blocked bit-plane sweep. Like the
-    /// runs, the tiles partition `0..num_gates()` and each tile is
-    /// homogeneous in kind and arity (it lies inside exactly one run).
-    #[must_use]
-    pub fn tiles(&self) -> &[GateRun] {
-        &self.tiles
     }
 
     /// The tape position of the gate driving `node`, or `None` if `node`
@@ -496,7 +457,6 @@ mod tests {
         let tape = GateTape::compile(&c);
         assert_eq!(tape.num_gates(), 0);
         assert!(tape.runs().is_empty());
-        assert!(tape.tiles().is_empty());
         assert_eq!(tape.fanin_start(), &[0]);
         assert!(tape.fanin().is_empty());
         assert_eq!(tape.outputs(), &[0, 1]);
@@ -505,43 +465,5 @@ mod tests {
         // The fuzz generator's zero-gate class goes through the same path.
         let fz = crate::fuzz::fuzz_circuit(0);
         assert_eq!(GateTape::compile(&fz).num_gates(), 0);
-    }
-
-    #[test]
-    fn tiles_refine_the_runs() {
-        // Include the 16k-gate analog: its big runs must actually split.
-        for entry in benchmarks::suite() {
-            let c = entry.build().unwrap();
-            let tape = GateTape::compile(&c);
-            // Tiles partition the tape in order, each within one run.
-            let mut next = 0u32;
-            let mut run_iter = tape.runs().iter();
-            let mut run = run_iter.next();
-            for tile in tape.tiles() {
-                assert_eq!(tile.start, next, "{}: tiles must tile the tape", entry.name);
-                assert!(tile.end > tile.start);
-                assert!(
-                    (tile.end - tile.start) as usize <= GateTape::TILE_GATES,
-                    "{}: oversized tile",
-                    entry.name
-                );
-                while let Some(r) = run {
-                    if tile.start >= r.end {
-                        run = run_iter.next();
-                    } else {
-                        assert!(tile.start >= r.start && tile.end <= r.end);
-                        assert_eq!(tile.kind, r.kind, "{}: tile crosses runs", entry.name);
-                        assert_eq!(tile.arity, r.arity);
-                        break;
-                    }
-                }
-                next = tile.end;
-            }
-            assert_eq!(next as usize, tape.num_gates());
-            assert!(tape.tiles().len() >= tape.runs().len());
-            if tape.runs().iter().any(|r| (r.end - r.start) as usize > GateTape::TILE_GATES) {
-                assert!(tape.tiles().len() > tape.runs().len(), "{}: no run split", entry.name);
-            }
-        }
     }
 }

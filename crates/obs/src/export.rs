@@ -156,13 +156,14 @@ enum Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
-        Parser { bytes: text.as_bytes(), pos: 0 }
+        Parser { text, bytes: text.as_bytes(), pos: 0 }
     }
 
     fn err(&self, what: &str) -> String {
@@ -234,46 +235,71 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
+            // `pos` only ever advances by whole characters, so it stays on
+            // a character boundary and decoding the next one is O(1).
+            let Some(c) = self.text[self.pos..].chars().next() else {
+                return Err(self.err("unterminated string"));
+            };
+            match c {
+                '"' => {
                     self.pos += 1;
                     return Ok(s);
                 }
-                Some(b'\\') => {
+                '\\' => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            s.push(char::from_u32(code).ok_or_else(|| self.err("bad \\u escape"))?);
-                            self.pos += 4;
-                        }
+                    let escaped = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'u') => self.parse_unicode_escape()?,
                         _ => return Err(self.err("bad escape")),
-                    }
+                    };
+                    s.push(escaped);
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
+                c if c < '\u{20}' => return Err(self.err("unescaped control character")),
+                c => {
                     s.push(c);
                     self.pos += c.len_utf8();
                 }
             }
         }
+    }
+
+    /// Decodes the `\uXXXX` escape whose `u` is at `pos` (a UTF-16
+    /// surrogate pair takes two escapes) and leaves `pos` on its last hex
+    /// digit.
+    fn parse_unicode_escape(&mut self) -> Result<char, String> {
+        let mut code = self.hex4()?;
+        if (0xD800..0xDC00).contains(&code)
+            && self.bytes.get(self.pos + 1..self.pos + 3) == Some(b"\\u")
+        {
+            self.pos += 2;
+            let low = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&low) {
+                return Err(self.err("bad \\u escape"));
+            }
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+        }
+        char::from_u32(code).ok_or_else(|| self.err("bad \\u escape"))
+    }
+
+    /// Exactly four hex digits after the `u` at `pos`; leaves `pos` on
+    /// the last one.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let digits = self
+            .bytes
+            .get(self.pos + 1..self.pos + 5)
+            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+            .ok_or_else(|| self.err("bad \\u escape"))?;
+        let code = digits.iter().fold(0, |acc, &d| acc * 16 + char::from(d).to_digit(16).unwrap());
+        self.pos += 4;
+        Ok(code)
     }
 
     fn parse_int(&mut self) -> Result<Json, String> {
@@ -466,9 +492,16 @@ mod tests {
                 labels: "circuit=\"s27\"\nbackend=packed\t\\".to_string(),
                 dur_us: u64::MAX,
             },
+            TraceEvent {
+                ts_us: 18,
+                span: "s".to_string(),
+                // Every control character, ASCII and beyond.
+                labels: (0u32..0x80).filter_map(char::from_u32).chain("é 😀 ∑".chars()).collect(),
+                dur_us: 1,
+            },
         ];
         let text = render_trace_jsonl(&events);
-        assert_eq!(validate_trace_jsonl(&text).unwrap(), 2);
+        assert_eq!(validate_trace_jsonl(&text).unwrap(), 3);
         // Parse each line back and compare fields.
         for (line, event) in text.lines().zip(&events) {
             let mut parser = Parser::new(line);
@@ -500,6 +533,40 @@ mod tests {
         )
         .is_err());
         assert!(validate_trace_jsonl("not json\n").is_err());
+    }
+
+    fn parse_str(json: &str) -> Result<String, String> {
+        let mut parser = Parser::new(json);
+        let value = parser.parse_value()?;
+        parser.finish()?;
+        match value {
+            Json::Str(s) => Ok(s),
+            other => Err(format!("not a string: {other:?}")),
+        }
+    }
+
+    #[test]
+    fn strings_follow_the_json_grammar() {
+        // Every legal escape, surrogate pairs included.
+        assert_eq!(parse_str(r#""\"\\\/\b\f\n\r\t""#).unwrap(), "\"\\/\u{8}\u{c}\n\r\t");
+        assert_eq!(parse_str(r#""caf\u00E9 \ud83d\ude00""#).unwrap(), "café 😀");
+        // Raw control characters must be escaped.
+        for c in ['\u{0}', '\u{8}', '\n', '\u{1f}'] {
+            assert!(parse_str(&format!("\"a{c}b\"")).is_err(), "{c:?}");
+        }
+        // `\u` takes exactly four hex digits: no sign, no short form.
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u41""#, r#""\u004g""#, r#""\x41""#] {
+            assert!(parse_str(bad).is_err(), "{bad}");
+        }
+        // Lone or mismatched surrogates are not characters.
+        for bad in [r#""\ud83d""#, r#""\ude00""#, r#""\ud83d\u0041""#, r#""\ud83dx""#] {
+            assert!(parse_str(bad).is_err(), "{bad}");
+        }
+        assert!(parse_str(r#""open"#).is_err());
+        assert!(parse_str(r#""trailing\""#).is_err());
+        // A long string parses in one pass (one character per step).
+        let long = "ü".repeat(1 << 16);
+        assert_eq!(parse_str(&format!("\"{long}\"")).unwrap(), long);
     }
 
     #[test]

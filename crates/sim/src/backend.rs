@@ -12,13 +12,10 @@
 //! * [`ShardedBackend`] — the scaled engine: the fault list is split into
 //!   contiguous shards across OS threads (scoped threads, no runtime
 //!   dependencies), and each shard runs the same chunked pass at a
-//!   configurable [`WordWidth`] — 64, 256 or 512 machines per word — and
-//!   a configurable [`StateLayout`]: the default interleaved
-//!   array-of-words layout whose generic chunk pass lives in this module
-//!   (its `[u64; N]` plane loops autovectorize, so one pass can advance
-//!   255 or 511 faulty machines) or the blocked bit-plane layout of
-//!   [`crate::planes`] for hosts where the wide value table outruns the
-//!   cache.
+//!   configurable [`WordWidth`] — 64, 256 or 512 machines per word. Every
+//!   width shares one interleaved value table (one [`PackedWord`] per
+//!   node) whose `[u64; N]` plane loops autovectorize, so one pass can
+//!   advance 255 or 511 faulty machines.
 //! * [`ScalarBackend`] — a deliberately simple reference: one faulty
 //!   machine at a time over the scalar [`Logic`](crate::Logic) algebra,
 //!   run in lockstep with its own fault-free machine. Exists for
@@ -77,9 +74,9 @@ use std::fmt;
 use std::time::Instant;
 
 /// `forced_gates` flag: some fanin pin of the gate carries a branch force.
-pub(crate) const IN_FORCE: u8 = 1;
+const IN_FORCE: u8 = 1;
 /// `forced_gates` flag: the gate's output carries a stem force.
-pub(crate) const OUT_FORCE: u8 = 2;
+const OUT_FORCE: u8 = 2;
 
 /// A sequential stuck-at fault-simulation engine.
 ///
@@ -206,7 +203,7 @@ pub trait SimBackend: fmt::Debug + Send + Sync {
 /// integer add per vector/chunk) and merged into the sink once per
 /// shard — the no-op sink then costs nothing but those adds.
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct SweepStats {
+struct SweepStats {
     /// Vector steps simulated, summed over chunk passes.
     pub vectors: u64,
     /// Chunk passes run.
@@ -222,7 +219,7 @@ pub(crate) struct SweepStats {
 /// branches, so the `detect/tape/*` bench path pays no name lookups and
 /// no clock reads.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct SweepObs {
+struct SweepObs {
     active: bool,
     cancel: Option<CancelToken>,
     vectors: CounterHandle,
@@ -233,7 +230,7 @@ pub(crate) struct SweepObs {
 }
 
 impl SweepObs {
-    pub(crate) fn new(obs: &Obs) -> Self {
+    fn new(obs: &Obs) -> Self {
         SweepObs {
             active: obs.is_active(),
             cancel: obs.cancel_token().cloned(),
@@ -246,7 +243,7 @@ impl SweepObs {
     }
 
     /// Whether flushing will record anything (gates the clock reads).
-    pub(crate) fn is_active(&self) -> bool {
+    fn is_active(&self) -> bool {
         self.active
     }
 
@@ -254,7 +251,7 @@ impl SweepObs {
     /// `None` branch when no token rides the sweep). A cancelled token
     /// aborts the sweep with [`SimError::Cancelled`] so a timed-out job
     /// releases its worker instead of finishing a doomed pass.
-    pub(crate) fn check_cancelled(&self) -> Result<(), SimError> {
+    fn check_cancelled(&self) -> Result<(), SimError> {
         match &self.cancel {
             None => Ok(()),
             Some(token) => match token.kind() {
@@ -267,7 +264,7 @@ impl SweepObs {
     }
 
     /// Merges one shard's tallies and busy time into the sink.
-    pub(crate) fn flush(&self, stats: &SweepStats, busy_us: u64) {
+    fn flush(&self, stats: &SweepStats, busy_us: u64) {
         self.vectors.add(stats.vectors);
         self.chunks.add(stats.chunks);
         self.early_exits.add(stats.early_exits);
@@ -277,7 +274,7 @@ impl SweepObs {
 }
 
 /// Microseconds since `start`, saturating.
-pub(crate) fn elapsed_us(start: Instant) -> u64 {
+fn elapsed_us(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
@@ -321,7 +318,7 @@ impl NodeBitmap {
 /// indices are validated against the word width at
 /// [`load`](Injector::load) time, so an oversized chunk surfaces a typed
 /// error instead of panicking inside `set_lane`.
-pub(crate) struct Injector {
+struct Injector {
     /// Nodes with output (stem) forces in the current chunk.
     out_touched: Vec<usize>,
     out_forces: Vec<Vec<(usize, Logic)>>,
@@ -333,11 +330,11 @@ pub(crate) struct Injector {
     /// Tape positions of gates needing the checked per-gate path this
     /// chunk, sorted ascending, flagged [`IN_FORCE`] / [`OUT_FORCE`].
     /// Forces on PI/DFF nodes are not gates and stay bitmap-only.
-    pub(crate) forced_gates: Vec<(u32, u8)>,
+    forced_gates: Vec<(u32, u8)>,
 }
 
 impl Injector {
-    pub(crate) fn new(num_nodes: usize) -> Self {
+    fn new(num_nodes: usize) -> Self {
         Injector {
             out_touched: Vec::new(),
             out_forces: vec![Vec::new(); num_nodes],
@@ -366,7 +363,7 @@ impl Injector {
     /// Loads one chunk of faults, one lane each. `fault_lanes` is the
     /// engine's per-pass capacity (word width minus the good-machine
     /// lane).
-    pub(crate) fn load(
+    fn load(
         &mut self,
         tape: &GateTape,
         chunk: &[Fault],
@@ -423,14 +420,14 @@ impl Injector {
 
     /// Single-bit test: does `node` carry a stem force this chunk?
     #[inline]
-    pub(crate) fn output_forced(&self, node: usize) -> bool {
+    fn output_forced(&self, node: usize) -> bool {
         self.out_bits.get(node)
     }
 
     /// Single-bit test: does any fanin pin of `node` carry a branch force
     /// this chunk?
     #[inline]
-    pub(crate) fn input_forced(&self, node: usize) -> bool {
+    fn input_forced(&self, node: usize) -> bool {
         self.in_bits.get(node)
     }
 
@@ -453,41 +450,6 @@ impl Injector {
         }
         value
     }
-
-    /// Plane-filtered [`force_output`](Self::force_output) for the
-    /// bit-plane engines: applies only the stem forces whose lane lives
-    /// in plane word `p` (lane `l` → plane `l / 64`, bit `l % 64`).
-    #[inline]
-    pub(crate) fn force_output_in_plane(
-        &self,
-        node: usize,
-        p: usize,
-        mut value: PackedValue,
-    ) -> PackedValue {
-        for &(lane, forced) in &self.out_forces[node] {
-            if lane >> 6 == p {
-                value.set_lane(lane & 63, forced);
-            }
-        }
-        value
-    }
-
-    /// Plane-filtered [`forced_input`](Self::forced_input).
-    #[inline]
-    pub(crate) fn forced_input_in_plane(
-        &self,
-        node: usize,
-        pin: u32,
-        p: usize,
-        mut value: PackedValue,
-    ) -> PackedValue {
-        for &(pp, lane, forced) in &self.in_forces[node] {
-            if pp == pin && lane >> 6 == p {
-                value.set_lane(lane & 63, forced);
-            }
-        }
-        value
-    }
 }
 
 /// Two-operand packed gate evaluation — the fast path for the dominant
@@ -496,7 +458,7 @@ impl Injector {
 /// (including the arity-1 kinds, which a validated netlist never pairs
 /// with two fanins).
 #[inline]
-pub(crate) fn eval2<W: PackedWord>(kind: GateKind, a: W, b: W) -> W {
+fn eval2<W: PackedWord>(kind: GateKind, a: W, b: W) -> W {
     match kind {
         GateKind::And => a.and(b),
         GateKind::Nand => W::not(a.and(b)),
@@ -633,11 +595,6 @@ impl<'a> PassPlan<'a> {
             after = time;
         }
         Ok(PassPlan { from, capture })
-    }
-
-    /// Whether this is a plain from-reset detection pass.
-    fn is_plain(&self) -> bool {
-        self.from.is_reset() && self.capture.is_empty()
     }
 
     /// Packs the starting flip-flop values of `chunk` (lane `i` ← fault
@@ -890,52 +847,14 @@ fn run_shard<W: PackedWord>(
     Ok(captured)
 }
 
-/// Splits the fault list across `threads` scoped OS threads, each running
-/// `run_shard` on its own contiguous slice of faults and result slots,
-/// and folds the shards' results in fault-list order with `merge`. Shard
-/// boundaries are rounded to whole chunks so no pass is wasted on a
-/// partial word mid-list. Shared by both state layouts — the layout only
-/// decides what `run_shard` does inside one shard.
-pub(crate) fn shard_across_threads<R, F>(
-    faults: &[Fault],
-    times: &mut [Option<usize>],
-    threads: usize,
-    per_chunk: usize,
-    run_shard: F,
-    merge: impl Fn(&mut R, R),
-) -> Result<R, SimError>
-where
-    R: Send,
-    F: Fn(&[Fault], &mut [Option<usize>]) -> Result<R, SimError> + Sync,
-{
-    let shard = faults.len().div_ceil(threads).div_ceil(per_chunk).max(1) * per_chunk;
-    if threads == 1 || faults.len() <= shard {
-        return run_shard(faults, times);
-    }
-    std::thread::scope(|scope| {
-        let run_shard = &run_shard;
-        let handles: Vec<_> = faults
-            .chunks(shard)
-            .zip(times.chunks_mut(shard))
-            .map(|(chunk, slots)| scope.spawn(move || run_shard(chunk, slots)))
-            .collect();
-        let mut merged: Option<R> = None;
-        for handle in handles {
-            let result = handle.join().expect("shard thread panicked")?;
-            match &mut merged {
-                None => merged = Some(result),
-                Some(acc) => merge(acc, result),
-            }
-        }
-        Ok(merged.expect("a fault list longer than one shard has shards"))
-    })
-}
-
-/// The interleaved array-of-words engine behind every resumable backend:
-/// validates the call, runs `W`-wide chunks over `threads` shards from
-/// `from`, and assembles the requested snapshots. A plain from-reset
-/// pass allocates nothing beyond the times vector and each shard's
-/// scratch block.
+/// The interleaved engine behind every packed backend: validates the
+/// call, splits the fault list across `threads` scoped OS threads, each
+/// running `W`-wide chunks over its own contiguous slice of faults and
+/// result slots from `from`, and assembles the requested snapshots from
+/// the shards' captures in fault-list order. Shard boundaries are rounded
+/// to whole chunks so no pass is wasted on a partial word mid-list. A
+/// plain from-reset pass allocates nothing beyond the times vector and
+/// each shard's scratch block.
 fn resume_interleaved<W: PackedWord>(
     tape: &GateTape,
     from: &MachineState,
@@ -949,14 +868,28 @@ fn resume_interleaved<W: PackedWord>(
     let plan = PassPlan::new(tape, from, capture)?;
     let sweep = SweepObs::new(obs);
     let mut times = vec![None; faults.len()];
-    let captured = shard_across_threads(
-        faults,
-        &mut times,
-        threads,
-        W::LANES - 1,
-        |chunk, slots| run_shard::<W>(tape, source, &plan, chunk, slots, &sweep),
-        Captured::merge,
-    )?;
+    let per_chunk = W::LANES - 1;
+    let shard = faults.len().div_ceil(threads).div_ceil(per_chunk).max(1) * per_chunk;
+    let run = |chunk: &[Fault], slots: &mut [Option<usize>]| {
+        run_shard::<W>(tape, source, &plan, chunk, slots, &sweep)
+    };
+    let captured = if threads == 1 || faults.len() <= shard {
+        run(faults, &mut times)?
+    } else {
+        std::thread::scope(|scope| {
+            let run = &run;
+            let handles: Vec<_> = faults
+                .chunks(shard)
+                .zip(times.chunks_mut(shard))
+                .map(|(chunk, slots)| scope.spawn(move || run(chunk, slots)))
+                .collect();
+            let mut merged = Captured::new(&plan);
+            for handle in handles {
+                merged.merge(handle.join().expect("shard thread panicked")?);
+            }
+            Ok::<_, SimError>(merged)
+        })?
+    };
     let states = plan.states(captured);
     Ok(Resumed { times, states })
 }
@@ -1025,33 +958,6 @@ pub enum WordWidth {
     W512,
 }
 
-/// How a packed engine lays out its simulation state in memory. Both
-/// layouts are bit-identical in results (pinned by the differential and
-/// randomized-fuzz suites); they differ only in how the value table maps
-/// onto the cache hierarchy, so which one is faster is a property of the
-/// host. The `state_layout/*` group of `BENCH_fault_sim.json` records
-/// the A/B for the build host; on hosts whose wide registers and last-
-/// level cache favor the interleaved loops (AVX-512 with a large LLC,
-/// like the current build host) [`Interleaved`] wins, while
-/// [`BitPlanes`] targets hosts where the `16·N`-bytes-per-slot value
-/// table outruns the cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum StateLayout {
-    /// Array of words: one `PackedVec<N>` (all `2·N` plane words of a
-    /// signal, interleaved) per gate slot. Its element-wise `[u64; N]`
-    /// gate loops autovectorize (AVX2/AVX-512 under
-    /// `target-cpu=native`), so one instruction advances 4–8 plane
-    /// words. The production default.
-    #[default]
-    Interleaved,
-    /// Structure of bit planes with blocked tape sweeps: `2·N`
-    /// contiguous `u64` rows indexed `[plane][gate_slot]`, swept one
-    /// plane at a time over the tape's cache-sized
-    /// [`tiles`](GateTape::tiles) so a sweep's working set is two rows
-    /// (`16 · nodes` bytes) instead of the whole table.
-    BitPlanes,
-}
-
 impl WordWidth {
     /// Number of lanes of this width.
     #[must_use]
@@ -1104,43 +1010,28 @@ impl WordWidth {
 pub struct ShardedBackend {
     threads: usize,
     width: WordWidth,
-    layout: StateLayout,
 }
 
 impl ShardedBackend {
     /// Creates an engine with `threads` worker threads at `width` lanes
-    /// per word, using the default [`StateLayout`].
+    /// per word.
     ///
     /// # Errors
     ///
     /// [`SimError::ZeroThreads`] if `threads == 0`.
     pub fn new(threads: usize, width: WordWidth) -> Result<Self, SimError> {
-        ShardedBackend::with_layout(threads, width, StateLayout::default())
-    }
-
-    /// Creates an engine with an explicit state layout — the A/B switch
-    /// behind the `state_layout` benchmark group.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::ZeroThreads`] if `threads == 0`.
-    pub fn with_layout(
-        threads: usize,
-        width: WordWidth,
-        layout: StateLayout,
-    ) -> Result<Self, SimError> {
         if threads == 0 {
             return Err(SimError::ZeroThreads);
         }
-        Ok(ShardedBackend { threads, width, layout })
+        Ok(ShardedBackend { threads, width })
     }
 
     /// An engine sized to the host: one thread per available core at the
-    /// default 256-lane width and default state layout.
+    /// default 256-lane width.
     #[must_use]
     pub fn auto() -> Self {
         let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        ShardedBackend { threads, width: WordWidth::default(), layout: StateLayout::default() }
+        ShardedBackend { threads, width: WordWidth::default() }
     }
 
     /// Number of worker threads.
@@ -1154,12 +1045,6 @@ impl ShardedBackend {
     pub fn width(&self) -> WordWidth {
         self.width
     }
-
-    /// The configured state layout.
-    #[must_use]
-    pub fn layout(&self) -> StateLayout {
-        self.layout
-    }
 }
 
 impl Default for ShardedBackend {
@@ -1170,13 +1055,10 @@ impl Default for ShardedBackend {
 
 impl SimBackend for ShardedBackend {
     fn name(&self) -> &'static str {
-        match (self.layout, self.width) {
-            (StateLayout::Interleaved, WordWidth::W64) => "sharded64",
-            (StateLayout::Interleaved, WordWidth::W256) => "sharded256",
-            (StateLayout::Interleaved, WordWidth::W512) => "sharded512",
-            (StateLayout::BitPlanes, WordWidth::W64) => "sharded64_planes",
-            (StateLayout::BitPlanes, WordWidth::W256) => "sharded256_planes",
-            (StateLayout::BitPlanes, WordWidth::W512) => "sharded512_planes",
+        match self.width {
+            WordWidth::W64 => "sharded64",
+            WordWidth::W256 => "sharded256",
+            WordWidth::W512 => "sharded512",
         }
     }
 
@@ -1200,9 +1082,6 @@ impl SimBackend for ShardedBackend {
         Ok(self.resume_tape_obs(tape, &reset, source, faults, &[], obs)?.times)
     }
 
-    /// Resumes on the interleaved layout at any width. The bit-plane
-    /// layout runs plain from-reset passes only and answers anything else
-    /// with [`SimError::ResumeUnsupported`].
     fn resume_tape_obs(
         &self,
         tape: &GateTape,
@@ -1215,35 +1094,14 @@ impl SimBackend for ShardedBackend {
         // threads >= 1 is a construction invariant of every constructor.
         debug_assert!(self.threads >= 1);
         let threads = self.threads;
-        match (self.layout, self.width) {
-            (StateLayout::BitPlanes, width) => {
-                validate_width(tape.num_inputs(), source)?;
-                if !PassPlan::new(tape, from, capture)?.is_plain() {
-                    return Err(SimError::ResumeUnsupported { engine: self.name() });
-                }
-                let sweep = SweepObs::new(obs);
-                let mut times = vec![None; faults.len()];
-                use crate::planes::run_sharded_planes;
-                match width {
-                    WordWidth::W64 => {
-                        run_sharded_planes::<1>(tape, source, faults, &mut times, threads, &sweep)?;
-                    }
-                    WordWidth::W256 => {
-                        run_sharded_planes::<4>(tape, source, faults, &mut times, threads, &sweep)?;
-                    }
-                    WordWidth::W512 => {
-                        run_sharded_planes::<8>(tape, source, faults, &mut times, threads, &sweep)?;
-                    }
-                }
-                Ok(Resumed { times, states: Vec::new() })
-            }
-            (StateLayout::Interleaved, WordWidth::W64) => {
+        match self.width {
+            WordWidth::W64 => {
                 resume_interleaved::<PackedValue>(tape, from, source, faults, capture, threads, obs)
             }
-            (StateLayout::Interleaved, WordWidth::W256) => resume_interleaved::<PackedValue256>(
+            WordWidth::W256 => resume_interleaved::<PackedValue256>(
                 tape, from, source, faults, capture, threads, obs,
             ),
-            (StateLayout::Interleaved, WordWidth::W512) => resume_interleaved::<PackedValue512>(
+            WordWidth::W512 => resume_interleaved::<PackedValue512>(
                 tape, from, source, faults, capture, threads, obs,
             ),
         }
@@ -1349,11 +1207,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let obs = Obs::noop().with_cancel(token);
-        let mut engines = all_engines();
-        engines.push(Box::new(
-            ShardedBackend::with_layout(2, WordWidth::W256, StateLayout::BitPlanes).unwrap(),
-        ));
-        for engine in engines {
+        for engine in all_engines() {
             let err = engine.detection_times_tape_obs(&tape, &t0, &faults, &obs).unwrap_err();
             assert_eq!(err, SimError::Cancelled { deadline_expired: false }, "{}", engine.name());
         }
@@ -1555,29 +1409,5 @@ mod tests {
             ShardedBackend::new(1, WordWidth::W64).unwrap().name(),
             ShardedBackend::new(1, WordWidth::W256).unwrap().name()
         );
-    }
-
-    #[test]
-    fn state_layouts_are_bit_identical_and_distinguishable() {
-        let c = benchmarks::s27();
-        let faults = collapse(&c, &fault_universe(&c)).representatives().to_vec();
-        let t0 = table2_t0();
-        let reference = ScalarBackend.detection_times(&c, &t0, &faults).unwrap();
-        for width in [WordWidth::W64, WordWidth::W256, WordWidth::W512] {
-            let planes =
-                ShardedBackend::with_layout(2, width, crate::StateLayout::BitPlanes).unwrap();
-            let aos =
-                ShardedBackend::with_layout(2, width, crate::StateLayout::Interleaved).unwrap();
-            assert_ne!(planes.name(), aos.name());
-            assert!(planes.name().ends_with("_planes"), "{}", planes.name());
-            assert_eq!(planes.detection_times(&c, &t0, &faults).unwrap(), reference);
-            assert_eq!(aos.detection_times(&c, &t0, &faults).unwrap(), reference);
-        }
-        // The default layout is the autovectorizing interleaved layout
-        // (the A/B on the build host: see state_layout/* in
-        // BENCH_fault_sim.json), under the historic engine names.
-        let default = ShardedBackend::new(1, WordWidth::W256).unwrap();
-        assert_eq!(default.layout(), crate::StateLayout::Interleaved);
-        assert_eq!(default.name(), "sharded256");
     }
 }

@@ -49,8 +49,8 @@ pub enum SimError {
         deadline_expired: bool,
     },
     /// A resumed pass was asked of an engine that cannot load or capture
-    /// machine state (the scalar reference, the bit-plane layout, a
-    /// simulator routing faults through an optimized compile).
+    /// machine state (the scalar reference, a simulator routing faults
+    /// through an optimized compile).
     ResumeUnsupported {
         /// Name of the engine.
         engine: &'static str,

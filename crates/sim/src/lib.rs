@@ -68,16 +68,13 @@ mod good;
 mod logic;
 mod mapped;
 mod packed;
-mod planes;
 pub mod reference;
 mod simulator;
 mod state;
 mod stepped;
 pub mod transition;
 
-pub use backend::{
-    PackedBackend, ScalarBackend, ShardedBackend, SimBackend, StateLayout, WordWidth,
-};
+pub use backend::{PackedBackend, ScalarBackend, ShardedBackend, SimBackend, WordWidth};
 /// Re-exported from `bist-expand`: the replayable vector-stream trait the
 /// backends consume.
 pub use bist_expand::VectorSource;

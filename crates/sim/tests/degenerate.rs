@@ -35,7 +35,6 @@ fn zero_gate_tape_is_an_empty_program() {
     let tape = GateTape::compile(&c);
     assert_eq!(tape.num_gates(), 0);
     assert!(tape.runs().is_empty());
-    assert!(tape.tiles().is_empty());
     assert_eq!(tape.fanin_start(), &[0]);
     assert!(tape.fanin().is_empty());
     assert_eq!(tape.num_nodes(), 2);

@@ -44,9 +44,7 @@ fn random_sequence(circuit: &Circuit, len: usize, rng: &mut StdRng) -> TestSeque
 mod common;
 
 /// Every tape-executing engine: the scalar tape engine, packed64 and the
-/// full sharded width × thread grid in both state layouts (the
-/// interleaved production default and the blocked bit-plane
-/// alternative).
+/// full sharded width × thread grid.
 fn tape_engines() -> Vec<Box<dyn SimBackend>> {
     common::engine_grid(&[1, 2, 4])
 }

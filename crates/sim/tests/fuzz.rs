@@ -7,7 +7,7 @@
 //! of every opcode, deep chains, extreme fanout/fanin, and general
 //! random levelized circuits — each simulated under random stimulus by
 //! **every** engine (scalar tape, packed64, sharded × widths 64/256/512
-//! × threads 1/2/4 × both state layouts) and compared bit-for-bit
+//! × threads 1/2/4) and compared bit-for-bit
 //! against the node-graph oracle in [`bist_sim::reference`].
 //!
 //! Each corpus circuit also gets a seeded resume case: the engines that
@@ -32,7 +32,7 @@ use rand::{Rng, SeedableRng};
 
 mod common;
 
-/// Every tape-executing engine, both state layouts included.
+/// Every tape-executing engine.
 fn engine_grid() -> Vec<Box<dyn SimBackend>> {
     common::engine_grid(&[1, 2, 4])
 }

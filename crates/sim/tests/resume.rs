@@ -4,11 +4,11 @@
 //! must report exactly what the from-reset pass over `P ++ B` reports for
 //! every fault `P` did not detect (times are times since reset, so
 //! "shifted by `|P|`" is built in), and must leave the same state behind.
-//! Checked on the packed engine and the interleaved sharded engine at 64
-//! and 256 lanes with one and two threads, over fault lists spanning
-//! several chunks, re-ordered subsets (so faults land in other lanes than
-//! the ones they were captured from) and prefixes in which whole chunks
-//! stopped early.
+//! Checked on every packed engine of the shared test grid (packed64 and
+//! the sharded engine at 64, 256 and 512 lanes with one and two
+//! threads), over fault lists spanning several chunks, re-ordered
+//! subsets (so faults land in other lanes than the ones they were
+//! captured from) and prefixes in which whole chunks stopped early.
 
 use std::sync::Arc;
 
@@ -16,22 +16,20 @@ use bist_expand::{TestSequence, TestVector};
 use bist_netlist::{benchmarks, Circuit, GateTape};
 use bist_obs::Registry;
 use bist_sim::{
-    collapse, fault_universe, Fault, MachineState, Obs, PackedBackend, ScalarBackend,
-    ShardedBackend, SimBackend, SimError, StateLayout, WordWidth,
+    collapse, fault_universe, Fault, MachineState, Obs, PackedBackend, ScalarBackend, SimBackend,
+    SimError,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-/// The engines that load and capture machine state.
+mod common;
+
+/// The engines that load and capture machine state: the shared grid
+/// without the scalar reference.
 fn resumable_engines() -> Vec<Box<dyn SimBackend>> {
-    let mut engines: Vec<Box<dyn SimBackend>> = vec![Box::new(PackedBackend)];
-    for width in [WordWidth::W64, WordWidth::W256] {
-        for threads in [1, 2] {
-            engines.push(Box::new(ShardedBackend::new(threads, width).unwrap()));
-        }
-    }
-    engines
+    let scalar = ScalarBackend.name();
+    common::engine_grid(&[1, 2]).into_iter().filter(|e| e.name() != scalar).collect()
 }
 
 fn suite_circuit(name: &str) -> Circuit {
@@ -231,14 +229,11 @@ fn resume_errors_are_typed() {
             .unwrap_err();
         assert_eq!(err, SimError::StateMismatch { state_dffs: 3, tape_dffs: other.num_dffs() });
     }
-    // Engines without explicit state serve plain passes and refuse the
-    // rest.
-    let planes = ShardedBackend::with_layout(2, WordWidth::W256, StateLayout::BitPlanes).unwrap();
-    let fixed: [Box<dyn SimBackend>; 2] = [Box::new(ScalarBackend), Box::new(planes)];
-    for engine in fixed {
-        let plain = engine.resume_tape_obs(&tape, &reset, &prefix, &faults, &[], &obs).unwrap();
-        assert_eq!(plain.times, engine.detection_times_tape(&tape, &prefix, &faults).unwrap());
-        let err = engine.resume_tape_obs(&tape, &reset, &prefix, &faults, &[2], &obs).unwrap_err();
-        assert_eq!(err, SimError::ResumeUnsupported { engine: engine.name() });
-    }
+    // The scalar reference keeps no explicit state: it serves plain
+    // passes and refuses the rest.
+    let plain = ScalarBackend.resume_tape_obs(&tape, &reset, &prefix, &faults, &[], &obs).unwrap();
+    assert_eq!(plain.times, ScalarBackend.detection_times_tape(&tape, &prefix, &faults).unwrap());
+    let err =
+        ScalarBackend.resume_tape_obs(&tape, &reset, &prefix, &faults, &[2], &obs).unwrap_err();
+    assert_eq!(err, SimError::ResumeUnsupported { engine: ScalarBackend.name() });
 }

@@ -1,7 +1,7 @@
 //! Static analysis for the `subseq-bist` pipeline.
 //!
-//! Four generations of hot-path machinery (packed-word lanes, compiled
-//! gate tapes, patch-point injection, bit-plane tiles) rest on
+//! Three generations of hot-path machinery (packed-word lanes, compiled
+//! gate tapes, patch-point injection) rest on
 //! structural invariants that until now were only exercised
 //! *dynamically*, by differential tests. This crate checks them
 //! statically — without simulating a single vector:
@@ -14,7 +14,7 @@
 //! * [`tape_check`] — audits a compiled
 //!   [`GateTape`](bist_netlist::GateTape) against its source circuit:
 //!   monotone levelized order, in-bounds CSR windows, run homogeneity,
-//!   PI/PO/DFF table bijection, tile bounds. Wired behind
+//!   PI/PO/DFF table bijection. Wired behind
 //!   `debug_assertions` at every compile site, so every debug test run
 //!   audits every tape for free.
 //! * [`equiv`] — a SAT/BDD-free structural equivalence checker

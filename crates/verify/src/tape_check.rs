@@ -13,10 +13,9 @@
 //! * **bijection** — tape gates ↔ circuit gates one-to-one, with matching
 //!   opcode and pin-ordered fanin, and `gate_pos` as the inverse map;
 //! * **order** — the tape is topological *and* level-monotone (the
-//!   levelized schedule the run/tile machinery was built around);
-//! * **runs** / **tiles** — runs partition the tape homogeneously in
-//!   kind and arity class; tiles refine runs and respect
-//!   [`GateTape::TILE_GATES`].
+//!   levelized schedule the run machinery was built around);
+//! * **runs** — runs partition the tape homogeneously in kind and arity
+//!   class.
 //!
 //! [`audit_tape`] wraps the check in a panic for use behind
 //! `debug_assertions` at the compile sites ([`ArtifactCache`],
@@ -32,7 +31,7 @@ use std::fmt;
 /// A violated tape invariant.
 ///
 /// `check` is a stable short name of the violated invariant family
-/// (`"tables"`, `"csr"`, `"bijection"`, `"order"`, `"runs"`, `"tiles"`);
+/// (`"tables"`, `"csr"`, `"bijection"`, `"order"`, `"runs"`);
 /// `detail` is a human-readable account of the specific failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TapeViolation {
@@ -56,7 +55,7 @@ impl fmt::Display for TapeViolation {
 
 impl std::error::Error for TapeViolation {}
 
-/// The arity class the run/tile machinery assigns to a fanin count.
+/// The arity class the run machinery assigns to a fanin count.
 fn arity_class(n: usize) -> RunArity {
     match n {
         1 => RunArity::One,
@@ -231,7 +230,7 @@ pub fn verify_tape(circuit: &Circuit, tape: &GateTape) -> Result<(), TapeViolati
     // --- order -------------------------------------------------------
     // Topological: every gate fanin that is itself a gate was evaluated
     // at an earlier position. Level-monotone: positions never decrease
-    // in circuit level (the levelized schedule runs/tiles assume).
+    // in circuit level (the levelized schedule runs assume).
     let mut prev_level = 0u32;
     for g in 0..gates {
         for &f in tape.fanin_of(g) {
@@ -277,50 +276,6 @@ pub fn verify_tape(circuit: &Circuit, tape: &GateTape) -> Result<(), TapeViolati
         return Err(TapeViolation::new("runs", format!("runs cover {next} of {gates} gates")));
     }
 
-    // --- tiles -------------------------------------------------------
-    let mut next = 0u32;
-    let mut run_iter = tape.runs().iter();
-    let mut run = run_iter.next();
-    for (i, tile) in tape.tiles().iter().enumerate() {
-        if tile.start != next || tile.end <= tile.start {
-            return Err(TapeViolation::new(
-                "tiles",
-                format!("tile {i} [{}, {}) does not tile the tape at {next}", tile.start, tile.end),
-            ));
-        }
-        if (tile.end - tile.start) as usize > GateTape::TILE_GATES {
-            return Err(TapeViolation::new(
-                "tiles",
-                format!(
-                    "tile {i} holds {} gates (max {})",
-                    tile.end - tile.start,
-                    GateTape::TILE_GATES
-                ),
-            ));
-        }
-        while let Some(r) = run {
-            if tile.start >= r.end {
-                run = run_iter.next();
-            } else {
-                if tile.start < r.start
-                    || tile.end > r.end
-                    || tile.kind != r.kind
-                    || tile.arity != r.arity
-                {
-                    return Err(TapeViolation::new(
-                        "tiles",
-                        format!("tile {i} crosses or contradicts its run"),
-                    ));
-                }
-                break;
-            }
-        }
-        next = tile.end;
-    }
-    if next as usize != gates {
-        return Err(TapeViolation::new("tiles", format!("tiles cover {next} of {gates} gates")));
-    }
-
     Ok(())
 }
 
@@ -346,7 +301,7 @@ pub fn audit_tape(circuit: &Circuit, tape: &GateTape) {
 /// Audits a staged compile: the baseline tape is a faithful identity
 /// encoding ([`verify_tape`]), the optimized tape is a sound *subset*
 /// encoding (every tape gate is an original gate with its opcode, fanins
-/// either original or substituted for removed gates, CSR/order/runs/tiles
+/// either original or substituted for removed gates, CSR/order/runs
 /// well-formed), and the [`SiteMap`](bist_netlist::SiteMap) is total and
 /// injective (`Direct` sites are on the tape, `Redirect` targets are
 /// distinct `Direct` pins that originally read the redirected node,
@@ -517,7 +472,7 @@ pub fn verify_compiled(circuit: &Circuit, compiled: &CompiledCircuit) -> Result<
     // --- order -------------------------------------------------------
     // Topological over the tape's own gates. (Level monotonicity is
     // against the *rewritten* graph's levels, which the tape does not
-    // expose — the run/tile checks below still pin the schedule shape.)
+    // expose — the run checks below still pin the schedule shape.)
     for g in 0..gates {
         for &f in tape.fanin_of(g) {
             if let Some(src) = tape.gate_pos(f as usize) {
@@ -531,7 +486,7 @@ pub fn verify_compiled(circuit: &Circuit, compiled: &CompiledCircuit) -> Result<
         }
     }
 
-    // --- runs / tiles ------------------------------------------------
+    // --- runs --------------------------------------------------------
     let mut next = 0u32;
     for (i, run) in tape.runs().iter().enumerate() {
         if run.start != next || run.end <= run.start {
@@ -552,38 +507,6 @@ pub fn verify_compiled(circuit: &Circuit, compiled: &CompiledCircuit) -> Result<
     }
     if next as usize != gates {
         return Err(TapeViolation::new("runs", format!("runs cover {next} of {gates} gates")));
-    }
-    let mut next = 0u32;
-    let mut run_iter = tape.runs().iter();
-    let mut run = run_iter.next();
-    for (i, tile) in tape.tiles().iter().enumerate() {
-        if tile.start != next
-            || tile.end <= tile.start
-            || (tile.end - tile.start) as usize > GateTape::TILE_GATES
-        {
-            return Err(TapeViolation::new("tiles", format!("tile {i} is malformed")));
-        }
-        while let Some(r) = run {
-            if tile.start >= r.end {
-                run = run_iter.next();
-            } else {
-                if tile.start < r.start
-                    || tile.end > r.end
-                    || tile.kind != r.kind
-                    || tile.arity != r.arity
-                {
-                    return Err(TapeViolation::new(
-                        "tiles",
-                        format!("tile {i} crosses or contradicts its run"),
-                    ));
-                }
-                break;
-            }
-        }
-        next = tile.end;
-    }
-    if next as usize != gates {
-        return Err(TapeViolation::new("tiles", format!("tiles cover {next} of {gates} gates")));
     }
 
     // --- sitemap -----------------------------------------------------
