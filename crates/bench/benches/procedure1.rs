@@ -6,9 +6,7 @@
 //! Writes `BENCH_procedure1.json` into the workspace root.
 
 use bist_bench::timing::{self, Report};
-use subseq_bist::core::{
-    compact_set, find_subsequence_with_growth, select_subsequences, WindowGrowth,
-};
+use subseq_bist::core::{compact_set, find_subsequence, select_subsequences};
 use subseq_bist::expand::expansion::ExpansionConfig;
 use subseq_bist::expand::TestSequence;
 use subseq_bist::netlist::benchmarks;
@@ -39,19 +37,14 @@ fn main() {
     }
     report.run("t0_simulation_baseline", || sim.detection_times(&t0, &faults).expect("ok"));
 
-    // Ablation: the paper's linear window growth vs. the exponential
-    // heuristic, over every detected fault.
+    // Procedure 2 alone (linear window growth and omission), over every
+    // detected fault.
     let expansion = ExpansionConfig::new(2).expect("valid");
-    for (label, growth) in
-        [("grow_linear", WindowGrowth::Linear), ("grow_exponential", WindowGrowth::Exponential)]
-    {
-        report.run(label, || {
-            for (f, udet) in cov.detected() {
-                find_subsequence_with_growth(&sim, &t0, f, udet, &expansion, 0, growth)
-                    .expect("ok");
-            }
-        });
-    }
+    report.run("grow_linear", || {
+        for (f, udet) in cov.detected() {
+            find_subsequence(&sim, &t0, f, udet, &expansion, 0).expect("ok");
+        }
+    });
 
     let path = report.write_json().expect("write BENCH_procedure1.json");
     println!("wrote {}", path.display());

@@ -66,8 +66,6 @@ pub use baseline::{lfsr_hold_baseline, partition_baseline, LfsrBaseline, Partiti
 pub use memory_model::{monolithic_cost, scheme_cost, MemoryCost};
 pub use postprocess::{compact_set, CompactionStats, PassOrder, PAPER_SCHEDULE};
 pub use procedure1::{select_subsequences, verify_full_coverage, Procedure1Stats, SelectionResult};
-pub use procedure2::{
-    find_subsequence, find_subsequence_with_growth, Procedure2Stats, SelectedSequence, WindowGrowth,
-};
+pub use procedure2::{find_subsequence, Procedure2Stats, SelectedSequence};
 pub use report::{figure1, Table3Row, Table4Row, Table5Row};
 pub use scheme::{run_for_n, run_scheme, SchemeConfig, SchemeResult, SchemeRun, SetStats};

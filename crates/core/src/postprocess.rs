@@ -42,45 +42,81 @@ pub const PAPER_SCHEDULE: [PassOrder; 4] = [
 pub struct CompactionStats {
     /// Sequences dropped across all passes.
     pub dropped: usize,
-    /// Expanded-sequence fault simulations performed.
+    /// Expanded-sequence fault simulations actually run. A sequence whose
+    /// outcome against every remaining fault is already known from an
+    /// earlier pass is not simulated again, so this counts fewer than
+    /// one per sequence per pass.
     pub simulations: usize,
 }
 
+/// One sequence of the set being compacted, with its detection count in
+/// the previous pass and what is known of its expansion against each
+/// fault. From reset, whether an expansion detects a fault does not
+/// depend on which other faults share the pass, so every (sequence,
+/// fault) outcome is simulated at most once across the four passes.
+struct Entry {
+    selected: SelectedSequence,
+    detections: usize,
+    /// Bit `i`: the outcome against `faults[i]` is known...
+    known: Vec<u64>,
+    /// ...and bit `i`: the expansion detects `faults[i]`.
+    detects: Vec<u64>,
+}
+
+impl Entry {
+    fn new(selected: SelectedSequence, num_faults: usize) -> Self {
+        let words = num_faults.div_ceil(64);
+        Entry { selected, detections: 0, known: vec![0; words], detects: vec![0; words] }
+    }
+
+    fn bit(words: &[u64], i: usize) -> bool {
+        words[i / 64] >> (i % 64) & 1 == 1
+    }
+}
+
 /// One pass: simulate the sequences against the full fault set in the
-/// given order, dropping sequences that detect nothing new. Returns the
-/// per-sequence detection counts (aligned with the *surviving* set).
+/// given order, dropping sequences that detect nothing new, and record
+/// each survivor's detection count for the next pass's order.
 fn run_pass(
     sim: &FaultSimulator<'_>,
-    sequences: &mut Vec<(SelectedSequence, usize)>,
+    sequences: &mut Vec<Entry>,
     order: &[usize],
     faults: &[Fault],
     expansion: &dyn Expand,
     stats: &mut CompactionStats,
 ) -> Result<(), SimError> {
-    let mut remaining: Vec<Fault> = faults.to_vec();
+    // Indices into `faults` no sequence of this pass has detected yet.
+    let mut remaining: Vec<usize> = (0..faults.len()).collect();
     let mut keep = vec![true; sequences.len()];
     for &idx in order {
+        let entry = &mut sequences[idx];
         if remaining.is_empty() {
             // Whatever has not been simulated yet detects nothing new.
             keep[idx] = false;
-            sequences[idx].1 = 0;
+            entry.detections = 0;
             stats.dropped += 1;
             continue;
         }
-        let times =
-            sim.detection_times_stream(&expansion.stream(&sequences[idx].0.sequence), &remaining)?;
-        stats.simulations += 1;
-        let detected = times.iter().filter(|t| t.is_some()).count();
-        sequences[idx].1 = detected;
-        if detected == 0 {
+        let unknown: Vec<usize> =
+            remaining.iter().copied().filter(|&i| !Entry::bit(&entry.known, i)).collect();
+        if !unknown.is_empty() {
+            let pending: Vec<Fault> = unknown.iter().map(|&i| faults[i]).collect();
+            let times =
+                sim.detection_times_stream(&expansion.stream(&entry.selected.sequence), &pending)?;
+            stats.simulations += 1;
+            for (&i, t) in unknown.iter().zip(times) {
+                entry.known[i / 64] |= 1 << (i % 64);
+                if t.is_some() {
+                    entry.detects[i / 64] |= 1 << (i % 64);
+                }
+            }
+        }
+        let before = remaining.len();
+        remaining.retain(|&i| !Entry::bit(&entry.detects, i));
+        entry.detections = before - remaining.len();
+        if entry.detections == 0 {
             keep[idx] = false;
             stats.dropped += 1;
-        } else {
-            remaining = remaining
-                .into_iter()
-                .zip(times)
-                .filter_map(|(f, t)| if t.is_none() { Some(f) } else { None })
-                .collect();
         }
     }
     let mut it = keep.iter();
@@ -101,9 +137,9 @@ pub fn compact_set(
     expansion: &dyn Expand,
 ) -> Result<(Vec<SelectedSequence>, CompactionStats), SimError> {
     let mut stats = CompactionStats::default();
-    // Track (sequence, previous-pass detection count); generation order is
-    // the original index, preserved as we only ever retain in order.
-    let mut seqs: Vec<(SelectedSequence, usize)> = sequences.into_iter().map(|s| (s, 0)).collect();
+    // Generation order is the original index, preserved as we only ever
+    // retain in order.
+    let mut seqs: Vec<Entry> = sequences.into_iter().map(|s| Entry::new(s, faults.len())).collect();
 
     for pass in PAPER_SCHEDULE {
         if seqs.is_empty() {
@@ -112,20 +148,20 @@ pub fn compact_set(
         let mut order: Vec<usize> = (0..seqs.len()).collect();
         match pass {
             PassOrder::IncreasingLength => {
-                order.sort_by_key(|&i| (seqs[i].0.len(), i));
+                order.sort_by_key(|&i| (seqs[i].selected.len(), i));
             }
             PassOrder::DecreasingLength => {
-                order.sort_by_key(|&i| (usize::MAX - seqs[i].0.len(), i));
+                order.sort_by_key(|&i| (usize::MAX - seqs[i].selected.len(), i));
             }
             PassOrder::ReverseGeneration => order.reverse(),
             PassOrder::DecreasingPreviousDetections => {
-                order.sort_by_key(|&i| (usize::MAX - seqs[i].1, i));
+                order.sort_by_key(|&i| (usize::MAX - seqs[i].detections, i));
             }
         }
         run_pass(sim, &mut seqs, &order, faults, expansion, &mut stats)?;
     }
 
-    Ok((seqs.into_iter().map(|(s, _)| s).collect(), stats))
+    Ok((seqs.into_iter().map(|e| e.selected).collect(), stats))
 }
 
 #[cfg(test)]
@@ -163,6 +199,22 @@ mod tests {
         assert!(after.len() <= before);
         assert_eq!(stats.dropped, before - after.len());
         assert!(verify_full_coverage(&sim, &after, &expansion, &faults).unwrap());
+    }
+
+    #[test]
+    fn known_outcomes_are_not_resimulated() {
+        let (c, faults, sequences, expansion) = setup(1);
+        let sim = FaultSimulator::new(&c);
+        let first = sequences[0].clone();
+        let times = sim.detection_times(&expansion.expand(&first.sequence), &faults).unwrap();
+        let covered: Vec<Fault> =
+            faults.iter().zip(&times).filter_map(|(&f, t)| t.map(|_| f)).collect();
+        // Pass 1 learns every outcome of the first copy and drops the
+        // second unsimulated; passes 2-4 already know all they need.
+        let (after, stats) =
+            compact_set(&sim, vec![first.clone(), first], &covered, &expansion).unwrap();
+        assert_eq!(after.len(), 1);
+        assert_eq!(stats, CompactionStats { dropped: 1, simulations: 1 });
     }
 
     #[test]

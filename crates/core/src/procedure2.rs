@@ -11,10 +11,15 @@
 //!    units in random order; drop a vector if `T'exp` still detects `f`
 //!    after the omission, restarting the scan after every success, until
 //!    no single omission is possible.
+//!
+//! Both steps are scans for the first detecting candidate, so they hand
+//! their candidates to [`FaultSimulator::first_detecting`] 32 at a time
+//! — one 64-lane pass on the packed engines instead of 32 one-fault
+//! passes — and keep the scan's order, its winner and its counts.
 
 use bist_expand::expansion::Expand;
-use bist_expand::TestSequence;
-use bist_sim::{Fault, FaultSimulator, SimError};
+use bist_expand::{ExpansionIter, TestSequence, VectorSource};
+use bist_sim::{Fault, FaultSimulator, SimError, PROBE_LANES};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -48,38 +53,24 @@ impl SelectedSequence {
 /// Statistics of one Procedure 2 invocation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Procedure2Stats {
-    /// Expanded-sequence fault simulations performed while growing the
-    /// window (step 1).
+    /// Windows probed while growing the window (step 1): the expanded
+    /// sequences the paper's one-at-a-time scan simulates. The packed
+    /// engines test up to 32 of them per pass.
     pub grow_simulations: usize,
-    /// Expanded-sequence fault simulations performed during omission
-    /// (step 2).
+    /// Omission candidates probed (step 2), counted the same way.
     pub omit_simulations: usize,
     /// Vectors removed by omission.
     pub omitted: usize,
 }
 
-/// How Procedure 2 grows the window `[ustart, udet]` (step 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WindowGrowth {
-    /// The paper's strategy: decrement `ustart` one time unit at a time.
-    /// Finds the *maximal* `ustart` whose window expansion detects the
-    /// fault, at the cost of one simulation per probe.
-    #[default]
-    Linear,
-    /// Exponential doubling of the window length followed by a binary
-    /// search for the shortest detecting length. `O(log udet)` probes
-    /// instead of `O(udet)`, but assumes detection is monotone in window
-    /// length — usually true, not guaranteed — so the window found may
-    /// not be the paper's maximal-`ustart` one. The returned window is
-    /// always verified to detect the fault.
-    Exponential,
-}
-
 /// Runs Procedure 2 for `fault` with detection time `udet` under `t0`.
 ///
-/// Returns the selected sequence and simulation-count statistics. Uses
-/// the paper's linear window growth; see
-/// [`find_subsequence_with_growth`] for the ablation knob.
+/// Returns the selected sequence and simulation-count statistics. Both
+/// steps submit their candidates [`PROBE_LANES`] (32) at a time to
+/// [`FaultSimulator::first_detecting`] and accept the first one in scan
+/// order that detects, so the result — and every statistic, which counts
+/// the candidates the sequential scan would have simulated — is the
+/// paper's one-candidate-at-a-time procedure, bit for bit.
 ///
 /// # Errors
 ///
@@ -99,79 +90,25 @@ pub fn find_subsequence(
     expansion: &dyn Expand,
     seed: u64,
 ) -> Result<(SelectedSequence, Procedure2Stats), SimError> {
-    find_subsequence_with_growth(sim, t0, fault, udet, expansion, seed, WindowGrowth::Linear)
-}
-
-/// [`find_subsequence`] with an explicit window-growth strategy.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-///
-/// # Panics
-///
-/// As for [`find_subsequence`].
-pub fn find_subsequence_with_growth(
-    sim: &FaultSimulator<'_>,
-    t0: &TestSequence,
-    fault: Fault,
-    udet: usize,
-    expansion: &dyn Expand,
-    seed: u64,
-    growth: WindowGrowth,
-) -> Result<(SelectedSequence, Procedure2Stats), SimError> {
     assert!(udet < t0.len(), "udet {udet} out of range for |T0| = {}", t0.len());
     let mut stats = Procedure2Stats::default();
 
     // Step 1: grow the window backwards until the expansion detects f.
-    // The expansion is streamed (never materialized): each probe replays
-    // the window through the phase schedule exactly as the hardware would.
-    let probe = |ustart: usize, stats: &mut Procedure2Stats| -> Result<bool, SimError> {
-        stats.grow_simulations += 1;
-        let window = t0.subsequence(ustart, udet);
-        sim.detects_stream(&expansion.stream(&window), fault)
-    };
-    let ustart = match growth {
-        WindowGrowth::Linear => {
-            let mut ustart = udet;
-            loop {
-                if probe(ustart, &mut stats)? {
-                    break ustart;
-                }
-                assert!(
-                    ustart > 0,
-                    "T0[0, udet] must detect the fault; inconsistent udet or fault list"
-                );
-                ustart -= 1;
-            }
+    // The windows T0[udet - k, udet] for k = 0, 1, ... are probed in
+    // order, so the first detecting one has the maximal ustart. The
+    // expansions are streamed (neither materialized nor copied): each
+    // probe replays its window of T0 through the phase schedule exactly
+    // as the hardware would.
+    let mut k0 = 0;
+    let ustart = loop {
+        let k1 = (k0 + PROBE_LANES).min(udet + 1);
+        let windows: Vec<ExpansionIter<'_>> =
+            (k0..k1).map(|k| expansion.stream(t0).window(udet - k, udet)).collect();
+        if let Some(i) = first_detecting(sim, &windows, fault, &mut stats.grow_simulations)? {
+            break udet - (k0 + i);
         }
-        WindowGrowth::Exponential => {
-            // Double the window length until the expansion detects...
-            let mut len = 1usize;
-            let detecting_len = loop {
-                if probe(udet + 1 - len, &mut stats)? {
-                    break len;
-                }
-                assert!(
-                    len <= udet,
-                    "T0[0, udet] must detect the fault; inconsistent udet or fault list"
-                );
-                len = (len * 2).min(udet + 1);
-            };
-            // ...then binary search the shortest detecting length in
-            // (detecting_len/2, detecting_len]. Invariant: `hi` detects.
-            let mut lo = detecting_len / 2 + 1;
-            let mut hi = detecting_len;
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if probe(udet + 1 - mid, &mut stats)? {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            udet + 1 - hi
-        }
+        assert!(k1 <= udet, "T0[0, udet] must detect the fault; inconsistent udet or fault list");
+        k0 = k1;
     };
     let mut current = t0.subsequence(ustart, udet);
     let window = (ustart, udet);
@@ -185,11 +122,12 @@ pub fn find_subsequence_with_growth(
         }
         let mut order: Vec<usize> = (0..current.len()).collect();
         order.shuffle(&mut rng);
-        for &u in &order {
-            let candidate = current.without(u);
-            stats.omit_simulations += 1;
-            if sim.detects_stream(&expansion.stream(&candidate), fault)? {
-                current = candidate;
+        for batch in order.chunks(PROBE_LANES) {
+            let candidates: Vec<ExpansionIter<'_>> =
+                batch.iter().map(|&u| expansion.stream(&current).without(u)).collect();
+            if let Some(i) = first_detecting(sim, &candidates, fault, &mut stats.omit_simulations)?
+            {
+                current = current.without(batch[i]);
                 stats.omitted += 1;
                 continue 'scan;
             }
@@ -198,6 +136,26 @@ pub fn find_subsequence_with_growth(
     }
 
     Ok((SelectedSequence { sequence: current, window, target: fault }, stats))
+}
+
+/// The first of the candidate expansions that detects `fault`. Adds to
+/// `probes` the simulations the sequential scan would have run (the
+/// winner's index + 1, or every candidate) and records them and the
+/// call on the simulator's `core.p2_probes` / `core.p2_passes` counters.
+fn first_detecting(
+    sim: &FaultSimulator<'_>,
+    candidates: &[ExpansionIter<'_>],
+    fault: Fault,
+    probes: &mut usize,
+) -> Result<Option<usize>, SimError> {
+    let sources: Vec<&dyn VectorSource> =
+        candidates.iter().map(|s| s as &dyn VectorSource).collect();
+    let found = sim.first_detecting(&sources, fault)?;
+    let scanned = found.map_or(candidates.len(), |i| i + 1);
+    *probes += scanned;
+    sim.obs().counter_add("core.p2_probes", scanned as u64);
+    sim.obs().counter_add("core.p2_passes", 1);
+    Ok(found)
 }
 
 /// Mixes a fault into the omission-order seed so different targets explore
@@ -302,72 +260,6 @@ mod tests {
             assert!(sel.window.0 <= udet);
             assert!(!sel.sequence.is_empty());
         }
-    }
-
-    #[test]
-    fn exponential_growth_finds_valid_windows_with_fewer_probes() {
-        let (c, faults) = s27_setup();
-        let sim = FaultSimulator::new(&c);
-        let t0 = s27_t0();
-        let cov = FaultCoverage::simulate(&sim, &t0, faults).unwrap();
-        let expansion = ExpansionConfig::new(1).unwrap();
-        let mut linear_probes = 0usize;
-        let mut exp_probes = 0usize;
-        for (f, udet) in cov.detected() {
-            let (lin, lin_stats) = find_subsequence_with_growth(
-                &sim,
-                &t0,
-                f,
-                udet,
-                &expansion,
-                9,
-                WindowGrowth::Linear,
-            )
-            .unwrap();
-            let (exp, exp_stats) = find_subsequence_with_growth(
-                &sim,
-                &t0,
-                f,
-                udet,
-                &expansion,
-                9,
-                WindowGrowth::Exponential,
-            )
-            .unwrap();
-            // Both must produce detecting sequences.
-            assert!(sim.detects(&expansion.expand(&lin.sequence), f).unwrap());
-            assert!(sim.detects(&expansion.expand(&exp.sequence), f).unwrap());
-            linear_probes += lin_stats.grow_simulations;
-            exp_probes += exp_stats.grow_simulations;
-        }
-        // On aggregate the heuristic should not probe more than linear
-        // growth on these short windows (and asymptotically far less).
-        assert!(
-            exp_probes <= linear_probes + 8,
-            "exponential {exp_probes} vs linear {linear_probes}"
-        );
-    }
-
-    #[test]
-    fn exponential_growth_window_detects_even_when_not_maximal() {
-        let (c, faults) = s27_setup();
-        let sim = FaultSimulator::new(&c);
-        let t0 = s27_t0();
-        let cov = FaultCoverage::simulate(&sim, &t0, faults).unwrap();
-        let (f, udet) = cov.detected().max_by_key(|&(_, u)| u).unwrap();
-        let expansion = ExpansionConfig::new(2).unwrap();
-        let (sel, _) = find_subsequence_with_growth(
-            &sim,
-            &t0,
-            f,
-            udet,
-            &expansion,
-            0,
-            WindowGrowth::Exponential,
-        )
-        .unwrap();
-        assert_eq!(sel.window.1, udet);
-        assert!(sim.detects(&expansion.expand(&sel.sequence), f).unwrap());
     }
 
     #[test]

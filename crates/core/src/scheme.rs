@@ -116,9 +116,12 @@ impl SchemeRun {
 pub struct SchemeResult {
     /// One run per `n`, in sweep order.
     pub runs: Vec<SchemeRun>,
-    /// Index into [`runs`](Self::runs) of the best run per the paper's
-    /// rule: smallest max len, then smallest total len, then lowest run
-    /// time.
+    /// Index into [`runs`](Self::runs) of the best run: smallest max
+    /// len, then smallest total len — the paper's rule — then the smaller
+    /// `n`. The paper breaks the last tie by Procedure 1 run time; the
+    /// smaller `n` is deterministic, so served and offline runs on the
+    /// same inputs pick the same `n`, and it gives the shorter applied
+    /// test `8·n·tot len`.
     pub best: usize,
     /// Wall-clock time of one fault simulation of `T0` over the full
     /// fault list — the normalization baseline of Table 4.
@@ -217,16 +220,14 @@ pub fn run_scheme(
         runs.push(run_for_n(sim, t0, coverage, n, config.seed, config.postprocess)?);
     }
 
-    // Best n: lexicographic (max len, tot len, proc1 time).
-    let best = (0..runs.len())
-        .min_by(|&a, &b| {
-            let ka = (runs[a].after.max_len, runs[a].after.total_len, runs[a].proc1_time);
-            let kb = (runs[b].after.max_len, runs[b].after.total_len, runs[b].proc1_time);
-            ka.cmp(&kb)
-        })
-        .expect("ns nonempty");
-
+    let best = best_index(&runs).expect("ns nonempty");
     Ok(SchemeResult { runs, best, t0_sim_time })
+}
+
+/// The best run's index: lexicographic (max len, tot len, n) — see
+/// [`SchemeResult::best`].
+fn best_index(runs: &[SchemeRun]) -> Option<usize> {
+    (0..runs.len()).min_by_key(|&i| (runs[i].after.max_len, runs[i].after.total_len, runs[i].n))
 }
 
 #[cfg(test)]
@@ -278,6 +279,26 @@ mod tests {
         for run in &result.runs {
             assert!(best.after.max_len <= run.after.max_len);
         }
+    }
+
+    #[test]
+    fn ties_go_to_the_smaller_n_not_the_faster_run() {
+        let (c, t0, faults) = s27_setup();
+        let sim = FaultSimulator::new(&c);
+        let cov = FaultCoverage::simulate(&sim, &t0, faults).unwrap();
+        let run = run_for_n(&sim, &t0, &cov, 2, 0, true).unwrap();
+        // Three runs with equal (max len, tot len); the smallest n ran
+        // slowest and sits in the middle of the sweep.
+        let mut runs = vec![run.clone(), run.clone(), run];
+        for (r, (n, ms)) in runs.iter_mut().zip([(8, 1), (2, 50), (4, 2)]) {
+            r.n = n;
+            r.proc1_time = Duration::from_millis(ms);
+        }
+        assert_eq!(best_index(&runs), Some(1));
+        // A strictly shorter max len still wins over a smaller n.
+        runs[0].after.max_len -= 1;
+        assert_eq!(best_index(&runs), Some(0));
+        assert_eq!(best_index(&[]), None);
     }
 
     #[test]

@@ -77,11 +77,21 @@ impl Phase {
     /// Applies this phase's vector transformation to one memory word.
     #[must_use]
     pub fn transform(&self, v: &TestVector) -> TestVector {
-        let v = if self.shift { v.rotate_left(1) } else { v.clone() };
-        if self.complement {
-            v.complement()
+        let mut out = TestVector::zeros(v.width());
+        self.transform_into(v, &mut out);
+        out
+    }
+
+    /// [`transform`](Self::transform) into `out`, reusing its allocation —
+    /// the per-clock step of a streamed expansion.
+    pub fn transform_into(&self, v: &TestVector, out: &mut TestVector) {
+        if self.shift {
+            v.rotate_left_into(1, out);
         } else {
-            v
+            out.copy_from(v);
+        }
+        if self.complement {
+            out.invert();
         }
     }
 }

@@ -43,6 +43,15 @@ pub trait VectorSource: Sync {
     /// of a pass has been detected).
     fn visit(&self, visitor: &mut dyn FnMut(usize, &TestVector) -> bool);
 
+    /// Writes the vector of time unit `t` into `out`, reusing its
+    /// allocation: random access for simulators that step several streams
+    /// in lockstep, one vector of each per clock.
+    ///
+    /// # Panics
+    ///
+    /// May panic if `t >= num_vectors()`.
+    fn vector_into(&self, t: usize, out: &mut TestVector);
+
     /// Collects the stream into a stored sequence (mainly for tests and
     /// hardware co-simulation; defeats the purpose on hot paths).
     fn materialize(&self) -> TestSequence {
@@ -71,6 +80,10 @@ impl VectorSource for TestSequence {
             }
         }
     }
+
+    fn vector_into(&self, t: usize, out: &mut TestVector) {
+        out.copy_from(&self[t]);
+    }
 }
 
 /// A lazy `Sexp` stream: the expansion of a loaded sequence, produced one
@@ -96,14 +109,14 @@ impl VectorSource for TestSequence {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ExpansionIter<'s> {
-    seq: &'s TestSequence,
+    /// The vectors the loaded memory is read from...
+    memory: &'s [TestVector],
+    /// ...leaving out this index, if any ([`without`](Self::without)).
+    skip: Option<usize>,
+    width: usize,
     phases: Vec<Phase>,
-    /// Current phase index (== `phases.len()` when exhausted).
-    phase_idx: usize,
-    /// Completed walks within the current phase.
-    rep: usize,
-    /// Offset within the current walk (0-based regardless of direction).
-    pos: usize,
+    /// Time unit of the next vector the iterator cursor emits.
+    next: usize,
 }
 
 impl<'s> ExpansionIter<'s> {
@@ -116,13 +129,38 @@ impl<'s> ExpansionIter<'s> {
     /// every replay. Zero-rep phases are skipped.
     #[must_use]
     pub fn new(seq: &'s TestSequence, phases: Vec<Phase>) -> Self {
-        ExpansionIter { seq, phases, phase_idx: 0, rep: 0, pos: 0 }
+        ExpansionIter { memory: seq.vectors(), skip: None, width: seq.width(), phases, next: 0 }
     }
 
-    /// The loaded sequence being expanded.
+    /// The stream of the loaded window `seq[from..=to]` — equal to
+    /// streaming [`seq.subsequence(from, to)`](TestSequence::subsequence)
+    /// without copying the window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from > to`, `to` is out of range, or a vector was
+    /// already left out.
     #[must_use]
-    pub fn loaded(&self) -> &'s TestSequence {
-        self.seq
+    pub fn window(mut self, from: usize, to: usize) -> Self {
+        assert!(self.skip.is_none(), "window of a stream that omits a vector");
+        self.memory = &self.memory[from..=to];
+        self
+    }
+
+    /// The stream with loaded vector `index` left out — equal to
+    /// streaming [`seq.without(index)`](TestSequence::without) without
+    /// copying the sequence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range or a vector was already left
+    /// out.
+    #[must_use]
+    pub fn without(mut self, index: usize) -> Self {
+        assert!(self.skip.is_none(), "stream already omits a vector");
+        assert!(index < self.memory.len(), "index {index} out of range");
+        self.skip = Some(index);
+        self
     }
 
     /// The phase schedule driving the stream.
@@ -131,26 +169,29 @@ impl<'s> ExpansionIter<'s> {
         &self.phases
     }
 
+    /// Number of loaded vectors `|S|` one memory walk reads.
+    fn loaded_len(&self) -> usize {
+        self.memory.len() - usize::from(self.skip.is_some())
+    }
+
     /// Total stream length: `|S| · Σ reps`.
     #[must_use]
     pub fn total_len(&self) -> usize {
-        self.seq.len() * self.phases.iter().map(|p| p.reps).sum::<usize>()
+        self.loaded_len() * self.phases.iter().map(|p| p.reps).sum::<usize>()
     }
 
     /// Vectors already emitted through the iterator cursor.
     #[must_use]
     pub fn emitted(&self) -> usize {
-        let walk = self.seq.len();
-        let before: usize = self.phases[..self.phase_idx].iter().map(|p| p.reps * walk).sum();
-        before + self.rep * walk + self.pos
+        self.next
     }
 
-    /// The memory address read by phase `p` at walk offset `pos`.
-    fn address(&self, p: &Phase, pos: usize) -> usize {
-        if p.reverse {
-            self.seq.len() - 1 - pos
-        } else {
-            pos
+    /// The memory word read by phase `p` at walk offset `pos`.
+    fn word(&self, p: &Phase, pos: usize) -> &'s TestVector {
+        let addr = if p.reverse { self.loaded_len() - 1 - pos } else { pos };
+        match self.skip {
+            Some(skip) if addr >= skip => &self.memory[addr + 1],
+            _ => &self.memory[addr],
         }
     }
 }
@@ -159,27 +200,12 @@ impl Iterator for ExpansionIter<'_> {
     type Item = TestVector;
 
     fn next(&mut self) -> Option<TestVector> {
-        if self.seq.is_empty() {
+        if self.next == self.total_len() {
             return None;
         }
-        // Skip zero-rep phases (degenerate but legal schedules).
-        while self.phase_idx < self.phases.len() && self.phases[self.phase_idx].reps == 0 {
-            self.phase_idx += 1;
-        }
-        if self.phase_idx == self.phases.len() {
-            return None;
-        }
-        let phase = self.phases[self.phase_idx];
-        let out = phase.transform(&self.seq[self.address(&phase, self.pos)]);
-        self.pos += 1;
-        if self.pos == self.seq.len() {
-            self.pos = 0;
-            self.rep += 1;
-            if self.rep == phase.reps {
-                self.rep = 0;
-                self.phase_idx += 1;
-            }
-        }
+        let mut out = TestVector::zeros(self.width);
+        self.vector_into(self.next, &mut out);
+        self.next += 1;
         Some(out)
     }
 
@@ -193,7 +219,7 @@ impl ExactSizeIterator for ExpansionIter<'_> {}
 
 impl VectorSource for ExpansionIter<'_> {
     fn width(&self) -> usize {
-        self.seq.width()
+        self.width
     }
 
     fn num_vectors(&self) -> usize {
@@ -201,14 +227,39 @@ impl VectorSource for ExpansionIter<'_> {
     }
 
     fn visit(&self, visitor: &mut dyn FnMut(usize, &TestVector) -> bool) {
-        // Replay through a cursor-reset copy so the walk logic lives only
-        // in `Iterator::next`.
-        let fresh = ExpansionIter::new(self.seq, self.phases.clone());
-        for (t, v) in fresh.enumerate() {
-            if !visitor(t, &v) {
-                return;
+        // Always the entire expansion, whatever the iterator cursor; one
+        // reused buffer carries every transformed vector.
+        let walk = self.loaded_len();
+        if walk == 0 {
+            return;
+        }
+        let mut out = TestVector::zeros(self.width);
+        let mut t = 0;
+        for phase in &self.phases {
+            for _ in 0..phase.reps {
+                for pos in 0..walk {
+                    phase.transform_into(self.word(phase, pos), &mut out);
+                    if !visitor(t, &out) {
+                        return;
+                    }
+                    t += 1;
+                }
             }
         }
+    }
+
+    fn vector_into(&self, t: usize, out: &mut TestVector) {
+        let walk = self.loaded_len();
+        let mut left = t;
+        for phase in &self.phases {
+            let span = phase.reps * walk;
+            if left < span {
+                phase.transform_into(self.word(phase, left % walk), out);
+                return;
+            }
+            left -= span;
+        }
+        panic!("time {t} is past the end of a {}-vector expansion", self.total_len());
     }
 }
 
@@ -247,6 +298,48 @@ mod tests {
                 assert_eq!(via_visit, via_iter, "n={n}");
             }
         }
+    }
+
+    #[test]
+    fn random_access_equals_visit() {
+        let s = seq("0010 1101 0111");
+        let mut out = TestVector::zeros(1);
+        for n in [1, 3] {
+            let stream = ExpansionConfig::new(n).unwrap().stream(&s);
+            stream.visit(&mut |t, v| {
+                stream.vector_into(t, &mut out);
+                assert_eq!(&out, v, "n={n} t={t}");
+                true
+            });
+        }
+        s.vector_into(2, &mut out);
+        assert_eq!(out, s[2]);
+    }
+
+    #[test]
+    fn windows_and_omissions_stream_without_copying() {
+        let s = seq("0010 1101 0111 1000 0110");
+        let cfg = ExpansionConfig::new(2).unwrap();
+        for from in 0..s.len() {
+            for to in from..s.len() {
+                let window = cfg.stream(&s).window(from, to);
+                assert_eq!(window.materialize(), cfg.expand(&s.subsequence(from, to)));
+                assert_eq!(window.loaded_len(), to - from + 1);
+            }
+        }
+        let mut out = TestVector::zeros(1);
+        for u in 0..s.len() {
+            let omitted = cfg.stream(&s).without(u);
+            let want = cfg.expand(&s.without(u));
+            assert_eq!(omitted.materialize(), want, "u={u}");
+            assert_eq!(TestSequence::from_vectors(omitted.clone().collect()).unwrap(), want);
+            for t in [0, want.len() / 2, want.len() - 1] {
+                omitted.vector_into(t, &mut out);
+                assert_eq!(out, want[t], "u={u} t={t}");
+            }
+        }
+        let single = seq("101");
+        assert_eq!(cfg.stream(&single).without(0).total_len(), 0);
     }
 
     #[test]

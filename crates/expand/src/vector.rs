@@ -121,11 +121,24 @@ impl TestVector {
     #[must_use]
     pub fn complement(&self) -> Self {
         let mut out = self.clone();
-        for w in &mut out.words {
+        out.invert();
+        out
+    }
+
+    /// Inverts every bit in place.
+    pub fn invert(&mut self) {
+        for w in &mut self.words {
             *w = !*w;
         }
-        out.mask_tail();
-        out
+        self.mask_tail();
+    }
+
+    /// Overwrites `self` with `src` (widths may differ), reusing `self`'s
+    /// allocation.
+    pub fn copy_from(&mut self, src: &TestVector) {
+        self.words.clear();
+        self.words.extend_from_slice(&src.words);
+        self.width = src.width;
     }
 
     /// Returns the vector circularly shifted left by `k` positions:
@@ -133,12 +146,32 @@ impl TestVector {
     /// `S << 1` applied to one vector.
     #[must_use]
     pub fn rotate_left(&self, k: usize) -> Self {
+        let mut out = TestVector::zeros(self.width);
+        self.rotate_left_into(k, &mut out);
+        out
+    }
+
+    /// [`rotate_left`](Self::rotate_left) into `out`, reusing its
+    /// allocation.
+    pub fn rotate_left_into(&self, k: usize, out: &mut TestVector) {
         let m = self.width;
         let k = k % m;
-        if k == 0 {
-            return self.clone();
+        match self.words[..] {
+            _ if k == 0 => out.copy_from(self),
+            // One word: a plain rotation within the low `m` bits.
+            [w] => {
+                out.words.clear();
+                out.words.push((w >> k) | (w << (m - k)));
+                out.width = m;
+                out.mask_tail();
+            }
+            _ => {
+                out.copy_from(self);
+                for i in 0..m {
+                    out.set(i, self.get((i + k) % m));
+                }
+            }
         }
-        TestVector::from_fn(m, |i| self.get((i + k) % m))
     }
 
     /// Iterates over the bits from leftmost to rightmost.
@@ -241,6 +274,22 @@ mod tests {
         assert_eq!(v.rotate_left(7), v);
         assert_eq!(v.rotate_left(3).rotate_left(4), v);
         assert_eq!(v.rotate_left(0), v);
+    }
+
+    #[test]
+    fn in_place_forms_match_the_allocating_ones() {
+        for s in ["1", "0110", "1011001", "10101010101010101010", &"1100101".repeat(19)] {
+            let v: TestVector = s.parse().unwrap();
+            let mut out: TestVector = "01".parse().unwrap();
+            for k in 0..=v.width() + 1 {
+                v.rotate_left_into(k, &mut out);
+                assert_eq!(out, TestVector::from_fn(v.width(), |i| v.get((i + k) % v.width())));
+            }
+            out.copy_from(&v);
+            out.invert();
+            assert_eq!(out, v.complement());
+            assert_eq!(out.count_ones(), v.width() - v.count_ones());
+        }
     }
 
     #[test]

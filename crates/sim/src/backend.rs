@@ -57,6 +57,16 @@
 //! which loads all-`X` lanes exactly as before and allocates nothing
 //! extra.
 //!
+//! Procedure 2 asks a different question — which of several candidate
+//! streams is the first to detect *one* fault —
+//! [`SimBackend::first_detecting_tape_obs`]. Its default is the
+//! sequential scan of single-fault passes; the packed engines instead
+//! run 32 candidates per 64-lane pass, candidate `c`'s faulty machine in
+//! lane `c` and its good machine in lane `c + 32`, each pair driven by
+//! its own candidate's vectors, and compare the halves lane pair by lane
+//! pair. The pass steps through the same per-vector sweep as every
+//! other packed pass.
+//!
 //! Every engine validates its inputs at the boundary — width mismatches,
 //! empty streams and oversized fault chunks surface as typed
 //! [`SimError`]s rather than panics deep inside the engine.
@@ -67,7 +77,7 @@ use crate::{
     Fault, FaultSite, Logic, MachineState, PackedValue, PackedValue256, PackedValue512, Resumed,
     SimError,
 };
-use bist_expand::VectorSource;
+use bist_expand::{TestVector, VectorSource};
 use bist_netlist::{Circuit, GateKind, GateTape, RunArity};
 use bist_obs::{CancelKind, CancelToken, CounterHandle, HistogramHandle, Obs};
 use std::fmt;
@@ -193,6 +203,43 @@ pub trait SimBackend: fmt::Debug + Send + Sync {
         }
         Err(SimError::ResumeUnsupported { engine: self.name() })
     }
+
+    /// Index of the first candidate stream whose from-reset pass detects
+    /// `fault` — exactly `candidates.iter().position(|c| detects(c,
+    /// fault))`, including the error a scan that reaches an invalid
+    /// candidate returns. This default is that sequential scan, one
+    /// single-fault pass per candidate; the packed engines test up to 32
+    /// candidates per pass (see [`PackedBackend`]).
+    ///
+    /// # Errors
+    ///
+    /// As for [`detection_times_tape`](Self::detection_times_tape), for
+    /// the first invalid candidate the scan reaches.
+    fn first_detecting_tape_obs(
+        &self,
+        tape: &GateTape,
+        candidates: &[&dyn VectorSource],
+        fault: Fault,
+        obs: &Obs,
+    ) -> Result<Option<usize>, SimError> {
+        scan_first_detecting(candidates, |c| {
+            Ok(self.detection_times_tape_obs(tape, c, &[fault], obs)?[0].is_some())
+        })
+    }
+}
+
+/// The sequential scan every `first_detecting` agrees with: the index of
+/// the first candidate `detects` accepts, stopping at the first error.
+pub(crate) fn scan_first_detecting(
+    candidates: &[&dyn VectorSource],
+    mut detects: impl FnMut(&dyn VectorSource) -> Result<bool, SimError>,
+) -> Result<Option<usize>, SimError> {
+    for (i, &candidate) in candidates.iter().enumerate() {
+        if detects(candidate)? {
+            return Ok(Some(i));
+        }
+    }
+    Ok(None)
 }
 
 // ---------------------------------------------------------------------
@@ -685,6 +732,94 @@ impl Captured {
     }
 }
 
+/// One clock's combinational evaluation of every lane: drives primary
+/// input `i` with `input(i)` (with stem forces: a stuck PI is stuck every
+/// cycle), loads the present `state` and sweeps the tape run by run. The
+/// injector's sorted forced-gate list splits each run into segments that
+/// evaluate with zero per-gate force checks; only the patch points take
+/// the checked path. Every packed pass steps through this one sweep.
+#[inline]
+fn evaluate<W: PackedWord>(
+    tape: &GateTape,
+    injector: &Injector,
+    state: &[W],
+    values: &mut [W],
+    pins: &mut Vec<W>,
+    input: impl Fn(usize) -> W,
+) {
+    for (i, &pi) in tape.inputs().iter().enumerate() {
+        let pi = pi as usize;
+        let v = input(i);
+        values[pi] = if injector.output_forced(pi) { injector.force_output(pi, v) } else { v };
+    }
+    for (k, &dff) in tape.dffs().iter().enumerate() {
+        let dff = dff as usize;
+        let v = state[k];
+        values[dff] = if injector.output_forced(dff) { injector.force_output(dff, v) } else { v };
+    }
+    let gate_out = tape.gate_out();
+    let starts = tape.fanin_start();
+    let fanin = tape.fanin();
+    let forced = &injector.forced_gates;
+    let mut fi = 0usize;
+    for run in tape.runs() {
+        let (mut g, end) = (run.start as usize, run.end as usize);
+        while g < end {
+            while fi < forced.len() && (forced[fi].0 as usize) < g {
+                fi += 1;
+            }
+            let stop = match forced.get(fi) {
+                Some(&(pos, _)) => (pos as usize).min(end),
+                None => end,
+            };
+            if g < stop {
+                eval_segment(tape, run.kind, run.arity, g, stop, values);
+                g = stop;
+            }
+            if g < end {
+                let Some(&(pos, flags)) = forced.get(fi) else { unreachable!() };
+                debug_assert_eq!(pos as usize, g);
+                let out = gate_out[g] as usize;
+                let s = starts[g] as usize;
+                let e = starts[g + 1] as usize;
+                let v = if flags & IN_FORCE != 0 {
+                    pins.clear();
+                    for (p, &f) in fanin[s..e].iter().enumerate() {
+                        pins.push(injector.forced_input(out, p as u32, values[f as usize]));
+                    }
+                    crate::eval::eval_gate(run.kind, pins)
+                } else if e - s == 2 {
+                    eval2(run.kind, values[fanin[s] as usize], values[fanin[s + 1] as usize])
+                } else {
+                    crate::eval::eval_gate_fold(
+                        run.kind,
+                        values[fanin[s] as usize],
+                        fanin[s + 1..e].iter().map(|&f| values[f as usize]),
+                    )
+                };
+                values[out] =
+                    if flags & OUT_FORCE != 0 { injector.force_output(out, v) } else { v };
+                g += 1;
+                fi += 1;
+            }
+        }
+    }
+}
+
+/// Clocks the flip-flops: latches the next state from the evaluated
+/// `values`, with D-pin branch forces applied.
+#[inline]
+fn latch<W: PackedWord>(tape: &GateTape, injector: &Injector, values: &[W], state: &mut [W]) {
+    for (k, (&dff, &src)) in tape.dffs().iter().zip(tape.dff_src()).enumerate() {
+        let di = dff as usize;
+        let mut v = values[src as usize];
+        if injector.input_forced(di) {
+            v = injector.forced_input(di, 0, v);
+        }
+        state[k] = v;
+    }
+}
+
 /// One pass over the stream with up to `W::LANES - 1` faulty machines in
 /// the low lanes and the fault-free machine fused into the top lane,
 /// every lane starting from `plan`'s machine state. The good machine sees
@@ -715,74 +850,11 @@ fn run_chunk<W: PackedWord>(
     let base = plan.from.time();
     let mut next_capture = 0usize;
 
-    let gate_out = tape.gate_out();
-    let starts = tape.fanin_start();
-    let fanin = tape.fanin();
-
     source.visit(&mut |t, vector| {
         vectors += 1;
-        // Drive primary inputs (with stem forces: a stuck PI is stuck
-        // every cycle).
-        for (i, &pi) in tape.inputs().iter().enumerate() {
-            let pi = pi as usize;
-            let v = W::splat(Logic::from_bool(vector.get(i)));
-            values[pi] = if injector.output_forced(pi) { injector.force_output(pi, v) } else { v };
-        }
-        // Present state.
-        for (k, &dff) in tape.dffs().iter().enumerate() {
-            let dff = dff as usize;
-            let v = state[k];
-            values[dff] =
-                if injector.output_forced(dff) { injector.force_output(dff, v) } else { v };
-        }
-        // Combinational sweep, run by run. The sorted forced-gate list
-        // splits each run into segments that evaluate with zero per-gate
-        // force checks; only the (at most `chunk.len()`) patch points
-        // take the checked path.
-        let forced = &injector.forced_gates;
-        let mut fi = 0usize;
-        for run in tape.runs() {
-            let (mut g, end) = (run.start as usize, run.end as usize);
-            while g < end {
-                while fi < forced.len() && (forced[fi].0 as usize) < g {
-                    fi += 1;
-                }
-                let stop = match forced.get(fi) {
-                    Some(&(pos, _)) => (pos as usize).min(end),
-                    None => end,
-                };
-                if g < stop {
-                    eval_segment(tape, run.kind, run.arity, g, stop, values);
-                    g = stop;
-                }
-                if g < end {
-                    let Some(&(pos, flags)) = forced.get(fi) else { unreachable!() };
-                    debug_assert_eq!(pos as usize, g);
-                    let out = gate_out[g] as usize;
-                    let s = starts[g] as usize;
-                    let e = starts[g + 1] as usize;
-                    let v = if flags & IN_FORCE != 0 {
-                        pins.clear();
-                        for (p, &f) in fanin[s..e].iter().enumerate() {
-                            pins.push(injector.forced_input(out, p as u32, values[f as usize]));
-                        }
-                        crate::eval::eval_gate(run.kind, pins)
-                    } else if e - s == 2 {
-                        eval2(run.kind, values[fanin[s] as usize], values[fanin[s + 1] as usize])
-                    } else {
-                        crate::eval::eval_gate_fold(
-                            run.kind,
-                            values[fanin[s] as usize],
-                            fanin[s + 1..e].iter().map(|&f| values[f as usize]),
-                        )
-                    };
-                    values[out] =
-                        if flags & OUT_FORCE != 0 { injector.force_output(out, v) } else { v };
-                    g += 1;
-                    fi += 1;
-                }
-            }
-        }
+        evaluate(tape, injector, state, values, pins, |i| {
+            W::splat(Logic::from_bool(vector.get(i)))
+        });
         // Compare the faulty lanes against the fused good lane.
         for &o in tape.outputs() {
             let w = values[o as usize];
@@ -803,15 +875,7 @@ fn run_chunk<W: PackedWord>(
             early_exit = true;
             return false;
         }
-        // Clock: latch next state (with D-pin branch forces).
-        for (k, (&dff, &src)) in tape.dffs().iter().zip(tape.dff_src()).enumerate() {
-            let di = dff as usize;
-            let mut v = values[src as usize];
-            if injector.input_forced(di) {
-                v = injector.forced_input(di, 0, v);
-            }
-            state[k] = v;
-        }
+        latch(tape, injector, values, state);
         if plan.capture.get(next_capture) == Some(&(base + t + 1)) {
             captured.record(next_capture, chunk, state, undetected);
             next_capture += 1;
@@ -895,6 +959,146 @@ fn resume_interleaved<W: PackedWord>(
 }
 
 // ---------------------------------------------------------------------
+// Candidate-parallel probes (one fault, up to 32 streams per pass)
+// ---------------------------------------------------------------------
+
+/// Candidates one packed [`first_detecting`](SimBackend::first_detecting_tape_obs)
+/// pass tests — lane `c` carries candidate `c`'s faulty machine and lane
+/// `c + PROBE_LANES` its good machine — and so the batch size in which
+/// callers best submit candidates they build on demand.
+pub const PROBE_LANES: usize = PackedValue::LANES / 2;
+
+/// The packed engines' [`SimBackend::first_detecting_tape_obs`]: the
+/// candidates, 32 per 64-lane pass, each in a lane pair — the faulty
+/// machine (`fault` injected) in a low lane, its good machine 32 lanes up,
+/// both driven by that candidate's own vector every clock. A pass stops
+/// once its lowest detecting candidate has no undecided candidate below
+/// it (a candidate whose stream has ended undetected counts as "no"); the
+/// next 32 candidates get a pass only when this one found no winner.
+fn first_detecting_packed(
+    tape: &GateTape,
+    candidates: &[&dyn VectorSource],
+    fault: Fault,
+    obs: &Obs,
+) -> Result<Option<usize>, SimError> {
+    let sweep = SweepObs::new(obs);
+    let start = sweep.is_active().then(Instant::now);
+    let mut scratch = ShardScratch::<PackedValue>::new(tape);
+    let mut probe = Probe {
+        copies: [fault; PROBE_LANES],
+        inputs: vec![PackedValue::ALL_X; tape.num_inputs()],
+        vector: TestVector::zeros(tape.num_inputs().max(1)),
+    };
+    let mut scan = || {
+        for (b, batch) in candidates.chunks(PROBE_LANES).enumerate() {
+            sweep.check_cancelled()?;
+            // The sequential scan never reaches past the first invalid
+            // candidate: simulate the valid ones before it, then report it.
+            let invalid = batch
+                .iter()
+                .enumerate()
+                .find_map(|(i, &c)| validate_width(tape.num_inputs(), c).err().map(|e| (i, e)));
+            let valid = &batch[..invalid.as_ref().map_or(batch.len(), |(i, _)| *i)];
+            if let Some(k) = probe.pass(tape, valid, &mut scratch)? {
+                return Ok(Some(b * PROBE_LANES + k));
+            }
+            if let Some((_, e)) = invalid {
+                return Err(e);
+            }
+        }
+        Ok(None)
+    };
+    let found = scan();
+    if let Some(start) = start {
+        sweep.flush(&scratch.stats, elapsed_us(start));
+    }
+    found
+}
+
+/// Reusable buffers of a candidate-parallel probe: the fault copies the
+/// injector loads into the low lanes, the per-lane primary-input words
+/// and one vector buffer the candidates write into — so a clock
+/// allocates nothing.
+struct Probe {
+    copies: [Fault; PROBE_LANES],
+    inputs: Vec<PackedValue>,
+    vector: TestVector,
+}
+
+impl Probe {
+    /// One pass over up to 32 valid candidates from reset; the index of
+    /// the first one that detects the fault, if any.
+    fn pass(
+        &mut self,
+        tape: &GateTape,
+        candidates: &[&dyn VectorSource],
+        scratch: &mut ShardScratch<PackedValue>,
+    ) -> Result<Option<usize>, SimError> {
+        let k = candidates.len();
+        if k == 0 {
+            return Ok(None);
+        }
+        scratch.injector.load(tape, &self.copies[..k], PROBE_LANES)?;
+        scratch.values.fill(PackedValue::ALL_X);
+        scratch.state.fill(PackedValue::ALL_X);
+        let ShardScratch { injector, values, state, pins, stats } = scratch;
+        stats.chunks += 1;
+        stats.patches += injector.forced_gates.len() as u64;
+        let mut lens = [0usize; PROBE_LANES];
+        for (len, c) in lens.iter_mut().zip(candidates) {
+            *len = c.num_vectors();
+        }
+        let longest = lens.iter().copied().max().unwrap_or(0);
+        // Candidates still able to win: undetected so far, stream not
+        // ended, and below the lowest detecting candidate `best`.
+        let mut undecided = u64::first_n(k);
+        let mut best = None;
+        let mut t = 0;
+        loop {
+            // A stream that ended undetected is a "no".
+            undecided.for_each_lane(|c| {
+                if lens[c] <= t {
+                    undecided &= !(1u64 << c);
+                }
+            });
+            if undecided == 0 {
+                stats.early_exits += u64::from(t < longest);
+                return Ok(best);
+            }
+            self.inputs.fill(PackedValue::ALL_X);
+            undecided.for_each_lane(|c| {
+                candidates[c].vector_into(t, &mut self.vector);
+                let pair = (1u64 << c) | (1u64 << (c + PROBE_LANES));
+                for (i, w) in self.inputs.iter_mut().enumerate() {
+                    if self.vector.get(i) {
+                        w.ones |= pair;
+                    } else {
+                        w.zeros |= pair;
+                    }
+                }
+            });
+            let inputs = &self.inputs;
+            evaluate(tape, injector, state, values, pins, |i| inputs[i]);
+            stats.vectors += 1;
+            // Lane pair compare: faulty lane `c` against good lane `c + 32`.
+            let mut diff = 0u64;
+            for &o in tape.outputs() {
+                let w = values[o as usize];
+                diff |= ((w.ones >> PROBE_LANES) & w.zeros) | ((w.zeros >> PROBE_LANES) & w.ones);
+            }
+            let newly = diff & undecided;
+            if newly != 0 {
+                let lowest = newly.trailing_zeros() as usize;
+                best = Some(lowest);
+                undecided &= u64::first_n(lowest);
+            }
+            latch(tape, injector, values, state);
+            t += 1;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Packed engine (63 faulty machines + fused good machine per pass)
 // ---------------------------------------------------------------------
 
@@ -939,6 +1143,16 @@ impl SimBackend for PackedBackend {
         obs: &Obs,
     ) -> Result<Resumed, SimError> {
         resume_interleaved::<PackedValue>(tape, from, source, faults, capture, 1, obs)
+    }
+
+    fn first_detecting_tape_obs(
+        &self,
+        tape: &GateTape,
+        candidates: &[&dyn VectorSource],
+        fault: Fault,
+        obs: &Obs,
+    ) -> Result<Option<usize>, SimError> {
+        first_detecting_packed(tape, candidates, fault, obs)
     }
 }
 
@@ -1105,6 +1319,19 @@ impl SimBackend for ShardedBackend {
                 tape, from, source, faults, capture, threads, obs,
             ),
         }
+    }
+
+    /// Candidate-parallel probes run at 64 lanes on the calling thread,
+    /// whatever the configured width and thread count: one pass holds 32
+    /// candidates, and wider batches rarely end sooner.
+    fn first_detecting_tape_obs(
+        &self,
+        tape: &GateTape,
+        candidates: &[&dyn VectorSource],
+        fault: Fault,
+        obs: &Obs,
+    ) -> Result<Option<usize>, SimError> {
+        first_detecting_packed(tape, candidates, fault, obs)
     }
 }
 

@@ -74,7 +74,9 @@ mod state;
 mod stepped;
 pub mod transition;
 
-pub use backend::{PackedBackend, ScalarBackend, ShardedBackend, SimBackend, WordWidth};
+pub use backend::{
+    PackedBackend, ScalarBackend, ShardedBackend, SimBackend, WordWidth, PROBE_LANES,
+};
 /// Re-exported from `bist-expand`: the replayable vector-stream trait the
 /// backends consume.
 pub use bist_expand::VectorSource;

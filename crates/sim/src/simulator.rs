@@ -340,6 +340,46 @@ impl<'c> FaultSimulator<'c> {
     ) -> Result<bool, SimError> {
         Ok(self.detection_times_stream(source, &[fault])?[0].is_some())
     }
+
+    /// Index of the first candidate stream that detects `fault` — exactly
+    /// `candidates.iter().position(|c| detects_stream(c, fault))`, errors
+    /// included, but the packed engines test 32 candidates per pass (see
+    /// [`SimBackend::first_detecting_tape_obs`]). Procedure 2 asks this
+    /// of its growing windows and of its omission candidates.
+    ///
+    /// ```
+    /// use bist_expand::{TestSequence, VectorSource};
+    /// use bist_netlist::benchmarks;
+    /// use bist_sim::{Fault, FaultSimulator};
+    ///
+    /// let c = benchmarks::shift_register3();
+    /// let sim = FaultSimulator::new(&c);
+    /// let q2 = Fault::output(c.find("q2").unwrap(), false);
+    /// // q2 s-a-0 needs three 1s shifted in before the output shows it.
+    /// let short: TestSequence = "11 11".parse()?;
+    /// let long: TestSequence = "11 11 11 11".parse()?;
+    /// let candidates: [&dyn VectorSource; 3] = [&short, &long, &long];
+    /// assert_eq!(sim.first_detecting(&candidates, q2)?, Some(1));
+    /// assert_eq!(sim.first_detecting(&candidates[..1], q2)?, None);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Width mismatch / empty stream of the first invalid candidate the
+    /// sequential scan would reach.
+    pub fn first_detecting(
+        &self,
+        candidates: &[&dyn VectorSource],
+        fault: Fault,
+    ) -> Result<Option<usize>, SimError> {
+        match &self.compiled {
+            Some(compiled) if !compiled.site_map().is_identity() => {
+                crate::backend::scan_first_detecting(candidates, |c| self.detects_stream(c, fault))
+            }
+            _ => self.backend.first_detecting_tape_obs(&self.tape, candidates, fault, &self.obs),
+        }
+    }
 }
 
 /// O(1) guard against a miskeyed tape: the `(nodes, inputs, outputs,

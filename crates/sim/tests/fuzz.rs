@@ -13,13 +13,15 @@
 //! Each corpus circuit also gets a seeded resume case: the engines that
 //! keep explicit machine state resume from a random prefix and must
 //! reproduce the oracle's times for every fault the prefix left
-//! undetected.
+//! undetected. And a seeded candidate-parallel case: `first_detecting`
+//! over random candidate streams must name the candidate the oracle's
+//! sequential scan names.
 //!
 //! Two entry points, like the 13-circuit campaign acceptance test:
 //! a fast subset that runs in debug `cargo test` on every push, and the
 //! full ≥200-circuit sweep, ignored in debug and executed in release CI.
 
-use bist_expand::{TestSequence, TestVector};
+use bist_expand::{TestSequence, TestVector, VectorSource};
 use bist_netlist::fuzz::fuzz_circuit;
 use bist_netlist::{compile_staged, CircuitBuilder, CompileOptions, GateKind, GateTape};
 use bist_sim::{
@@ -112,6 +114,39 @@ fn run_corpus(seeds: std::ops::Range<u64>, max_faults: usize, max_seq_len: usize
                     t,
                     oracle[i],
                     "{} resumed at {at} diverges from the oracle on {} (seed {seed})",
+                    engine.name(),
+                    circuit.name()
+                );
+            }
+        }
+        // Seeded candidate-parallel case: up to 40 random streams of mixed
+        // length (so some probes span two 32-candidate passes) for a few
+        // faults; every engine must name the candidate the oracle's
+        // sequential scan names.
+        let candidates: Vec<TestSequence> = (0..rng.gen_range(1usize..=40))
+            .map(|_| {
+                let len = rng.gen_range(1..=max_seq_len);
+                TestSequence::from_vectors(
+                    (0..len)
+                        .map(|_| TestVector::from_fn(circuit.num_inputs(), |_| rng.gen_bool(0.5)))
+                        .collect(),
+                )
+                .expect("uniform width")
+            })
+            .collect();
+        let sources: Vec<&dyn VectorSource> =
+            candidates.iter().map(|c| c as &dyn VectorSource).collect();
+        for _ in 0..faults.len().min(2) {
+            let fault = faults[rng.gen_range(0..faults.len())];
+            let want = candidates.iter().position(|c| {
+                reference::detection_times(&circuit, c, &[fault]).expect("oracle")[0].is_some()
+            });
+            for engine in &grid {
+                let got = engine.first_detecting_tape_obs(&tape, &sources, fault, &Obs::noop());
+                assert_eq!(
+                    got,
+                    Ok(want),
+                    "{} first_detecting diverges from the oracle's scan on {} (seed {seed})",
                     engine.name(),
                     circuit.name()
                 );

@@ -209,6 +209,11 @@ impl VectorSource for Omitted<'_> {
             }
         }
     }
+
+    fn vector_into(&self, t: usize, out: &mut TestVector) {
+        let at = self.from + t;
+        out.copy_from(&self.seq[if at < self.skip { at } else { at + 1 }]);
+    }
 }
 
 #[cfg(test)]
@@ -223,6 +228,21 @@ mod tests {
 
     fn s27_t0() -> TestSequence {
         seq("0111 1001 0111 1001 0100 1011 1001 0000 0000 1011")
+    }
+
+    #[test]
+    fn omitted_random_access_equals_its_walk() {
+        let t0 = s27_t0();
+        let continuation = Omitted { seq: &t0, from: 2, skip: 5 };
+        let mut out = TestVector::zeros(1);
+        let mut seen = 0;
+        continuation.visit(&mut |t, v| {
+            continuation.vector_into(t, &mut out);
+            assert_eq!(&out, v, "t={t}");
+            seen += 1;
+            true
+        });
+        assert_eq!(seen, continuation.num_vectors());
     }
 
     #[test]

@@ -905,8 +905,8 @@ impl SessionReport {
         &self.scheme
     }
 
-    /// The best run per the paper's rule (smallest max len, then total
-    /// len, then run time).
+    /// The best run: smallest max len, then total len, then the smaller
+    /// `n` (see [`SchemeResult::best`]).
     #[must_use]
     pub fn best(&self) -> &SchemeRun {
         self.scheme.best_run()
@@ -1329,6 +1329,17 @@ mod tests {
         assert_eq!(snap.histogram("session.tape_compile_us").unwrap().count, 1);
         // The scheme sweep recorded one Procedure-1 span per n.
         assert_eq!(snap.histogram("core.procedure1_us").unwrap().count, 2);
+        // Procedure 2's probe counters add up to its statistics, with at
+        // least one probe per candidate-parallel pass.
+        let probes: usize = report
+            .scheme()
+            .runs
+            .iter()
+            .map(|r| r.selection.stats.grow_simulations + r.selection.stats.omit_simulations)
+            .sum();
+        assert_eq!(snap.counter("core.p2_probes"), Some(probes as u64));
+        let passes = snap.counter("core.p2_passes").unwrap();
+        assert!(0 < passes && passes <= probes as u64, "{passes} passes, {probes} probes");
         // The engines saw real work through the threaded sink.
         assert!(snap.counter("sim.vectors").unwrap() > 0);
         assert!(snap.counter("sim.chunks").unwrap() > 0);
