@@ -9,7 +9,6 @@
 //! subseq-bist run [--smoke] [--circuits s27,a298 | --upto N | --quick | --full]
 //!                 [--backends packed,scalar,sharded[:T[:W]]] [--seeds 1999,2000]
 //!                 [--ns 2,4,8,16] [--no-postprocess] [--no-verify]
-//!                 [--optimize[=PASSES]]
 //!                 [--threads N] [--queue N] [--keep-going] [--jsonl PATH]
 //!                 [--resume PATH] [--deadline MS] [--retries N]
 //!                 [--cache-budget BYTES] [--chaos[=SEED]]
@@ -35,7 +34,7 @@ use subseq_bist::netlist::{benchmarks, parser, Circuit};
 use subseq_bist::obs::export;
 use subseq_bist::tgen::TgenConfig;
 use subseq_bist::verify::{check_equiv, lint_circuit, lint_source, structural_hash, Severity};
-use subseq_bist::{Backend, CompileOptions, Obs, Registry};
+use subseq_bist::{Backend, Obs, Registry};
 
 const USAGE: &str = "\
 subseq-bist — batch campaign front end for the subsequence-BIST pipeline
@@ -76,11 +75,6 @@ RUN OPTIONS:
     --ns LIST           repetition counts to sweep (default 2,4,8,16)
     --no-postprocess    skip the paper's §3.2 static compaction of S
     --no-verify         skip post-run coverage verification
-    --optimize[=PASSES] fault-simulate on staged-compiler-optimized tapes
-                        (results stay bit-identical; reports gates removed).
-                        PASSES is a subset of \"xfds\": x constant-X fold,
-                        f value forwarding, d duplicate-gate dedup, s dead
-                        sweep (default: all)
     --t0-cap N          cap |T0| (default 1024, the paper's longest)
     --t0-budget N       T0 static-compaction trial budget (default 300)
     --threads N         worker threads (default 0 = one per core)
@@ -173,7 +167,6 @@ fn run(args: &[String]) -> Result<(), BatchError> {
     let mut ns: Option<Vec<usize>> = None;
     let mut postprocess = true;
     let mut verify = true;
-    let mut optimize = CompileOptions::none();
     let mut t0_cap: Option<usize> = None;
     let mut t0_budget: Option<usize> = None;
     let mut threads = 0;
@@ -225,15 +218,6 @@ fn run(args: &[String]) -> Result<(), BatchError> {
             }
             "--no-postprocess" => postprocess = false,
             "--no-verify" => verify = false,
-            "--optimize" => optimize = CompileOptions::all(),
-            flag if flag.starts_with("--optimize=") => {
-                let spec = &flag["--optimize=".len()..];
-                optimize = CompileOptions::parse(spec).ok_or_else(|| {
-                    BatchError::Config(format!(
-                        "bad --optimize passes `{spec}` (expected a subset of `xfds` or `none`)"
-                    ))
-                })?;
-            }
             "--t0-cap" => t0_cap = Some(parse_usize(arg, parse_flag_value(arg, &mut it)?)?),
             "--t0-budget" => t0_budget = Some(parse_usize(arg, parse_flag_value(arg, &mut it)?)?),
             "--threads" => threads = parse_usize(arg, parse_flag_value(arg, &mut it)?)?,
@@ -289,7 +273,6 @@ fn run(args: &[String]) -> Result<(), BatchError> {
     let mut campaign = Campaign::new()
         .seeds(seeds)
         .verify(verify)
-        .optimize(optimize)
         .tgen(TgenConfig::new().max_length(t0_cap).compaction_budget(t0_budget));
     campaign = match circuits {
         Some(names) => campaign.suite_circuits(names),

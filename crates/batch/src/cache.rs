@@ -34,10 +34,10 @@ use bist_obs::{CounterHandle, GaugeHandle, Obs};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use subseq_bist::netlist::{compile_staged_with_baseline, Circuit, GateTape};
+use subseq_bist::netlist::{Circuit, GateTape};
 use subseq_bist::sim::{collapse, fault_universe, Fault};
 use subseq_bist::tgen::{generate_t0_with_artifacts, GeneratedTest, TgenConfig};
-use subseq_bist::{BistError, CompileOptions, CompiledCircuit, SessionArtifacts};
+use subseq_bist::{BistError, SessionArtifacts};
 
 /// A snapshot of the cache's hit/miss/eviction counters.
 ///
@@ -56,9 +56,10 @@ pub struct CacheStats {
     pub tape_misses: usize,
     /// Gate-tape requests served from the cache.
     pub tape_hits: usize,
-    /// Staged (optimizing) compiles performed.
+    /// Always 0: there is no staged-compile shelf. The field stays for
+    /// readers that sum the counters of every shelf by name.
     pub compiled_misses: usize,
-    /// Staged-compile requests served from the cache.
+    /// Always 0, like [`compiled_misses`](Self::compiled_misses).
     pub compiled_hits: usize,
     /// Fault-universe collapses performed.
     pub fault_misses: usize,
@@ -72,8 +73,6 @@ pub struct CacheStats {
     pub circuit_evictions: usize,
     /// Gate tapes evicted under the byte budget.
     pub tape_evictions: usize,
-    /// Staged compiles evicted under the byte budget.
-    pub compiled_evictions: usize,
     /// Fault universes evicted under the byte budget.
     pub fault_evictions: usize,
     /// Generated `T0`s evicted under the byte budget.
@@ -84,11 +83,7 @@ impl CacheStats {
     /// Total evictions across all shelves.
     #[must_use]
     pub fn total_evictions(&self) -> usize {
-        self.circuit_evictions
-            + self.tape_evictions
-            + self.compiled_evictions
-            + self.fault_evictions
-            + self.t0_evictions
+        self.circuit_evictions + self.tape_evictions + self.fault_evictions + self.t0_evictions
     }
 }
 
@@ -96,14 +91,12 @@ impl std::fmt::Display for CacheStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "circuits {}+{} reused, tapes {}+{} reused, staged compiles {}+{} reused, universes \
-             {}+{} reused, T0s {}+{} reused, {} evicted",
+            "circuits {}+{} reused, tapes {}+{} reused, universes {}+{} reused, T0s {}+{} \
+             reused, {} evicted",
             self.circuit_misses,
             self.circuit_hits,
             self.tape_misses,
             self.tape_hits,
-            self.compiled_misses,
-            self.compiled_hits,
             self.fault_misses,
             self.fault_hits,
             self.t0_misses,
@@ -120,8 +113,6 @@ pub enum ShelfId {
     Circuit,
     /// Compiled gate tapes.
     Tape,
-    /// Staged (optimizing) compiles.
-    Compiled,
     /// Collapsed fault universes.
     Fault,
     /// Generated `T0`s with coverage.
@@ -135,7 +126,6 @@ impl ShelfId {
         match self {
             ShelfId::Circuit => "circuit",
             ShelfId::Tape => "tape",
-            ShelfId::Compiled => "compiled",
             ShelfId::Fault => "fault",
             ShelfId::T0 => "t0",
         }
@@ -145,9 +135,8 @@ impl ShelfId {
         match self {
             ShelfId::Circuit => 1,
             ShelfId::Tape => 2,
-            ShelfId::Compiled => 4,
-            ShelfId::Fault => 8,
-            ShelfId::T0 => 16,
+            ShelfId::Fault => 4,
+            ShelfId::T0 => 8,
         }
     }
 }
@@ -235,8 +224,6 @@ pub struct CacheResidency {
     pub circuits: ShelfResidency,
     /// Compiled gate tapes.
     pub tapes: ShelfResidency,
-    /// Staged (optimizing) compiles.
-    pub compiled: ShelfResidency,
     /// Collapsed fault universes.
     pub faults: ShelfResidency,
     /// Generated `T0`s with coverage.
@@ -249,7 +236,6 @@ impl CacheResidency {
     pub fn total_approx_bytes(&self) -> usize {
         self.circuits.approx_bytes
             + self.tapes.approx_bytes
-            + self.compiled.approx_bytes
             + self.faults.approx_bytes
             + self.t0s.approx_bytes
     }
@@ -259,11 +245,9 @@ impl std::fmt::Display for CacheResidency {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "resident: {} circuits, {} tapes, {} staged compiles, {} universes, {} T0s \
-             (~{} KiB pinned)",
+            "resident: {} circuits, {} tapes, {} universes, {} T0s (~{} KiB pinned)",
             self.circuits.entries,
             self.tapes.entries,
-            self.compiled.entries,
             self.faults.entries,
             self.t0s.entries,
             self.total_approx_bytes().div_ceil(1024),
@@ -481,15 +465,10 @@ impl<K: std::hash::Hash + Eq + Clone, V> Shelf<K, V> {
 /// fingerprint.
 type T0Key = (String, u64, String);
 
-/// Key of the staged-compile shelf: circuit identity × pass selection
-/// ([`CompileOptions::key`]).
-type CompiledKey = (String, String);
-
 /// The campaign-wide artifact cache. See the module docs.
 pub struct ArtifactCache {
     circuits: Shelf<String, Circuit>,
     tapes: Shelf<String, GateTape>,
-    compiled: Shelf<CompiledKey, CompiledCircuit>,
     faults: Shelf<String, Vec<Fault>>,
     t0s: Shelf<T0Key, GeneratedTest>,
     /// Wall-clock seconds each `T0` took to generate (recorded by the
@@ -516,7 +495,7 @@ impl std::fmt::Debug for ArtifactCache {
 /// coarse — node/gate/vector counts times typical struct sizes — so the
 /// report answers "what dominates?" without a real allocator probe.
 mod approx {
-    use super::{Circuit, CompiledCircuit, Fault, GateTape, GeneratedTest};
+    use super::{Circuit, Fault, GateTape, GeneratedTest};
 
     pub fn circuit(c: &Circuit) -> usize {
         c.num_nodes() * 64
@@ -524,11 +503,6 @@ mod approx {
 
     pub fn tape(t: &GateTape) -> usize {
         t.num_nodes() * 16 + t.num_gates() * 24
-    }
-
-    pub fn compiled(c: &CompiledCircuit) -> usize {
-        // Baseline + optimized tape + the per-node site map.
-        tape(c.baseline()) + tape(c.tape()) + c.site_map().num_nodes() * 8
     }
 
     pub fn faults(f: &[Fault]) -> usize {
@@ -566,7 +540,6 @@ impl ArtifactCache {
         ArtifactCache {
             circuits: Shelf::new(obs, "circuit", Arc::clone(&clock)),
             tapes: Shelf::new(obs, "tape", Arc::clone(&clock)),
-            compiled: Shelf::new(obs, "compiled", Arc::clone(&clock)),
             faults: Shelf::new(obs, "fault", Arc::clone(&clock)),
             t0s: Shelf::new(obs, "t0", clock),
             t0_seconds: Mutex::new(HashMap::new()),
@@ -633,40 +606,6 @@ impl ArtifactCache {
                 Ok(tape)
             },
             approx::tape,
-        )
-    }
-
-    /// The staged compile of `spec`'s circuit under `options`, performed
-    /// once per distinct (circuit, pass selection) pair. Reuses the
-    /// cached baseline tape as the compile's baseline, so the optimized
-    /// and unoptimized jobs of a campaign share one unoptimized tape.
-    ///
-    /// # Errors
-    ///
-    /// As for [`circuit`](Self::circuit).
-    pub fn compiled(
-        &self,
-        spec: &CircuitSpec,
-        options: CompileOptions,
-        circuit: &Arc<Circuit>,
-        tape: &Arc<GateTape>,
-    ) -> Result<Arc<CompiledCircuit>, BatchError> {
-        let key = (spec.key(), options.key());
-        let describe = format!("staged compile of `{}` [{}]", spec.key(), options.key());
-        let chaos_key = format!("compiled:{}:{}", spec.key(), options.key());
-        self.compiled.get_or_compute(
-            &key,
-            &describe,
-            || {
-                if let Some(e) = self.injected(&chaos_key) {
-                    return Err(e);
-                }
-                let compiled = compile_staged_with_baseline(circuit, options, Arc::clone(tape));
-                #[cfg(debug_assertions)]
-                subseq_bist::verify::audit_compiled(circuit, &compiled);
-                Ok(compiled)
-            },
-            approx::compiled,
         )
     }
 
@@ -747,6 +686,9 @@ impl ArtifactCache {
 
     /// The full artifact bundle for one job, ready for
     /// [`SessionBuilder::with_artifacts`](subseq_bist::SessionBuilder::with_artifacts).
+    /// Under a bounded [`CachePolicy`] the byte budget is enforced after
+    /// the bundle is assembled (the bundle's own `Arc`s keep its
+    /// artifacts alive even if evicted).
     ///
     /// # Errors
     ///
@@ -757,27 +699,6 @@ impl ArtifactCache {
         seed: u64,
         tgen: &TgenConfig,
     ) -> Result<SessionArtifacts, BatchError> {
-        self.artifacts_for_optimized(spec, seed, tgen, CompileOptions::none())
-    }
-
-    /// [`artifacts_for`](Self::artifacts_for) plus, for a non-empty pass
-    /// selection, the shared staged compile of the circuit — the bundle
-    /// behind a campaign's `--optimize` jobs. With
-    /// [`CompileOptions::none`] the staged-compile shelf is never
-    /// touched. Under a bounded [`CachePolicy`] the byte budget is
-    /// enforced after the bundle is assembled (the bundle's own `Arc`s
-    /// keep its artifacts alive even if evicted).
-    ///
-    /// # Errors
-    ///
-    /// Any artifact computation failure, as above.
-    pub fn artifacts_for_optimized(
-        &self,
-        spec: &CircuitSpec,
-        seed: u64,
-        tgen: &TgenConfig,
-        optimize: CompileOptions,
-    ) -> Result<SessionArtifacts, BatchError> {
         let circuit = self.circuit(spec)?;
         let tape = self.tape(spec, &circuit)?;
         let faults = self.faults(spec, &circuit)?;
@@ -787,9 +708,6 @@ impl ArtifactCache {
             .tape(Arc::clone(&tape))
             .faults(faults)
             .generated_t0(t0);
-        if !optimize.is_none() {
-            artifacts = artifacts.compiled(self.compiled(spec, optimize, &circuit, &tape)?);
-        }
         let key = (spec.key(), seed, format!("{tgen:?}"));
         if let Some(seconds) = self.t0_generation_seconds(&key) {
             artifacts = artifacts.t0_seconds(seconds);
@@ -823,7 +741,6 @@ impl ArtifactCache {
                 };
                 consider(ShelfId::Circuit, self.circuits.oldest_tick());
                 consider(ShelfId::Tape, self.tapes.oldest_tick());
-                consider(ShelfId::Compiled, self.compiled.oldest_tick());
                 consider(ShelfId::Fault, self.faults.oldest_tick());
                 consider(ShelfId::T0, self.t0s.oldest_tick());
             }
@@ -836,9 +753,6 @@ impl ArtifactCache {
                 }
                 ShelfId::Tape => {
                     self.tapes.evict_oldest();
-                }
-                ShelfId::Compiled => {
-                    self.compiled.evict_oldest();
                 }
                 ShelfId::Fault => {
                     self.faults.evict_oldest();
@@ -860,7 +774,6 @@ impl ArtifactCache {
         CacheResidency {
             circuits: self.circuits.residency(),
             tapes: self.tapes.residency(),
-            compiled: self.compiled.residency(),
             faults: self.faults.residency(),
             t0s: self.t0s.residency(),
         }
@@ -871,7 +784,6 @@ impl ArtifactCache {
     pub fn stats(&self) -> CacheStats {
         let (circuit_misses, circuit_hits) = self.circuits.counters();
         let (tape_misses, tape_hits) = self.tapes.counters();
-        let (compiled_misses, compiled_hits) = self.compiled.counters();
         let (fault_misses, fault_hits) = self.faults.counters();
         let (t0_misses, t0_hits) = self.t0s.counters();
         CacheStats {
@@ -879,15 +791,14 @@ impl ArtifactCache {
             circuit_hits,
             tape_misses,
             tape_hits,
-            compiled_misses,
-            compiled_hits,
+            compiled_misses: 0,
+            compiled_hits: 0,
             fault_misses,
             fault_hits,
             t0_misses,
             t0_hits,
             circuit_evictions: self.circuits.evicted(),
             tape_evictions: self.tapes.evicted(),
-            compiled_evictions: self.compiled.evicted(),
             fault_evictions: self.faults.evicted(),
             t0_evictions: self.t0s.evicted(),
         }
@@ -1104,34 +1015,6 @@ mod tests {
     }
 
     #[test]
-    fn staged_compiles_are_keyed_by_pass_selection_and_shared() {
-        let cache = ArtifactCache::new();
-        let spec = s27_spec();
-        let circuit = cache.circuit(&spec).unwrap();
-        let tape = cache.tape(&spec, &circuit).unwrap();
-        let a = cache.compiled(&spec, CompileOptions::all(), &circuit, &tape).unwrap();
-        let b = cache.compiled(&spec, CompileOptions::all(), &circuit, &tape).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        // The compile's baseline is the cached unoptimized tape itself.
-        assert!(Arc::ptr_eq(a.baseline(), &tape));
-        // A different pass selection is a different artifact...
-        let none = cache.compiled(&spec, CompileOptions::none(), &circuit, &tape).unwrap();
-        assert!(!Arc::ptr_eq(&a, &none));
-        // ...and the identity compile shares the baseline tape outright.
-        assert!(Arc::ptr_eq(none.tape(), &tape));
-        let stats = cache.stats();
-        assert_eq!((stats.compiled_misses, stats.compiled_hits), (2, 1));
-        assert!(stats.to_string().contains("staged compiles"));
-        // An optimized bundle carries the staged compile; a plain bundle
-        // never touches the shelf.
-        let tgen = TgenConfig::new().max_length(16);
-        cache.artifacts_for_optimized(&spec, 3, &tgen, CompileOptions::all()).unwrap();
-        assert_eq!(cache.stats().compiled_hits, 2);
-        cache.artifacts_for(&spec, 3, &tgen).unwrap();
-        assert_eq!(cache.stats().compiled_misses + cache.stats().compiled_hits, 4);
-    }
-
-    #[test]
     fn instrumented_cache_mirrors_stats_and_tracks_residency() {
         let registry = Arc::new(bist_obs::Registry::new());
         let cache = ArtifactCache::with_obs(&Obs::with_registry(Arc::clone(&registry)));
@@ -1153,7 +1036,7 @@ mod tests {
         assert_eq!(residency.tapes.entries, 1);
         assert_eq!(residency.faults.entries, 1);
         assert_eq!(residency.t0s.entries, 1);
-        assert_eq!(residency.compiled.entries, 0, "no staged compile requested");
+        assert_eq!((stats.compiled_misses, stats.compiled_hits), (0, 0));
         assert!(residency.total_approx_bytes() > 0);
         assert_eq!(snap.gauge("cache.circuit.resident"), Some(1));
         assert_eq!(

@@ -11,7 +11,7 @@ use crate::BatchError;
 use std::path::PathBuf;
 use subseq_bist::netlist::{self as bist_netlist, benchmarks};
 use subseq_bist::tgen::TgenConfig;
-use subseq_bist::{Backend, BistError, CompileOptions, Session};
+use subseq_bist::{Backend, BistError, Session};
 
 /// Where a campaign circuit comes from.
 ///
@@ -128,7 +128,6 @@ pub struct Campaign {
     schemes: Vec<SchemeSpec>,
     seeds: Vec<u64>,
     tgen: TgenConfig,
-    optimize: CompileOptions,
     verify: bool,
 }
 
@@ -142,7 +141,6 @@ impl Campaign {
             schemes: vec![SchemeSpec::default()],
             seeds: vec![1999],
             tgen: TgenConfig::new(),
-            optimize: CompileOptions::none(),
             verify: true,
         }
     }
@@ -212,17 +210,6 @@ impl Campaign {
         self
     }
 
-    /// The staged-compiler pass selection every job's fault simulation
-    /// runs with (off by default). Jobs stay bit-identical to an
-    /// unoptimized campaign; only the simulated tape changes. The
-    /// staged compile is cached per (circuit, pass selection), so a
-    /// whole campaign optimizes each circuit once.
-    #[must_use]
-    pub fn optimize(mut self, options: CompileOptions) -> Self {
-        self.optimize = options;
-        self
-    }
-
     /// Enables/disables post-run coverage verification for every job.
     #[must_use]
     pub fn verify(mut self, on: bool) -> Self {
@@ -254,16 +241,9 @@ impl Campaign {
         self.verify
     }
 
-    /// The staged-compiler pass selection of every job.
-    #[must_use]
-    pub fn optimize_options(&self) -> CompileOptions {
-        self.optimize
-    }
-
     /// A stable hex fingerprint of everything that shapes the campaign's
     /// results: every axis (circuits, backends, schemes, seeds), the
-    /// `T0`-generation configuration, the staged-compiler pass selection
-    /// and the verification switch. Stamped onto every JSONL journal row
+    /// `T0`-generation configuration and the verification switch. Stamped onto every JSONL journal row
     /// (via [`JsonlSink::with_fingerprint`](crate::JsonlSink::with_fingerprint))
     /// so `--resume` can refuse a journal written by a different
     /// configuration instead of silently merging incompatible results.
@@ -290,11 +270,9 @@ impl Campaign {
         for &seed in &self.seeds {
             eat(&seed.to_string());
         }
-        // TgenConfig and CompileOptions are plain config structs; their
-        // Debug forms spell out every field, which is exactly the
-        // identity we need.
+        // TgenConfig is a plain config struct; its Debug form spells out
+        // every field, which is exactly the identity we need.
         eat(&format!("{:?}", self.tgen));
-        eat(&format!("{:?}", self.optimize));
         eat(&format!("{}", self.verify));
         format!("{h:016x}")
     }
@@ -483,31 +461,10 @@ mod tests {
             base().ns(vec![2]).fingerprint(),
             base().seeds([1999, 2000]).fingerprint(),
             base().tgen(TgenConfig::new().max_length(9)).fingerprint(),
-            base().optimize(CompileOptions::all()).fingerprint(),
             base().verify(false).fingerprint(),
         ] {
             assert_ne!(fp, changed, "every configuration axis must move the fingerprint");
         }
-    }
-
-    #[test]
-    fn optimize_spellings_share_one_fingerprint() {
-        // `CompileOptions::parse` normalizes letter order and repetition,
-        // so every spelling of the same pass set fingerprints (and hence
-        // cache-keys and journal-stamps) identically — critical once
-        // fingerprints key a shared server cache fed by many clients.
-        let fp = |spec: &str| {
-            Campaign::new()
-                .suite_circuits(["s27"])
-                .seeds([1999])
-                .ns(vec![1])
-                .optimize(CompileOptions::parse(spec).expect("valid pass spec"))
-                .fingerprint()
-        };
-        assert_eq!(fp("xf"), fp("fx"));
-        assert_eq!(fp("xf"), fp("fxxf"));
-        assert_eq!(fp("xfds"), fp("sdfx"));
-        assert_ne!(fp("xf"), fp("none"), "distinct pass sets still differ");
     }
 
     #[test]

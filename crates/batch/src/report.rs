@@ -57,8 +57,8 @@ pub struct JobMetrics {
     pub scheme_data_bits: usize,
     /// Test-data bits of storing all of `T0` monolithically.
     pub monolithic_data_bits: usize,
-    /// Gates the staged compiler removed from the simulated tape (0 for
-    /// an unoptimized job).
+    /// Always 0: every job simulates the circuit's full tape. Kept as a
+    /// JSONL column so the journal schema stays stable.
     pub gates_removed: usize,
     /// Post-run verification outcome (`None` if disabled).
     pub verified: Option<bool>,
@@ -402,9 +402,6 @@ pub struct AxisLine {
     pub mean_loaded_fraction: f64,
     /// Mean on-chip storage ratio (scheme bits / monolithic bits).
     pub mean_storage_ratio: f64,
-    /// Gates the staged compiler removed (max over ok jobs — every job
-    /// of one circuit shares one compile, so this is its removal count).
-    pub gates_removed: usize,
 }
 
 /// The campaign's final roll-up: totals plus per-circuit and per-backend
@@ -472,12 +469,6 @@ impl CampaignSummary {
                         mean_storage_ratio: mean(|m| {
                             m.scheme_data_bits as f64 / m.monolithic_data_bits.max(1) as f64
                         }),
-                        gates_removed: ok
-                            .iter()
-                            .filter_map(|r| r.metrics.as_ref())
-                            .map(|m| m.gates_removed)
-                            .max()
-                            .unwrap_or(0),
                     }
                 })
                 .collect()
@@ -498,12 +489,14 @@ impl CampaignSummary {
     }
 
     /// FNV-1a digest of the summary's *deterministic* fields: job
-    /// counts, per-axis labels, ok-job counts, means (hashed via
-    /// [`f64::to_bits`]) and gates removed. All timing (wall, job,
-    /// queue, exec seconds) and telemetry are excluded, so a chaos run
-    /// that healed through retries — or a killed campaign merged back
-    /// together with `--resume` — digests identically to the fault-free
-    /// run of the same campaign. That equality is the resilience
+    /// counts, per-axis labels, ok-job counts and means (hashed via
+    /// [`f64::to_bits`]), plus one zero word per axis line where a
+    /// gates-removed count once sat, so that pinned digests still
+    /// reproduce. All timing (wall, job, queue, exec seconds) and
+    /// telemetry are excluded, so a chaos run that healed through
+    /// retries — or a killed campaign merged back together with
+    /// `--resume` — digests identically to the fault-free run of the
+    /// same campaign. That equality is the resilience
     /// layer's acceptance criterion.
     #[must_use]
     pub fn digest(&self) -> u64 {
@@ -525,7 +518,7 @@ impl CampaignSummary {
                 eat(&mut h, &line.mean_coverage.to_bits().to_le_bytes());
                 eat(&mut h, &line.mean_loaded_fraction.to_bits().to_le_bytes());
                 eat(&mut h, &line.mean_storage_ratio.to_bits().to_le_bytes());
-                eat(&mut h, &(line.gates_removed as u64).to_le_bytes());
+                eat(&mut h, &0u64.to_le_bytes());
             }
         }
         h
@@ -549,20 +542,19 @@ impl fmt::Display for CampaignSummary {
         )?;
         writeln!(
             f,
-            "  {:<10} {:>4} {:>9} {:>9} {:>8} {:>8} {:>8}",
-            "circuit", "ok", "exec s", "coverage", "loaded", "storage", "removed"
+            "  {:<10} {:>4} {:>9} {:>9} {:>8} {:>8}",
+            "circuit", "ok", "exec s", "coverage", "loaded", "storage"
         )?;
         for line in &self.circuits {
             writeln!(
                 f,
-                "  {:<10} {:>4} {:>9.3} {:>8.1}% {:>7.0}% {:>7.0}% {:>8}",
+                "  {:<10} {:>4} {:>9.3} {:>8.1}% {:>7.0}% {:>7.0}%",
                 line.label,
                 line.jobs,
                 line.exec_seconds,
                 100.0 * line.mean_coverage,
                 100.0 * line.mean_loaded_fraction,
                 100.0 * line.mean_storage_ratio,
-                line.gates_removed,
             )?;
         }
         writeln!(f, "  {:<18} {:>4} {:>9}", "backend", "ok", "exec s")?;
@@ -601,7 +593,7 @@ mod tests {
                 loaded_fraction: 0.5,
                 scheme_data_bits: 12,
                 monolithic_data_bits: 40,
-                gates_removed: 4,
+                gates_removed: 0,
                 verified: Some(true),
             }),
             error: None,
@@ -649,7 +641,6 @@ mod tests {
         assert_eq!(s27.jobs, 2);
         assert!((s27.mean_coverage - 1.0).abs() < 1e-9);
         assert!((s27.mean_loaded_fraction - 0.5).abs() < 1e-9);
-        assert_eq!(s27.gates_removed, 4);
         // Axis lines sum execution time only: 0.75 of each job's 0.5 + 1.5
         // seconds; the queued quarter shows in the header line alone.
         assert!((s27.exec_seconds - 1.5).abs() < 1e-9);

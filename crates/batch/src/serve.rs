@@ -22,10 +22,9 @@
 //!
 //! Behind the socket sits one process-lifetime [`ArtifactCache`] shared
 //! by every campaign via [`CampaignEngine::shared_cache`]: cache keys
-//! are campaign-independent (circuit key, seed, `TgenConfig`, pass-set
-//! key), so the tape/collapse/`T0` artifacts the paper's flow
-//! precomputes are shared *across requests*, under the cache's own
-//! byte-budget eviction. Admission control bounds the pending-campaign
+//! are campaign-independent (circuit key, seed, `TgenConfig`), so the
+//! tape/collapse/`T0` artifacts the paper's flow precomputes are shared
+//! *across requests*, under the cache's own byte-budget eviction. Admission control bounds the pending-campaign
 //! queue (`429` on overflow) and serves clients round-robin — one
 //! campaign per client per turn — so a flood from one client cannot
 //! starve the rest. Campaigns execute one at a time on the worker pool
@@ -53,7 +52,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use subseq_bist::tgen::TgenConfig;
-use subseq_bist::{Backend, CompileOptions};
+use subseq_bist::Backend;
 
 /// Largest accepted request body: campaign specs are small, and the
 /// parser should never be fed an unbounded allocation.
@@ -96,8 +95,7 @@ impl Default for ServeConfig {
 /// (including `"smoke": true` shrinking the matrix exactly like
 /// `--smoke`): `circuits` (suite names), `upto`, `backends` (labels in
 /// the [`crate::parse_backend`] syntax), `seeds`, `ns`, `postprocess`,
-/// `verify`, `optimize` (a [`CompileOptions::parse`] spec), `t0_cap`,
-/// `t0_budget`, `smoke`. Unknown keys are rejected — a misspelled field
+/// `verify`, `t0_cap`, `t0_budget`, `smoke`. Unknown keys are rejected — a misspelled field
 /// must fail the submission, not silently run a default campaign. The
 /// spec is expanded eagerly so an invalid matrix fails here (HTTP 400)
 /// rather than inside the worker pool.
@@ -119,7 +117,6 @@ pub fn campaign_from_spec(body: &str) -> Result<Campaign, BatchError> {
     let mut ns: Option<Vec<usize>> = None;
     let mut postprocess = true;
     let mut verify = true;
-    let mut optimize_spec: Option<String> = None;
     let mut t0_cap: Option<usize> = None;
     let mut t0_budget: Option<usize> = None;
     let mut smoke = false;
@@ -136,7 +133,6 @@ pub fn campaign_from_spec(body: &str) -> Result<Campaign, BatchError> {
             "ns" => ns = Some(number_array(p, "ns")?),
             "postprocess" => postprocess = boolean(p)?,
             "verify" => verify = boolean(p)?,
-            "optimize" => optimize_spec = Some(p.string()?),
             "t0_cap" => t0_cap = Some(number(p, "t0_cap")?),
             "t0_budget" => t0_budget = Some(number(p, "t0_budget")?),
             "smoke" => smoke = boolean(p)?,
@@ -162,16 +158,9 @@ pub fn campaign_from_spec(body: &str) -> Result<Campaign, BatchError> {
     }
     let t0_cap = t0_cap.unwrap_or(if smoke { 48 } else { 1024 });
     let t0_budget = t0_budget.unwrap_or(if smoke { 20 } else { 300 });
-    let optimize = match optimize_spec.as_deref() {
-        None => CompileOptions::none(),
-        Some(spec) => CompileOptions::parse(spec).ok_or_else(|| {
-            bad(format!("bad optimize passes `{spec}` (expected a subset of `xfds` or `none`)"))
-        })?,
-    };
 
     let mut campaign = Campaign::new()
         .verify(verify)
-        .optimize(optimize)
         .tgen(TgenConfig::new().max_length(t0_cap).compaction_budget(t0_budget));
     if let Some(seeds) = seeds {
         campaign = campaign.seeds(seeds);

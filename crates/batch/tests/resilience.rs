@@ -306,3 +306,40 @@ fn full_13_circuit_chaos_campaign_converges() {
     assert_eq!(names.len(), 13);
     assert_chaos_campaign_converges(&names);
 }
+
+/// A journal whose rows carry the fingerprint an older build computed
+/// for this very campaign — when the fingerprint still hashed a compile
+/// pass selection — must be refused, not merged: the digest inputs of
+/// that build are not this one's to vouch for.
+#[test]
+fn journal_stamped_by_an_older_fingerprint_is_refused() {
+    const OLD_FINGERPRINT: &str = "21161d443b2f451d";
+    let campaign = serial_campaign(&["s27"]);
+    let fingerprint = campaign.fingerprint();
+    assert_ne!(fingerprint, OLD_FINGERPRINT);
+    let row = format!(
+        "{{\"job\": 0, \"circuit\": \"s27\", \"backend\": \"packed\", \"scheme\": \"default\", \
+         \"seed\": 1999, \"status\": \"ok\", \"seconds\": 0.002076, \"queue_seconds\": 0.000066, \
+         \"exec_seconds\": 0.002010, \"engine\": \"packed64\", \"faults_total\": 32, \
+         \"faults_detected\": 21, \"t0_len\": 12, \"n\": 1, \"set_count\": 2, \"total_len\": 3, \
+         \"max_len\": 2, \"applied_test_len\": 24, \"loaded_fraction\": 0.25, \
+         \"scheme_data_bits\": 8, \"monolithic_data_bits\": 48, \"gates_removed\": 0, \
+         \"verified\": null, \"fp\": \"{OLD_FINGERPRINT}\"}}\n"
+    );
+    let dir = std::env::temp_dir().join("bist_batch_resilience_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("old_fingerprint.jsonl");
+    std::fs::write(&path, &row).unwrap();
+    match ResumeLog::load(&path, &fingerprint) {
+        Err(BatchError::Config(message)) => {
+            assert!(message.contains(OLD_FINGERPRINT), "{message}");
+            assert!(message.contains("different campaign configuration"), "{message}");
+        }
+        other => panic!("a stale journal must be a config error, got {other:?}"),
+    }
+    // The row itself is sound: under its own stamp it loads, so the
+    // refusal above is the fingerprint's doing alone.
+    let log = ResumeLog::load(&path, OLD_FINGERPRINT).unwrap();
+    assert_eq!(log.records().len(), 1);
+    std::fs::remove_file(&path).unwrap();
+}

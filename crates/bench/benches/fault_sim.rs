@@ -16,13 +16,12 @@
 
 use bist_bench::timing::{self, Report};
 use subseq_bist::expand::expansion::{Expand, ExpansionConfig};
-use subseq_bist::netlist::{benchmarks, compile_staged, GateTape};
+use subseq_bist::netlist::{benchmarks, GateTape};
 use subseq_bist::sim::{
-    collapse, detection_times_mapped, fault_universe, Fault, FaultSimulator, PackedBackend,
-    ShardedBackend, SimBackend, WordWidth,
+    collapse, fault_universe, Fault, FaultSimulator, PackedBackend, ShardedBackend, SimBackend,
+    WordWidth,
 };
 use subseq_bist::tgen::Lfsr;
-use subseq_bist::CompileOptions;
 
 /// The sharded-engine sweep: a progression of thread counts and word
 /// widths over the same fault list.
@@ -53,20 +52,6 @@ fn main() {
         report.run(format!("good_only/{name}"), || sim.good(&seq).expect("ok"));
     }
 
-    // Staged-compile optimization per suite circuit: each row times the
-    // full pass pipeline, and the removal count rides in the row name
-    // (`optimize/compile/<circuit>/removedN`) so BENCH_fault_sim.json
-    // records gates-removed without a separate scalar channel.
-    let opt_suite =
-        if timing::smoke() { benchmarks::suite_up_to(600) } else { benchmarks::suite() };
-    for entry in opt_suite {
-        let circuit = entry.build().expect("suite circuit builds");
-        let removed = compile_staged(&circuit, CompileOptions::all()).gates_removed();
-        report.run(format!("optimize/compile/{}/removed{removed}", entry.name), || {
-            compile_staged(&circuit, CompileOptions::all())
-        });
-    }
-
     // Large analogs: packed vs the sharded sweep on an expanded stream —
     // the workload the paper's scheme actually runs (8·n·|S| vectors).
     let large: &[(&str, usize, usize)] = if timing::smoke() {
@@ -92,26 +77,9 @@ fn main() {
         report.run(format!("compile_tape/{name}"), || GateTape::compile(&circuit));
         // The compiled-core hot path: detection over a shared,
         // precompiled tape (what Session/campaign runs actually execute).
-        let tape_ns = report
-            .run(format!("detect/tape/{name}/f{max_faults}"), || {
-                PackedBackend.detection_times_tape(&tape, &stream, &faults).expect("ok")
-            })
-            .median_ns;
-        // The same end-to-end detection through the optimized compile and
-        // the fault-site map — the `--optimize` campaign hot path.
-        let compiled = compile_staged(&circuit, CompileOptions::all());
-        let opt_ns = report
-            .run(format!("optimize/detect/{name}/f{max_faults}"), || {
-                detection_times_mapped(&PackedBackend, &compiled, &stream, &faults).expect("ok")
-            })
-            .median_ns;
-        println!(
-            "{name}: -{} gates, detect {:.1} ms unoptimized vs {:.1} ms optimized ({:.2}x)",
-            compiled.gates_removed(),
-            tape_ns / 1e6,
-            opt_ns / 1e6,
-            tape_ns / opt_ns
-        );
+        report.run(format!("detect/tape/{name}/f{max_faults}"), || {
+            PackedBackend.detection_times_tape(&tape, &stream, &faults).expect("ok")
+        });
         let baseline = report
             .run(format!("packed64/{name}/f{max_faults}"), || {
                 packed.detection_times_stream(&stream, &faults).expect("ok")

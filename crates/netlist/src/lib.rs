@@ -43,7 +43,6 @@
 
 mod builder;
 mod circuit;
-mod compile;
 mod error;
 mod gate;
 mod stats;
@@ -57,10 +56,6 @@ pub mod writer;
 
 pub use builder::CircuitBuilder;
 pub use circuit::{Circuit, FanoutRef, Node, NodeId, NodeKind};
-pub use compile::{
-    always_x_closure, compile_staged, compile_staged_with_baseline, duplicate_cone_pairs,
-    CompileOptions, CompiledCircuit, PassStats, SiteMap, SiteRoute,
-};
 pub use error::NetlistError;
 pub use gate::GateKind;
 pub use stats::CircuitStats;

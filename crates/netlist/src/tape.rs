@@ -36,98 +36,7 @@
 //! position, which is how fault injectors translate per-node forces into
 //! per-tape-position patch points.
 
-use crate::{Circuit, GateKind, NodeKind};
-
-/// One gate awaiting tape layout: `(driven node index, opcode, fanin node
-/// indices)`. The staged compiler hands [`assemble`] gates whose fanin
-/// lists have already been rewritten by its passes.
-pub(crate) type TapeGate = (u32, GateKind, Vec<u32>);
-
-/// The raw material of a tape: the circuit-shape tables plus an explicit
-/// gate list in topological order. [`GateTape::compile`] builds one
-/// straight from a [`Circuit`]; the staged compiler
-/// ([`compile_staged`](crate::compile_staged)) builds one from the
-/// survivors of its optimization passes, with substituted fanins and a
-/// rewritten D-source table.
-pub(crate) struct TapeSpec {
-    pub num_nodes: usize,
-    pub inputs: Vec<u32>,
-    pub outputs: Vec<u32>,
-    pub dffs: Vec<u32>,
-    pub dff_src: Vec<u32>,
-    /// Gates in topological order: every fanin of `gates[k]` is a PI, a
-    /// DFF output, an earlier gate in the list, or an off-tape node whose
-    /// value slot is never written (the staged compiler's folded gates —
-    /// their slots read as permanent X).
-    pub gates: Vec<TapeGate>,
-}
-
-/// Levelize-sort-emit back end shared by [`GateTape::compile`] and the
-/// staged compiler: lays out the given gate list in (level, opcode,
-/// arity-class) order and records run boundaries. For the identity
-/// gate list this reproduces `compile`'s output byte for byte.
-pub(crate) fn assemble(spec: TapeSpec) -> GateTape {
-    // Longest distance from a source (PI/DFF/off-tape node = 0). The gate
-    // list is topological, so one forward pass settles every gate.
-    let mut level = vec![0u32; spec.num_nodes];
-    for (out, _, fanins) in &spec.gates {
-        level[*out as usize] = 1 + fanins.iter().map(|&f| level[f as usize]).max().unwrap_or(0);
-    }
-    let arity_class = |n: usize| -> u8 {
-        match n {
-            1 => 0,
-            2 => 1,
-            _ => 2,
-        }
-    };
-    let mut order: Vec<usize> = (0..spec.gates.len()).collect();
-    // Stable sort: equal keys keep the given topological order, so the
-    // tape is deterministic for a given spec.
-    order.sort_by_key(|&k| {
-        let (out, kind, fanins) = &spec.gates[k];
-        (level[*out as usize], *kind as u8, arity_class(fanins.len()))
-    });
-
-    let gates = order.len();
-    let mut ops = Vec::with_capacity(gates);
-    let mut gate_out = Vec::with_capacity(gates);
-    let mut fanin_start = Vec::with_capacity(gates + 1);
-    let mut fanin = Vec::new();
-    let mut runs: Vec<GateRun> = Vec::new();
-    let mut pos_of_node = vec![u32::MAX; spec.num_nodes];
-    fanin_start.push(0u32);
-    for (pos, &k) in order.iter().enumerate() {
-        let (out, kind, gate_fanin) = &spec.gates[k];
-        let arity = match gate_fanin.len() {
-            1 => RunArity::One,
-            2 => RunArity::Two,
-            _ => RunArity::Many,
-        };
-        let pos = u32::try_from(pos).expect("gate count exceeds u32");
-        match runs.last_mut() {
-            Some(run) if run.kind == *kind && run.arity == arity => run.end = pos + 1,
-            _ => runs.push(GateRun { kind: *kind, arity, start: pos, end: pos + 1 }),
-        }
-        pos_of_node[*out as usize] = pos;
-        ops.push(*kind);
-        gate_out.push(*out);
-        fanin.extend_from_slice(gate_fanin);
-        fanin_start.push(u32::try_from(fanin.len()).expect("fanin count exceeds u32"));
-    }
-    GateTape {
-        num_nodes: spec.num_nodes,
-        inputs: spec.inputs,
-        outputs: spec.outputs,
-        dffs: spec.dffs,
-        dff_src: spec.dff_src,
-        ops,
-        gate_out,
-        fanin_start,
-        fanin,
-        runs,
-        pos_of_node,
-    }
-}
+use crate::{Circuit, GateKind, NodeId, NodeKind};
 
 /// The fanin-count class of a [`GateRun`]: runs are homogeneous in arity
 /// so engines can pick a fixed-stride loop per run.
@@ -209,25 +118,76 @@ impl GateTape {
     /// simulate repeatedly should still compile once and share the tape.
     #[must_use]
     pub fn compile(circuit: &Circuit) -> Self {
-        let as_u32 = |ids: &[crate::NodeId]| ids.iter().map(|id| id.0).collect::<Vec<u32>>();
-        assemble(TapeSpec {
-            num_nodes: circuit.num_nodes(),
+        let num_nodes = circuit.num_nodes();
+        let gate = |g: NodeId| -> (GateKind, &[NodeId]) {
+            let node = circuit.node(g);
+            let NodeKind::Gate(kind) = node.kind() else {
+                unreachable!("eval_order contains only gates")
+            };
+            (*kind, node.fanin())
+        };
+        // Longest distance from a source (PI/DFF = 0). `eval_order` is
+        // topological, so one forward pass settles every gate.
+        let mut level = vec![0u32; num_nodes];
+        for &g in circuit.eval_order() {
+            let (_, fanins) = gate(g);
+            level[g.index()] = 1 + fanins.iter().map(|f| level[f.index()]).max().unwrap_or(0);
+        }
+        let arity_class = |n: usize| -> u8 {
+            match n {
+                1 => 0,
+                2 => 1,
+                _ => 2,
+            }
+        };
+        let mut order: Vec<NodeId> = circuit.eval_order().to_vec();
+        // Stable sort: equal keys keep `eval_order`, so the tape is
+        // deterministic for a given circuit.
+        order.sort_by_key(|&g| {
+            let (kind, fanins) = gate(g);
+            (level[g.index()], kind as u8, arity_class(fanins.len()))
+        });
+
+        let gates = order.len();
+        let mut ops = Vec::with_capacity(gates);
+        let mut gate_out = Vec::with_capacity(gates);
+        let mut fanin_start = Vec::with_capacity(gates + 1);
+        let mut fanin = Vec::new();
+        let mut runs: Vec<GateRun> = Vec::new();
+        let mut pos_of_node = vec![u32::MAX; num_nodes];
+        fanin_start.push(0u32);
+        for (pos, &g) in order.iter().enumerate() {
+            let (kind, gate_fanin) = gate(g);
+            let arity = match gate_fanin.len() {
+                1 => RunArity::One,
+                2 => RunArity::Two,
+                _ => RunArity::Many,
+            };
+            let pos = u32::try_from(pos).expect("gate count exceeds u32");
+            match runs.last_mut() {
+                Some(run) if run.kind == kind && run.arity == arity => run.end = pos + 1,
+                _ => runs.push(GateRun { kind, arity, start: pos, end: pos + 1 }),
+            }
+            pos_of_node[g.index()] = pos;
+            ops.push(kind);
+            gate_out.push(g.0);
+            fanin.extend(gate_fanin.iter().map(|f| f.0));
+            fanin_start.push(u32::try_from(fanin.len()).expect("fanin count exceeds u32"));
+        }
+        let as_u32 = |ids: &[NodeId]| ids.iter().map(|id| id.0).collect::<Vec<u32>>();
+        GateTape {
+            num_nodes,
             inputs: as_u32(circuit.inputs()),
             outputs: as_u32(circuit.outputs()),
             dffs: as_u32(circuit.dffs()),
             dff_src: circuit.dffs().iter().map(|&d| circuit.node(d).fanin()[0].0).collect(),
-            gates: circuit
-                .eval_order()
-                .iter()
-                .map(|&g| {
-                    let node = circuit.node(g);
-                    let NodeKind::Gate(kind) = node.kind() else {
-                        unreachable!("eval_order contains only gates")
-                    };
-                    (g.0, *kind, node.fanin().iter().map(|f| f.0).collect())
-                })
-                .collect(),
-        })
+            ops,
+            gate_out,
+            fanin_start,
+            fanin,
+            runs,
+            pos_of_node,
+        }
     }
 
     /// Total number of nodes (inputs + DFFs + gates) — the value-table

@@ -222,24 +222,13 @@ pub trait SimBackend: fmt::Debug + Send + Sync {
         fault: Fault,
         obs: &Obs,
     ) -> Result<Option<usize>, SimError> {
-        scan_first_detecting(candidates, |c| {
-            Ok(self.detection_times_tape_obs(tape, c, &[fault], obs)?[0].is_some())
-        })
-    }
-}
-
-/// The sequential scan every `first_detecting` agrees with: the index of
-/// the first candidate `detects` accepts, stopping at the first error.
-pub(crate) fn scan_first_detecting(
-    candidates: &[&dyn VectorSource],
-    mut detects: impl FnMut(&dyn VectorSource) -> Result<bool, SimError>,
-) -> Result<Option<usize>, SimError> {
-    for (i, &candidate) in candidates.iter().enumerate() {
-        if detects(candidate)? {
-            return Ok(Some(i));
+        for (i, &candidate) in candidates.iter().enumerate() {
+            if self.detection_times_tape_obs(tape, candidate, &[fault], obs)?[0].is_some() {
+                return Ok(Some(i));
+            }
         }
+        Ok(None)
     }
-    Ok(None)
 }
 
 // ---------------------------------------------------------------------

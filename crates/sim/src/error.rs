@@ -49,8 +49,7 @@ pub enum SimError {
         deadline_expired: bool,
     },
     /// A resumed pass was asked of an engine that cannot load or capture
-    /// machine state (the scalar reference, a simulator routing faults
-    /// through an optimized compile).
+    /// machine state: of the built-in engines, only the scalar reference.
     ResumeUnsupported {
         /// Name of the engine.
         engine: &'static str,

@@ -66,7 +66,6 @@ pub mod eval;
 mod fault;
 mod good;
 mod logic;
-mod mapped;
 mod packed;
 pub mod reference;
 mod simulator;
@@ -83,9 +82,6 @@ pub use bist_expand::VectorSource;
 /// Re-exported from `bist-netlist`: the compiled instruction form every
 /// engine executes ([`SimBackend::detection_times_tape`]).
 pub use bist_netlist::GateTape;
-/// Re-exported from `bist-netlist`: the staged compiler artifacts the
-/// mapped simulation path ([`detection_times_mapped`]) consumes.
-pub use bist_netlist::{CompileOptions, CompiledCircuit, SiteMap, SiteRoute};
 /// Re-exported from `bist-obs`: the telemetry sink engines record into.
 pub use bist_obs::Obs;
 pub use collapse::{collapse, CollapsedFaults};
@@ -95,7 +91,6 @@ pub use eval::{eval_gate, eval_gate_scalar};
 pub use fault::{fault_universe, sort_faults_by_site, Fault, FaultSite};
 pub use good::{simulate_faulty, simulate_good, GoodTrace};
 pub use logic::Logic;
-pub use mapped::{detection_times_mapped, detection_times_mapped_obs};
 pub use packed::{LaneMask, PackedValue, PackedValue256, PackedValue512, PackedVec, PackedWord};
 pub use simulator::FaultSimulator;
 pub use state::{MachineState, Resumed};

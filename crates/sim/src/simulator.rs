@@ -36,7 +36,7 @@ use crate::backend::{PackedBackend, ScalarBackend, ShardedBackend, SimBackend, W
 use crate::good::GoodTrace;
 use crate::{Fault, MachineState, Resumed, SimError};
 use bist_expand::{TestSequence, VectorSource};
-use bist_netlist::{Circuit, CompiledCircuit, GateTape};
+use bist_netlist::{Circuit, GateTape};
 use bist_obs::Obs;
 use std::sync::Arc;
 
@@ -64,9 +64,6 @@ pub struct FaultSimulator<'c> {
     circuit: &'c Circuit,
     tape: Arc<GateTape>,
     backend: Arc<dyn SimBackend>,
-    /// A staged compile to route fault sites through. `None` for the
-    /// classic identity paths: every site injects on `tape` directly.
-    compiled: Option<Arc<CompiledCircuit>>,
     /// Telemetry sink threaded into every engine pass. Defaults to the
     /// no-op sink; results never depend on it.
     obs: Obs,
@@ -107,7 +104,7 @@ impl<'c> FaultSimulator<'c> {
         let tape = Arc::new(GateTape::compile(circuit));
         #[cfg(debug_assertions)]
         bist_verify::audit_tape(circuit, &tape);
-        FaultSimulator { circuit, tape, backend, compiled: None, obs: Obs::noop() }
+        FaultSimulator { circuit, tape, backend, obs: Obs::noop() }
     }
 
     /// Creates a simulator reusing an already-compiled tape — the
@@ -127,35 +124,7 @@ impl<'c> FaultSimulator<'c> {
         // additionally prove the tape is *this* circuit's, field by field.
         #[cfg(debug_assertions)]
         bist_verify::audit_tape(circuit, &tape);
-        Ok(FaultSimulator { circuit, tape, backend, compiled: None, obs: Obs::noop() })
-    }
-
-    /// Creates a simulator over a staged compile: queries run on the
-    /// (possibly optimized) tape, with fault sites routed through the
-    /// compile's [`SiteMap`](bist_netlist::SiteMap) — pinned sites fall
-    /// back to the baseline tape, so results are bit-identical to an
-    /// unoptimized simulator.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::TapeMismatch`] if the compile's baseline tape does not
-    /// match `circuit`'s shape (the compile belongs to another circuit).
-    pub fn with_backend_and_compiled(
-        circuit: &'c Circuit,
-        compiled: Arc<CompiledCircuit>,
-        backend: Arc<dyn SimBackend>,
-    ) -> Result<Self, SimError> {
-        check_tape_shape(compiled.baseline(), circuit)?;
-        if compiled.site_map().num_nodes() != circuit.num_nodes() {
-            return Err(SimError::TapeMismatch {
-                tape_shape: (compiled.site_map().num_nodes(), 0, 0, 0, 0),
-                circuit_shape: (circuit.num_nodes(), 0, 0, 0, 0),
-            });
-        }
-        #[cfg(debug_assertions)]
-        bist_verify::audit_compiled(circuit, &compiled);
-        let tape = Arc::clone(compiled.tape());
-        Ok(FaultSimulator { circuit, tape, backend, compiled: Some(compiled), obs: Obs::noop() })
+        Ok(FaultSimulator { circuit, tape, backend, obs: Obs::noop() })
     }
 
     /// The simulated circuit.
@@ -175,14 +144,6 @@ impl<'c> FaultSimulator<'c> {
     #[must_use]
     pub fn backend(&self) -> &dyn SimBackend {
         &*self.backend
-    }
-
-    /// The staged compile fault queries are routed through, if this
-    /// simulator was built with
-    /// [`with_backend_and_compiled`](Self::with_backend_and_compiled).
-    #[must_use]
-    pub fn compiled(&self) -> Option<&Arc<CompiledCircuit>> {
-        self.compiled.as_ref()
     }
 
     /// Attaches a telemetry sink: every subsequent engine pass records
@@ -238,16 +199,7 @@ impl<'c> FaultSimulator<'c> {
         source: &dyn VectorSource,
         faults: &[Fault],
     ) -> Result<Vec<Option<usize>>, SimError> {
-        match &self.compiled {
-            Some(compiled) => crate::mapped::detection_times_mapped_obs(
-                &*self.backend,
-                compiled,
-                source,
-                faults,
-                &self.obs,
-            ),
-            None => self.backend.detection_times_tape_obs(&self.tape, source, faults, &self.obs),
-        }
+        self.backend.detection_times_tape_obs(&self.tape, source, faults, &self.obs)
     }
 
     /// Resumes a pass from an explicit machine state — the incremental
@@ -282,10 +234,9 @@ impl<'c> FaultSimulator<'c> {
     ///
     /// # Errors
     ///
-    /// As for [`SimBackend::resume_tape_obs`];
-    /// [`SimError::ResumeUnsupported`] on a simulator that routes faults
-    /// through an optimized compile, unless the pass is a plain
-    /// from-reset one.
+    /// As for [`SimBackend::resume_tape_obs`]. Of the built-in engines,
+    /// only the scalar reference returns [`SimError::ResumeUnsupported`]:
+    /// it keeps no machine state.
     pub fn resume(
         &self,
         from: &MachineState,
@@ -293,16 +244,7 @@ impl<'c> FaultSimulator<'c> {
         faults: &[Fault],
         capture: &[usize],
     ) -> Result<Resumed, SimError> {
-        match &self.compiled {
-            Some(compiled) if !compiled.site_map().is_identity() => {
-                if from.is_reset() && capture.is_empty() {
-                    let times = self.detection_times_stream(source, faults)?;
-                    return Ok(Resumed { times, states: Vec::new() });
-                }
-                Err(SimError::ResumeUnsupported { engine: "mapped" })
-            }
-            _ => self.backend.resume_tape_obs(&self.tape, from, source, faults, capture, &self.obs),
-        }
+        self.backend.resume_tape_obs(&self.tape, from, source, faults, capture, &self.obs)
     }
 
     /// First detection time of a single fault (early exit at detection).
@@ -373,12 +315,7 @@ impl<'c> FaultSimulator<'c> {
         candidates: &[&dyn VectorSource],
         fault: Fault,
     ) -> Result<Option<usize>, SimError> {
-        match &self.compiled {
-            Some(compiled) if !compiled.site_map().is_identity() => {
-                crate::backend::scan_first_detecting(candidates, |c| self.detects_stream(c, fault))
-            }
-            _ => self.backend.first_detecting_tape_obs(&self.tape, candidates, fault, &self.obs),
-        }
+        self.backend.first_detecting_tape_obs(&self.tape, candidates, fault, &self.obs)
     }
 }
 
@@ -387,7 +324,7 @@ impl<'c> FaultSimulator<'c> {
 /// different circuits can in principle still collide on all five counts,
 /// but a wrong cache key almost never does — and the alternative, a
 /// structural walk, would cost as much as recompiling.
-pub(crate) fn check_tape_shape(tape: &GateTape, circuit: &Circuit) -> Result<(), SimError> {
+fn check_tape_shape(tape: &GateTape, circuit: &Circuit) -> Result<(), SimError> {
     let tape_shape = (
         tape.num_nodes(),
         tape.num_inputs(),

@@ -23,10 +23,9 @@
 
 use bist_expand::{TestSequence, TestVector, VectorSource};
 use bist_netlist::fuzz::fuzz_circuit;
-use bist_netlist::{compile_staged, CircuitBuilder, CompileOptions, GateKind, GateTape};
+use bist_netlist::{CircuitBuilder, GateKind, GateTape};
 use bist_sim::{
-    collapse, detection_times_mapped, fault_universe, reference, Fault, FaultSite, MachineState,
-    Obs, SimBackend, SimError, SiteRoute,
+    collapse, fault_universe, reference, Fault, FaultSite, MachineState, Obs, SimBackend, SimError,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -176,113 +175,11 @@ fn randomized_differential_full_sweep() {
     run_corpus(0..208, 128, 16);
 }
 
-/// Like [`run_corpus`], but every engine simulates through the staged
-/// compiler's *optimized* tape (all passes) via the fault-site-mapped
-/// path, still compared bit-for-bit against the unoptimized node-graph
-/// oracle. The uncollapsed fault universe is used (then trimmed), so
-/// every `SiteRoute` disposition — direct, redirect, pinned, untestable
-/// — is exercised wherever the random structures produce it.
-fn run_corpus_optimized(seeds: std::ops::Range<u64>, max_faults: usize, max_seq_len: usize) {
-    let grid = engine_grid();
-    for seed in seeds {
-        let circuit = fuzz_circuit(seed);
-        let compiled = compile_staged(&circuit, CompileOptions::all());
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x0b71_ca5e);
-        let mut faults = fault_universe(&circuit);
-        while faults.len() > max_faults {
-            let victim = rng.gen_range(0..faults.len());
-            faults.swap_remove(victim);
-        }
-        let len = rng.gen_range(4..=max_seq_len);
-        let seq = TestSequence::from_vectors(
-            (0..len)
-                .map(|_| TestVector::from_fn(circuit.num_inputs(), |_| rng.gen_bool(0.5)))
-                .collect(),
-        )
-        .expect("uniform width");
-        let oracle = reference::detection_times(&circuit, &seq, &faults)
-            .unwrap_or_else(|e| panic!("oracle failed on {} (seed {seed}): {e}", circuit.name()));
-        for engine in &grid {
-            let times =
-                detection_times_mapped(&**engine, &compiled, &seq, &faults).unwrap_or_else(|e| {
-                    panic!("{} failed on {} (seed {seed}): {e}", engine.name(), circuit.name())
-                });
-            assert_eq!(
-                times,
-                oracle,
-                "{} on the optimized tape diverges from the oracle on {} (seed {seed}, \
-                 {} gates removed)",
-                engine.name(),
-                circuit.name(),
-                compiled.gates_removed()
-            );
-        }
-    }
-}
-
-/// Fast optimized subset, debug-safe like the unoptimized one.
+/// Stem faults inside a dead cone (logic no primary output observes)
+/// match the oracle on every engine — and are exactly the faults nothing
+/// detects.
 #[test]
-fn optimized_mapped_fast_subset() {
-    run_corpus_optimized(0..48, 48, 10);
-}
-
-/// The full optimized sweep over the 208-circuit corpus; release-only.
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "200+-circuit sweep × full engine grid is slow unoptimized; run with --release"
-)]
-fn optimized_mapped_full_sweep() {
-    run_corpus_optimized(0..208, 128, 16);
-}
-
-/// Every suite circuit through the optimized mapped path vs the oracle.
-/// Debug runs the small prefix on the full engine grid; release CI runs
-/// all 13 circuits (the companion test below).
-fn run_suite_optimized(max_gates: usize) {
-    let grid = engine_grid();
-    for entry in bist_netlist::benchmarks::suite_up_to(max_gates) {
-        let circuit = entry.build().expect("suite circuits build");
-        let compiled = compile_staged(&circuit, CompileOptions::all());
-        let mut rng = StdRng::seed_from_u64(0x5517_e000 ^ entry.gates as u64);
-        let mut faults = collapse(&circuit, &fault_universe(&circuit)).representatives().to_vec();
-        while faults.len() > 96 {
-            let victim = rng.gen_range(0..faults.len());
-            faults.swap_remove(victim);
-        }
-        let seq = TestSequence::from_vectors(
-            (0..12)
-                .map(|_| TestVector::from_fn(circuit.num_inputs(), |_| rng.gen_bool(0.5)))
-                .collect(),
-        )
-        .expect("uniform width");
-        let oracle = reference::detection_times(&circuit, &seq, &faults).expect("oracle runs");
-        for engine in &grid {
-            let times = detection_times_mapped(&**engine, &compiled, &seq, &faults).unwrap();
-            assert_eq!(times, oracle, "{} diverges on {}", engine.name(), entry.name);
-        }
-    }
-}
-
-#[test]
-fn optimized_suite_small_matches_oracle() {
-    run_suite_optimized(600);
-}
-
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "full 13-circuit suite × engine grid is slow unoptimized; run with --release"
-)]
-fn optimized_suite_full_matches_oracle() {
-    run_suite_optimized(usize::MAX);
-}
-
-/// Targeted disposition check: stem faults inside a dead (swept) cone
-/// are routed `Untestable` and report exactly what the baseline does —
-/// never detected.
-#[test]
-fn swept_cone_faults_stay_bit_identical() {
+fn dead_cone_faults_match_the_oracle_and_stay_undetected() {
     let mut b = CircuitBuilder::new("dead_cone");
     b.add_input("a");
     b.add_input("c");
@@ -292,20 +189,15 @@ fn swept_cone_faults_stay_bit_identical() {
     b.add_gate("d2", GateKind::Not, ["d1"]);
     b.add_output("o");
     let circuit = b.finish().unwrap();
-    let compiled = compile_staged(&circuit, CompileOptions::all());
-    let map = compiled.site_map();
+    let tape = GateTape::compile(&circuit);
     let faults = fault_universe(&circuit);
     let dead = ["d1", "d2"].map(|n| circuit.find(n).unwrap());
-    for node in dead {
-        assert_eq!(map.output_route(node), SiteRoute::Untestable, "{node:?}");
-    }
     let seq: TestSequence = "00 01 10 11 11 00".parse().unwrap();
     let oracle = reference::detection_times(&circuit, &seq, &faults).unwrap();
     for engine in &engine_grid() {
-        let times = detection_times_mapped(&**engine, &compiled, &seq, &faults).unwrap();
+        let times = engine.detection_times_tape(&tape, &seq, &faults).unwrap();
         assert_eq!(times, oracle, "{}", engine.name());
     }
-    // And the dead-cone faults really are the never-detected ones.
     for (f, t) in faults.iter().zip(&oracle) {
         if dead.contains(&f.site.node()) {
             assert_eq!(*t, None, "dead-cone fault detected: {}", f.describe(&circuit));
@@ -313,33 +205,25 @@ fn swept_cone_faults_stay_bit_identical() {
     }
 }
 
-/// Targeted disposition check: faults at (and on pins of) an always-X
-/// folded gate are pinned to the baseline tape and stay bit-identical.
+/// Faults at (and on pins of) a gate that can never leave X — fed by a
+/// self-looped flip-flop — match the oracle on every engine.
 #[test]
-fn folded_constant_faults_stay_bit_identical() {
-    let mut b = CircuitBuilder::new("folded_x");
+fn always_x_cone_faults_match_the_oracle() {
+    let mut b = CircuitBuilder::new("always_x");
     b.add_input("a");
     b.add_dff("q", "q"); // self-loop: permanently X
-    b.add_gate("g", GateKind::Not, ["q"]); // always-X member
+    b.add_gate("g", GateKind::Not, ["q"]); // never leaves X either
     b.add_gate("o", GateKind::Or, ["g", "a"]);
     b.add_output("o");
     let circuit = b.finish().unwrap();
-    let compiled = compile_staged(&circuit, CompileOptions::all());
-    assert!(compiled.stats().folded_x >= 1, "{:?}", compiled.stats());
-    let map = compiled.site_map();
+    let tape = GateTape::compile(&circuit);
     let g = circuit.find("g").unwrap();
-    let q = circuit.find("q").unwrap();
-    // The folded gate's input pin and the closure DFF must leave the
-    // optimized tape (pinned); its stem may redirect into `o`.
-    assert_eq!(map.input_route(g), SiteRoute::Pinned);
-    assert_eq!(map.output_route(q), SiteRoute::Pinned);
-    assert!(compiled.site_map().needs_baseline());
     let faults = fault_universe(&circuit);
     assert!(faults.iter().any(|f| matches!(f.site, FaultSite::Output(n) if n == g)));
     let seq: TestSequence = "0 1 0 1 1 0 0 1".parse().unwrap();
     let oracle = reference::detection_times(&circuit, &seq, &faults).unwrap();
     for engine in &engine_grid() {
-        let times = detection_times_mapped(&**engine, &compiled, &seq, &faults).unwrap();
+        let times = engine.detection_times_tape(&tape, &seq, &faults).unwrap();
         assert_eq!(times, oracle, "{}", engine.name());
     }
 }

@@ -15,8 +15,8 @@
 //! values), while a mismatch only means "not structurally identical" —
 //! e.g. commutative fanin swaps are reported as different, by design.
 //! That conservative direction is exactly what the writer→parser round
-//! trip and a future netlist optimization pre-pass need from a gate:
-//! false alarms are reviewable, false passes are not.
+//! trip needs from a gate: false alarms are reviewable, false passes are
+//! not.
 //!
 //! [`structural_hash`] is the one-sided fingerprint of the same
 //! canonical form: equivalent circuits always hash equal, so campaign

@@ -9,8 +9,9 @@
 //! * [`lint`] — netlist lint over `.bench` sources and validated
 //!   [`Circuit`](bist_netlist::Circuit)s: combinational cycles, undriven
 //!   nets, duplicate drivers, degenerate fanin, dangling logic,
-//!   unreachable flip-flops, unused inputs. Every diagnostic carries a
-//!   stable code (`L001`…), a severity and the offending net names.
+//!   unreachable flip-flops, unused inputs, always-X nets, duplicate
+//!   cones. Every diagnostic carries a stable code (`L001`…), a
+//!   severity and the offending net names.
 //! * [`tape_check`] — audits a compiled
 //!   [`GateTape`](bist_netlist::GateTape) against its source circuit:
 //!   monotone levelized order, in-bounds CSR windows, run homogeneity,
@@ -18,8 +19,8 @@
 //!   `debug_assertions` at every compile site, so every debug test run
 //!   audits every tape for free.
 //! * [`equiv`] — a SAT/BDD-free structural equivalence checker
-//!   (canonicalize, hash, compare PI/PO/DFF cones) gating the future
-//!   netlist optimization pre-pass and today's writer→parser round trip.
+//!   (canonicalize, hash, compare PI/PO/DFF cones) gating the
+//!   writer→parser round trip.
 //!
 //! # Example
 //!
@@ -45,4 +46,4 @@ pub mod tape_check;
 
 pub use equiv::{check_equiv, structural_hash, Inequivalence};
 pub use lint::{lint_circuit, lint_source, Diagnostic, LintCode, Severity};
-pub use tape_check::{audit_compiled, audit_tape, verify_compiled, verify_tape, TapeViolation};
+pub use tape_check::{audit_tape, verify_tape, TapeViolation};

@@ -22,9 +22,8 @@
 //! deliberately contains such shapes.
 
 use bist_netlist::parser::{parse_bench, parse_bench_raw, RawStatement};
-use bist_netlist::{
-    always_x_closure, duplicate_cone_pairs, Circuit, GateKind, NetlistError, NodeKind,
-};
+use bist_netlist::{Circuit, GateKind, NetlistError, NodeId, NodeKind};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 
@@ -82,9 +81,8 @@ pub enum LintCode {
     /// `L013` — the netlist declares no primary outputs.
     NoOutputs,
     /// `L014` — a gate or flip-flop whose value can never leave `X`
-    /// under the pessimistic 3-valued semantics (the always-X closure
-    /// the staged compiler's constant fold removes): logic that computes
-    /// nothing observable.
+    /// under the pessimistic 3-valued semantics (a member of the
+    /// always-X closure): logic that computes nothing observable.
     ConstantGate,
     /// `L015` — a pair of gates computing the identical function (same
     /// opcode over the same nets, after buffer/same-fanin forwarding):
@@ -461,7 +459,7 @@ pub fn lint_source(source: &str) -> Result<Vec<Diagnostic>, NetlistError> {
                 (*n, kind, live.contains(n))
             }),
         );
-        // The compile-analysis warnings (L014/L015) need a validated
+        // The structure warnings (L014/L015) need a validated
         // graph; a clean raw lint is exactly what the strict parser
         // accepts, so parse failure only means there is nothing to add.
         if let Ok(circuit) = parse_bench("lint", source) {
@@ -535,10 +533,86 @@ fn push_dead_logic<'a>(
     }
 }
 
-/// Emits L014/L015 from the staged compiler's structural analyses: the
-/// always-X closure (the constant fold's removal set) and duplicate-cone
-/// pairs (the hash-cons dedup pass's merge set, without the PO
-/// exemption).
+/// The always-X closure of `circuit`: index-aligned flags marking every
+/// node whose value can never leave `X` under the pessimistic 3-valued
+/// semantics (all state starts `X`; a DFF is in the closure iff its
+/// D-source is, an AND/NAND/OR/NOR/BUF/NOT iff *all* fanins are, an
+/// XOR/XNOR iff *any* fanin is) — the greatest fixpoint of that rule.
+/// Boolean constants (`OR(a, NOT a)`) are deliberately not members:
+/// under pessimistic 3-valued evaluation `X OR X = X`, so the always-X
+/// closure is the only sound "constant" domain.
+fn always_x_closure(circuit: &Circuit) -> Vec<bool> {
+    let n = circuit.num_nodes();
+    let fanout = circuit.fanout_table();
+    let mut in_closure: Vec<bool> =
+        circuit.nodes().iter().map(|node| !matches!(node.kind(), NodeKind::Input)).collect();
+    let holds = |i: usize, in_closure: &[bool]| -> bool {
+        let node = circuit.node(NodeId::from_index(i));
+        match node.kind() {
+            NodeKind::Input => false,
+            NodeKind::Dff => in_closure[node.fanin()[0].index()],
+            NodeKind::Gate(GateKind::Xor | GateKind::Xnor) => {
+                node.fanin().iter().any(|f| in_closure[f.index()])
+            }
+            NodeKind::Gate(_) => node.fanin().iter().all(|f| in_closure[f.index()]),
+        }
+    };
+    // Remove nodes whose membership rule fails until stable; removal
+    // re-queues the node's consumers, so the sweep is O(edges · arity).
+    let mut work: Vec<usize> = (0..n).collect();
+    while let Some(i) = work.pop() {
+        if in_closure[i] && !holds(i, &in_closure) {
+            in_closure[i] = false;
+            for r in &fanout[i] {
+                if in_closure[r.node.index()] {
+                    work.push(r.node.index());
+                }
+            }
+        }
+    }
+    in_closure
+}
+
+/// `(duplicate, representative)` pairs of gates computing identical
+/// functions: hash-consing on `(opcode, fanin list)` after value
+/// forwarding (`BUF(a) → a`, and `AND`/`OR` whose fanins are all one
+/// node) in one topological sweep. Gates driving primary outputs are
+/// included: a redundant cone is worth reporting wherever it sits.
+fn duplicate_cone_pairs(circuit: &Circuit) -> Vec<(NodeId, NodeId)> {
+    let mut forward: Vec<NodeId> = (0..circuit.num_nodes()).map(NodeId::from_index).collect();
+    let mut representative: HashMap<(GateKind, Vec<NodeId>), NodeId> = HashMap::new();
+    let mut pairs = Vec::new();
+    for &g in circuit.eval_order() {
+        let node = circuit.node(g);
+        let NodeKind::Gate(kind) = node.kind() else {
+            unreachable!("eval_order contains only gates")
+        };
+        let subst: Vec<NodeId> = node.fanin().iter().map(|f| forward[f.index()]).collect();
+        let forwardable = match kind {
+            GateKind::Buf => true,
+            GateKind::And | GateKind::Or => subst.iter().all(|&f| f == subst[0]),
+            _ => false,
+        };
+        if forwardable {
+            forward[g.index()] = subst[0];
+            continue;
+        }
+        match representative.entry((*kind, subst)) {
+            Entry::Occupied(e) => {
+                let rep = *e.get();
+                forward[g.index()] = rep;
+                pairs.push((g, rep));
+            }
+            Entry::Vacant(e) => {
+                e.insert(g);
+            }
+        }
+    }
+    pairs
+}
+
+/// Emits L014 from the always-X closure and L015 from the duplicate-cone
+/// pairs.
 fn push_structure_warnings(diags: &mut Vec<Diagnostic>, circuit: &Circuit) {
     let constant = always_x_closure(circuit);
     let nets: Vec<String> = circuit
@@ -831,6 +905,43 @@ y = AND(g1, g2)
         let src =
             "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ng1 = NOR(a, b)\ng2 = NAND(a, b)\ny = XOR(g1, g2)\n";
         assert_eq!(lint_source(src).unwrap(), Vec::new());
+    }
+
+    #[test]
+    fn always_x_closure_is_the_greatest_fixpoint() {
+        // q = DFF(q) never leaves X; NOT(q) joins it, AND(g, a) does not
+        // (one binary fanin can decide an AND), XOR(g, a) does (any X
+        // fanin makes an XOR X).
+        let src = "INPUT(a)\nOUTPUT(o)\nOUTPUT(x)\nq = DFF(q)\ng = NOT(q)\n\
+                   o = AND(g, a)\nx = XOR(g, a)\n";
+        let c = parse_bench("t", src).unwrap();
+        let closure = always_x_closure(&c);
+        let members: BTreeSet<&str> = c
+            .nodes()
+            .iter()
+            .zip(&closure)
+            .filter(|(_, &in_closure)| in_closure)
+            .map(|(node, _)| node.name())
+            .collect();
+        assert_eq!(members, BTreeSet::from(["g", "q", "x"]));
+    }
+
+    #[test]
+    fn duplicate_cones_are_found_through_forwarding() {
+        // b = BUF(a) forwards to a, so n1 = NAND(b, x) duplicates
+        // n2 = NAND(a, x); o = AND(n1, n2) then reads one net twice.
+        let src = "INPUT(a)\nINPUT(x)\nOUTPUT(o)\nb = BUF(a)\nn1 = NAND(b, x)\n\
+                   n2 = NAND(a, x)\no = AND(n1, n2)\n";
+        let c = parse_bench("t", src).unwrap();
+        let pairs: Vec<BTreeSet<&str>> = duplicate_cone_pairs(&c)
+            .into_iter()
+            .map(|(dup, rep)| BTreeSet::from([c.node(dup).name(), c.node(rep).name()]))
+            .collect();
+        assert_eq!(pairs, [BTreeSet::from(["n1", "n2"])]);
+        // A PO driver is reported like any other gate.
+        let src = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nOUTPUT(z)\ny = OR(a, b)\nz = OR(a, b)\n";
+        let c = parse_bench("t", src).unwrap();
+        assert_eq!(duplicate_cone_pairs(&c).len(), 1);
     }
 
     #[test]

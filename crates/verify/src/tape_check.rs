@@ -24,8 +24,7 @@
 //!
 //! [`ArtifactCache`]: https://docs.rs/bist-batch
 
-use bist_netlist::{Circuit, CompiledCircuit, GateTape, NodeId, NodeKind, RunArity, SiteRoute};
-use std::collections::HashSet;
+use bist_netlist::{Circuit, GateTape, NodeId, NodeKind, RunArity};
 use std::fmt;
 
 /// A violated tape invariant.
@@ -298,319 +297,6 @@ pub fn audit_tape(circuit: &Circuit, tape: &GateTape) {
     }
 }
 
-/// Audits a staged compile: the baseline tape is a faithful identity
-/// encoding ([`verify_tape`]), the optimized tape is a sound *subset*
-/// encoding (every tape gate is an original gate with its opcode, fanins
-/// either original or substituted for removed gates, CSR/order/runs
-/// well-formed), and the [`SiteMap`](bist_netlist::SiteMap) is total and
-/// injective (`Direct` sites are on the tape, `Redirect` targets are
-/// distinct `Direct` pins that originally read the redirected node,
-/// `Untestable` sites cannot reach a primary output in the original
-/// graph).
-///
-/// # Errors
-///
-/// A [`TapeViolation`]; the new invariant family is `"sitemap"`.
-pub fn verify_compiled(circuit: &Circuit, compiled: &CompiledCircuit) -> Result<(), TapeViolation> {
-    verify_tape(circuit, compiled.baseline())?;
-    let map = compiled.site_map();
-    if map.num_nodes() != circuit.num_nodes() {
-        return Err(TapeViolation::new(
-            "sitemap",
-            format!(
-                "site map covers {} nodes, circuit has {}",
-                map.num_nodes(),
-                circuit.num_nodes()
-            ),
-        ));
-    }
-    if map.is_identity() {
-        verify_tape(circuit, compiled.tape())?;
-        for i in 0..circuit.num_nodes() {
-            let id = NodeId::from_index(i);
-            if map.output_route(id) != SiteRoute::Direct || map.input_route(id) != SiteRoute::Direct
-            {
-                return Err(TapeViolation::new(
-                    "sitemap",
-                    format!("identity map routes node {i} away from Direct"),
-                ));
-            }
-        }
-        if map.needs_baseline() {
-            return Err(TapeViolation::new(
-                "sitemap",
-                "identity map claims to need the baseline tape".to_string(),
-            ));
-        }
-        return Ok(());
-    }
-
-    let tape = compiled.tape();
-    let nodes = circuit.num_nodes();
-    let gates = tape.num_gates();
-    let on_tape = |i: usize| tape.gate_pos(i).is_some();
-    let removed_gate =
-        |i: usize| circuit.node(NodeId::from_index(i)).kind().is_gate() && !on_tape(i);
-
-    // --- tables ------------------------------------------------------
-    if tape.num_nodes() != nodes {
-        return Err(TapeViolation::new(
-            "tables",
-            format!("optimized tape has {} nodes, circuit has {nodes}", tape.num_nodes()),
-        ));
-    }
-    if gates > circuit.num_gates() {
-        return Err(TapeViolation::new(
-            "tables",
-            format!("optimized tape has {gates} gates, circuit only {}", circuit.num_gates()),
-        ));
-    }
-    let table_eq = |label: &str, got: &[u32], want: &[NodeId]| -> Result<(), TapeViolation> {
-        if got.len() != want.len() || got.iter().zip(want).any(|(&g, w)| g as usize != w.index()) {
-            return Err(TapeViolation::new(
-                "tables",
-                format!("{label} table does not match the circuit's declaration order"),
-            ));
-        }
-        Ok(())
-    };
-    table_eq("input", tape.inputs(), circuit.inputs())?;
-    table_eq("output", tape.outputs(), circuit.outputs())?;
-    table_eq("dff", tape.dffs(), circuit.dffs())?;
-    for (k, &d) in circuit.dffs().iter().enumerate() {
-        let got = tape.dff_src()[k] as usize;
-        let want = circuit.node(d).fanin()[0].index();
-        // A rewritten D-source is legal only when the original was removed.
-        if got != want && !removed_gate(want) {
-            return Err(TapeViolation::new(
-                "tables",
-                format!("dff {k} d-source rewritten to {got} but original {want} survives"),
-            ));
-        }
-        if got >= nodes {
-            return Err(TapeViolation::new("tables", format!("dff {k} d-source out of range")));
-        }
-    }
-
-    // --- csr ---------------------------------------------------------
-    let starts = tape.fanin_start();
-    if starts.len() != gates + 1
-        || starts.first() != Some(&0)
-        || starts.windows(2).any(|w| w[0] > w[1])
-        || *starts.last().expect("nonempty") as usize != tape.fanin().len()
-        || tape.fanin().iter().any(|&f| f as usize >= nodes)
-        || tape.ops().len() != gates
-        || tape.gate_out().len() != gates
-    {
-        return Err(TapeViolation::new(
-            "csr",
-            "optimized tape CSR tables are malformed".to_string(),
-        ));
-    }
-
-    // --- bijection (subset) ------------------------------------------
-    let mut seen = vec![false; nodes];
-    for g in 0..gates {
-        let out = tape.gate_out()[g] as usize;
-        if out >= nodes {
-            return Err(TapeViolation::new(
-                "bijection",
-                format!("gate {g} writes node {out}, out of range"),
-            ));
-        }
-        let id = NodeId::from_index(out);
-        let node = circuit.node(id);
-        let NodeKind::Gate(kind) = node.kind() else {
-            return Err(TapeViolation::new(
-                "bijection",
-                format!("gate {g} writes `{}`, which is not a gate node", node.name()),
-            ));
-        };
-        if seen[out] || tape.gate_pos(out) != Some(g) {
-            return Err(TapeViolation::new(
-                "bijection",
-                format!("node `{}` does not map one-to-one onto the tape", node.name()),
-            ));
-        }
-        seen[out] = true;
-        if tape.ops()[g] != *kind {
-            return Err(TapeViolation::new(
-                "bijection",
-                format!("gate {g} (`{}`) opcode differs from the circuit", node.name()),
-            ));
-        }
-        let fanin = tape.fanin_of(g);
-        if fanin.len() != node.fanin().len() {
-            return Err(TapeViolation::new(
-                "bijection",
-                format!("gate {g} (`{}`) arity differs from the circuit", node.name()),
-            ));
-        }
-        // Pins keep their original source unless that source was removed
-        // and substituted by an equal-valued survivor.
-        for (p, (&f, w)) in fanin.iter().zip(node.fanin()).enumerate() {
-            if f as usize != w.index() && !removed_gate(w.index()) {
-                return Err(TapeViolation::new(
-                    "bijection",
-                    format!(
-                        "gate {g} (`{}`) pin {p} rewritten while its original source survives",
-                        node.name()
-                    ),
-                ));
-            }
-        }
-    }
-    for &id in circuit.inputs().iter().chain(circuit.dffs()) {
-        if tape.gate_pos(id.index()).is_some() {
-            return Err(TapeViolation::new(
-                "bijection",
-                format!("non-gate node `{}` has a tape position", circuit.node(id).name()),
-            ));
-        }
-    }
-
-    // --- order -------------------------------------------------------
-    // Topological over the tape's own gates. (Level monotonicity is
-    // against the *rewritten* graph's levels, which the tape does not
-    // expose — the run checks below still pin the schedule shape.)
-    for g in 0..gates {
-        for &f in tape.fanin_of(g) {
-            if let Some(src) = tape.gate_pos(f as usize) {
-                if src >= g {
-                    return Err(TapeViolation::new(
-                        "order",
-                        format!("gate {g} reads gate {src} before it is evaluated"),
-                    ));
-                }
-            }
-        }
-    }
-
-    // --- runs --------------------------------------------------------
-    let mut next = 0u32;
-    for (i, run) in tape.runs().iter().enumerate() {
-        if run.start != next || run.end <= run.start {
-            return Err(TapeViolation::new(
-                "runs",
-                format!("run {i} [{}, {}) does not tile the tape at {next}", run.start, run.end),
-            ));
-        }
-        for g in run.start as usize..run.end as usize {
-            if tape.ops()[g] != run.kind || arity_class(tape.fanin_of(g).len()) != run.arity {
-                return Err(TapeViolation::new(
-                    "runs",
-                    format!("gate {g} breaks the homogeneity of run {i}"),
-                ));
-            }
-        }
-        next = run.end;
-    }
-    if next as usize != gates {
-        return Err(TapeViolation::new("runs", format!("runs cover {next} of {gates} gates")));
-    }
-
-    // --- sitemap -----------------------------------------------------
-    // Original-graph PO liveness: `Untestable` must be exact.
-    let orig_live = {
-        let mut live = vec![false; nodes];
-        let mut stack: Vec<usize> = circuit.outputs().iter().map(|o| o.index()).collect();
-        while let Some(i) = stack.pop() {
-            if live[i] {
-                continue;
-            }
-            live[i] = true;
-            stack.extend(circuit.node(NodeId::from_index(i)).fanin().iter().map(|f| f.index()));
-        }
-        live
-    };
-    let mut redirect_targets: HashSet<(usize, u32)> = HashSet::new();
-    let mut any_pinned = false;
-    for (i, &live_in_original) in orig_live.iter().enumerate() {
-        let id = NodeId::from_index(i);
-        let is_gate = circuit.node(id).kind().is_gate();
-        for (which, route) in [("output", map.output_route(id)), ("input", map.input_route(id))] {
-            match route {
-                SiteRoute::Direct => {
-                    if is_gate && !on_tape(i) {
-                        return Err(TapeViolation::new(
-                            "sitemap",
-                            format!("node {i} {which} route is Direct but its gate was removed"),
-                        ));
-                    }
-                }
-                SiteRoute::Redirect { node, pin } => {
-                    if which == "input" {
-                        return Err(TapeViolation::new(
-                            "sitemap",
-                            format!("node {i} input route is a Redirect"),
-                        ));
-                    }
-                    if !removed_gate(i) {
-                        return Err(TapeViolation::new(
-                            "sitemap",
-                            format!("node {i} redirects but was not a removed gate"),
-                        ));
-                    }
-                    let target = circuit.node(node);
-                    let Some(&src) = target.fanin().get(pin as usize) else {
-                        return Err(TapeViolation::new(
-                            "sitemap",
-                            format!("node {i} redirects to out-of-range pin {pin} of {node}"),
-                        ));
-                    };
-                    if src.index() != i {
-                        return Err(TapeViolation::new(
-                            "sitemap",
-                            format!("node {i} redirects to a pin that read {src}, not itself"),
-                        ));
-                    }
-                    if map.input_route(node) != SiteRoute::Direct {
-                        return Err(TapeViolation::new(
-                            "sitemap",
-                            format!("node {i} redirects into a non-Direct consumer {node}"),
-                        ));
-                    }
-                    if !redirect_targets.insert((node.index(), pin)) {
-                        return Err(TapeViolation::new(
-                            "sitemap",
-                            format!("two sites redirect to pin {pin} of {node}"),
-                        ));
-                    }
-                }
-                SiteRoute::Pinned => any_pinned = true,
-                SiteRoute::Untestable => {
-                    if live_in_original {
-                        return Err(TapeViolation::new(
-                            "sitemap",
-                            format!("node {i} is PO-reachable but routed Untestable"),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    if any_pinned && !map.needs_baseline() {
-        return Err(TapeViolation::new(
-            "sitemap",
-            "map has pinned sites but claims not to need the baseline".to_string(),
-        ));
-    }
-    Ok(())
-}
-
-/// Panics if the staged compile fails [`verify_compiled`] — the
-/// `debug_assertions` hook for staged-compile sites, mirroring
-/// [`audit_tape`].
-///
-/// # Panics
-///
-/// On the first [`TapeViolation`], with its message.
-pub fn audit_compiled(circuit: &Circuit, compiled: &CompiledCircuit) {
-    if let Err(v) = verify_compiled(circuit, compiled) {
-        panic!("{} (circuit `{}`, passes `{}`)", v, circuit.name(), compiled.options().key());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -733,45 +419,5 @@ mod tests {
         let v = TapeViolation::new("order", "gate 3 reads gate 7".to_string());
         let s = v.to_string();
         assert!(s.contains("order") && s.contains("gate 3"), "{s}");
-    }
-
-    #[test]
-    fn staged_compiles_verify_on_the_suite() {
-        use bist_netlist::{compile_staged, CompileOptions};
-        for entry in benchmarks::suite_up_to(600) {
-            let c = entry.build().unwrap();
-            for options in [CompileOptions::none(), CompileOptions::all()] {
-                let compiled = compile_staged(&c, options);
-                assert_eq!(verify_compiled(&c, &compiled), Ok(()), "{}", entry.name);
-                audit_compiled(&c, &compiled);
-            }
-        }
-    }
-
-    #[test]
-    fn compile_of_another_circuit_is_rejected() {
-        use bist_netlist::{compile_staged, CompileOptions};
-        let s27 = benchmarks::s27();
-        let (xor, _) = xor_pair();
-        let alien = compile_staged(&xor, CompileOptions::all());
-        let v = verify_compiled(&s27, &alien).unwrap_err();
-        assert_eq!(v.check, "tables", "{v}");
-        let err = std::panic::catch_unwind(|| audit_compiled(&s27, &alien));
-        assert!(err.is_err());
-    }
-
-    #[test]
-    fn partial_pass_sets_verify() {
-        use bist_netlist::{compile_staged, CompileOptions};
-        let c = benchmarks::s27();
-        for options in [
-            CompileOptions { forward: true, ..CompileOptions::none() },
-            CompileOptions { dedup: true, ..CompileOptions::none() },
-            CompileOptions { fold_x: true, ..CompileOptions::none() },
-            CompileOptions { dead_sweep: true, ..CompileOptions::none() },
-        ] {
-            let compiled = compile_staged(&c, options);
-            assert_eq!(verify_compiled(&c, &compiled), Ok(()), "passes {}", options.key());
-        }
     }
 }

@@ -9,10 +9,8 @@
 
 use bist_netlist::fuzz::{dirty_circuit, fuzz_circuit};
 use bist_netlist::parser::parse_bench;
-use bist_netlist::{benchmarks, compile_staged, writer, CompileOptions, GateTape};
-use bist_verify::{
-    check_equiv, lint_circuit, lint_source, structural_hash, verify_compiled, verify_tape,
-};
+use bist_netlist::{benchmarks, writer, GateTape};
+use bist_verify::{check_equiv, lint_circuit, lint_source, structural_hash, verify_tape};
 
 /// Same corpus size as `randomized_differential_full_sweep`: 26 of each
 /// degenerate shape class, 104 general circuits.
@@ -64,37 +62,6 @@ fn every_compiled_tape_verifies() {
     for seed in 0..CORPUS_SEEDS {
         let c = fuzz_circuit(seed);
         assert_eq!(verify_tape(&c, &GateTape::compile(&c)), Ok(()), "seed {seed}");
-    }
-}
-
-#[test]
-fn every_staged_compile_verifies() {
-    // The optimized-compile auditor accepts every pass selection over
-    // the whole corpus: subset tape, topological order, fanin
-    // substitution soundness and the site-map routing invariants.
-    let selections = [
-        CompileOptions::all(),
-        CompileOptions { fold_x: true, ..CompileOptions::none() },
-        CompileOptions { forward: true, dedup: true, ..CompileOptions::none() },
-        CompileOptions { dead_sweep: true, ..CompileOptions::none() },
-    ];
-    for entry in benchmarks::suite() {
-        let c = entry.build().unwrap();
-        for options in selections {
-            let compiled = compile_staged(&c, options);
-            assert_eq!(
-                verify_compiled(&c, &compiled),
-                Ok(()),
-                "{} [{}]",
-                entry.name,
-                options.key()
-            );
-        }
-    }
-    for seed in 0..CORPUS_SEEDS {
-        let c = fuzz_circuit(seed);
-        let compiled = compile_staged(&c, CompileOptions::all());
-        assert_eq!(verify_compiled(&c, &compiled), Ok(()), "seed {seed}");
     }
 }
 

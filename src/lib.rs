@@ -68,10 +68,6 @@ pub use bist_sim as sim;
 pub use bist_tgen as tgen;
 pub use bist_verify as verify;
 
-/// Re-exported from `bist-netlist`: the staged-compiler configuration
-/// surface consumed by [`SessionBuilder::optimize`] and
-/// [`SessionArtifacts::compiled`].
-pub use bist_netlist::{compile_staged, CompileOptions, CompiledCircuit};
 /// Re-exported from `bist-obs`: the zero-dependency telemetry layer.
 /// Pass an active [`Obs`] to [`SessionBuilder::obs`] to collect span
 /// histograms, engine counters and (optionally) trace events; snapshot

@@ -28,9 +28,7 @@ use bist_core::{
 };
 use bist_expand::expansion::ExpansionConfig;
 use bist_expand::TestSequence;
-use bist_netlist::{
-    benchmarks, compile_staged_with_baseline, Circuit, CompileOptions, CompiledCircuit, GateTape,
-};
+use bist_netlist::{benchmarks, Circuit, GateTape};
 use bist_obs::Obs;
 use bist_sim::{
     collapse, fault_universe, Fault, FaultCoverage, FaultSimulator, ShardedBackend, SimBackend,
@@ -108,7 +106,6 @@ impl Backend {
 pub struct SessionArtifacts {
     circuit: Option<Arc<Circuit>>,
     tape: Option<Arc<GateTape>>,
-    compiled: Option<Arc<CompiledCircuit>>,
     faults: Option<Arc<Vec<Fault>>>,
     t0: Option<Arc<GeneratedTest>>,
     t0_seconds: Option<f64>,
@@ -135,18 +132,6 @@ impl SessionArtifacts {
     #[must_use]
     pub fn tape(mut self, tape: Arc<GateTape>) -> Self {
         self.tape = Some(tape);
-        self
-    }
-
-    /// Supplies a staged compile of the session's circuit (as produced by
-    /// [`compile_staged`](bist_netlist::compile_staged)), so the session
-    /// neither compiles nor re-optimizes anything. Its pass options take
-    /// precedence over [`SessionBuilder::optimize`], and its baseline
-    /// tape also fills the session's tape slot when no explicit
-    /// [`tape`](Self::tape) artifact was supplied.
-    #[must_use]
-    pub fn compiled(mut self, compiled: Arc<CompiledCircuit>) -> Self {
-        self.compiled = Some(compiled);
         self
     }
 
@@ -262,7 +247,6 @@ pub struct SessionBuilder {
     seed: Option<u64>,
     t0: Option<TestSequence>,
     artifacts: SessionArtifacts,
-    optimize: CompileOptions,
     verify: bool,
     obs: Obs,
 }
@@ -277,7 +261,6 @@ impl Default for SessionBuilder {
             seed: None,
             t0: None,
             artifacts: SessionArtifacts::default(),
-            optimize: CompileOptions::none(),
             verify: true,
             obs: Obs::noop(),
         }
@@ -384,22 +367,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Selects the staged-compiler passes the session's fault simulation
-    /// runs on (off by default — [`CompileOptions::none`]).
-    ///
-    /// With a non-empty set, the circuit is compiled once through the
-    /// semantics-preserving pass pipeline and every fault-simulation
-    /// phase (`T0` coverage, the Procedure 1/2 sweeps, verification) is
-    /// routed through the optimized tape by fault-site mapping — results
-    /// are bit-identical to the unoptimized session. `T0` *generation*
-    /// always runs on the unoptimized baseline tape, so the produced
-    /// sequence is independent of this setting.
-    #[must_use]
-    pub fn optimize(mut self, options: CompileOptions) -> Self {
-        self.optimize = options;
-        self
-    }
-
     /// Enables/disables the post-run coverage verification (streamed
     /// re-simulation of the best run's expansions; on by default).
     #[must_use]
@@ -409,8 +376,8 @@ impl SessionBuilder {
     }
 
     /// Attaches a telemetry sink. Every pipeline stage (parse, collapse,
-    /// tape compile, staged optimize, `T0`, the scheme's fault-simulation
-    /// sweeps, verification) records a `session.*_us` span into it, and
+    /// tape compile, `T0`, the scheme's fault-simulation sweeps,
+    /// verification) records a `session.*_us` span into it, and
     /// the sink is threaded through the fault-simulation engines
     /// ([`bist_sim::SimBackend::detection_times_tape_obs`]).
     /// Observation-only: results are bit-identical to an uninstrumented
@@ -459,10 +426,11 @@ impl SessionBuilder {
                 )));
             }
         }
-        // Same O(1) shape fingerprint the sim layer checks
-        // (`SimError::TapeMismatch`), surfaced as a config error at
-        // build time instead of deep inside the first run.
-        let check_shape = |shared: &GateTape, what: &str| -> Result<(), BistError> {
+        let tape = OnceLock::new();
+        if let Some(shared) = self.artifacts.tape {
+            // Same O(1) shape fingerprint the sim layer checks
+            // (`SimError::TapeMismatch`), surfaced as a config error at
+            // build time instead of deep inside the first run.
             let tape_shape = (
                 shared.num_nodes(),
                 shared.num_inputs(),
@@ -479,34 +447,12 @@ impl SessionBuilder {
             );
             if tape_shape != circuit_shape {
                 return Err(BistError::Config(format!(
-                    "injected {what} does not match circuit `{}`: tape shape {tape_shape:?} vs \
+                    "injected tape does not match circuit `{}`: tape shape {tape_shape:?} vs \
                      circuit shape {circuit_shape:?} (nodes/inputs/outputs/DFFs/gates)",
                     circuit.name(),
                 )));
             }
-            Ok(())
-        };
-        let tape = OnceLock::new();
-        if let Some(shared) = self.artifacts.tape {
-            check_shape(&shared, "tape")?;
             let _ = tape.set(shared);
-        }
-        let compiled = OnceLock::new();
-        if let Some(shared) = self.artifacts.compiled {
-            check_shape(shared.baseline(), "compiled artifact's baseline tape")?;
-            if shared.site_map().num_nodes() != circuit.num_nodes() {
-                return Err(BistError::Config(format!(
-                    "injected compiled artifact does not match circuit `{}`: site map covers {} \
-                     nodes vs {} circuit nodes",
-                    circuit.name(),
-                    shared.site_map().num_nodes(),
-                    circuit.num_nodes(),
-                )));
-            }
-            if tape.get().is_none() {
-                let _ = tape.set(Arc::clone(shared.baseline()));
-            }
-            let _ = compiled.set(shared);
         }
         let faults = OnceLock::new();
         if let Some(shared) = self.artifacts.faults {
@@ -548,8 +494,6 @@ impl SessionBuilder {
             prebuilt,
             prebuilt_seconds: self.artifacts.t0_seconds,
             tape,
-            compiled,
-            optimize: self.optimize,
             faults,
             tgen,
             scheme,
@@ -582,17 +526,9 @@ pub struct Session {
     prebuilt: Option<Arc<GeneratedTest>>,
     /// Original generation time of the injected `T0`, if recorded.
     prebuilt_seconds: Option<f64>,
-    /// Compiled (unoptimized) gate tape, compiled on first
-    /// [`run`](Session::run) (or injected at build time). It is the tape
-    /// every simulation executes when no optimization is configured, and
-    /// the staged compiler's baseline otherwise.
+    /// Compiled gate tape, compiled on first [`run`](Session::run) (or
+    /// injected at build time) — the tape every simulation executes.
     tape: OnceLock<Arc<GateTape>>,
-    /// Staged compile of the circuit — produced on first
-    /// [`run`](Session::run) when [`SessionBuilder::optimize`] selected
-    /// any pass (or injected at build time), `None`-state otherwise.
-    compiled: OnceLock<Arc<CompiledCircuit>>,
-    /// The pass selection [`compiled`](Self::compiled) is built with.
-    optimize: CompileOptions,
     /// Collapsed fault universe, computed on first [`run`](Session::run)
     /// (or injected at build time) and shared by every later run.
     faults: OnceLock<Arc<Vec<Fault>>>,
@@ -634,23 +570,6 @@ impl Session {
         })
     }
 
-    /// The staged compile the session's fault simulation runs on, if
-    /// any — `None` when the session is unoptimized
-    /// ([`CompileOptions::none`] and no injected compiled artifact).
-    /// Compiled on first access against the session's baseline
-    /// [`tape`](Session::tape) and cached for the session's lifetime.
-    #[must_use]
-    pub fn compiled(&self) -> Option<&Arc<CompiledCircuit>> {
-        if self.compiled.get().is_none() && self.optimize.is_none() {
-            return None;
-        }
-        Some(self.compiled.get_or_init(|| {
-            let baseline = Arc::clone(self.tape());
-            let _span = self.obs.span("session.optimize_us", self.circuit.name().to_string());
-            Arc::new(compile_staged_with_baseline(&self.circuit, self.optimize, baseline))
-        }))
-    }
-
     /// The collapsed fault universe of the circuit — computed on first
     /// access (or injected via [`SessionBuilder::with_artifacts`]) and
     /// cached for the session's lifetime; repeated [`run`](Session::run)
@@ -681,7 +600,7 @@ impl Session {
     pub fn run(&self) -> Result<SessionReport, BistError> {
         let mut stages = StageSeconds::default();
 
-        // The three lazy artifacts record their compile time into the run
+        // The two lazy artifacts record their compile time into the run
         // that first forces them; cached runs observe ~0 here.
         let stage = Instant::now();
         let faults = self.collapsed_faults();
@@ -689,21 +608,14 @@ impl Session {
         let stage = Instant::now();
         let tape = Arc::clone(self.tape());
         stages.tape_compile = stage.elapsed().as_secs_f64();
-        let stage = Instant::now();
-        let sim = match self.compiled() {
-            Some(compiled) => FaultSimulator::with_backend_and_compiled(
-                &self.circuit,
-                Arc::clone(compiled),
-                Arc::clone(&self.engine),
-            )?,
-            None => FaultSimulator::with_backend_and_tape(
-                &self.circuit,
-                Arc::clone(&tape),
-                Arc::clone(&self.engine),
-            )?,
-        }
+        let sim_built = Instant::now();
+        let sim = FaultSimulator::with_backend_and_tape(
+            &self.circuit,
+            Arc::clone(&tape),
+            Arc::clone(&self.engine),
+        )?
         .with_obs(self.obs.clone());
-        stages.optimize = stage.elapsed().as_secs_f64();
+        let sim_seconds = sim_built.elapsed().as_secs_f64();
 
         let span = self.obs.span("session.t0_us", self.circuit.name().to_string());
         let started = Instant::now();
@@ -732,7 +644,8 @@ impl Session {
         let span = self.obs.span("session.fault_sim_us", self.circuit.name().to_string());
         let stage = Instant::now();
         let scheme = run_scheme(&sim, &t0, &coverage, &self.scheme)?;
-        stages.fault_sim = stage.elapsed().as_secs_f64();
+        // Simulator construction is fault-simulation set-up.
+        stages.fault_sim = sim_seconds + stage.elapsed().as_secs_f64();
         drop(span);
 
         let span = self.obs.span("session.verify_us", self.circuit.name().to_string());
@@ -756,7 +669,6 @@ impl Session {
             circuit: (*self.circuit).clone(),
             backend: sim.backend().name(),
             faults_total: faults.len(),
-            gates_removed: self.compiled().map_or(0, |c| c.gates_removed()),
             t0,
             coverage,
             scheme,
@@ -777,21 +689,19 @@ impl Session {
 /// Wall-clock seconds spent in each pipeline stage of one
 /// [`Session::run`], independent of any telemetry sink (always recorded).
 ///
-/// The lazy artifacts (fault collapse, tape compile, staged optimize)
-/// charge their cost to the run that first forces them; cached later runs
-/// observe ~0 for those stages.
+/// The lazy artifacts (fault collapse, tape compile) charge their cost to
+/// the run that first forces them; cached later runs observe ~0 for those
+/// stages.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageSeconds {
     /// Fault-universe collapse (~0 when injected or cached).
     pub collapse: f64,
-    /// Baseline tape compile (~0 when injected or cached).
+    /// Tape compile (~0 when injected or cached).
     pub tape_compile: f64,
-    /// Staged optimize + simulator construction (~0 when unoptimized,
-    /// injected or cached).
-    pub optimize: f64,
     /// Obtaining `T0` and its coverage (generation or re-simulation).
     pub t0: f64,
-    /// The scheme sweep — Procedure 1/2 + compaction over every `n`.
+    /// Simulator construction plus the scheme sweep — Procedure 1/2 +
+    /// compaction over every `n`.
     pub fault_sim: f64,
     /// Post-run coverage verification (0 when disabled).
     pub verify: f64,
@@ -801,7 +711,7 @@ impl StageSeconds {
     /// Sum over all stages — the pipeline time this run accounts for.
     #[must_use]
     pub fn total(&self) -> f64 {
-        self.collapse + self.tape_compile + self.optimize + self.t0 + self.fault_sim + self.verify
+        self.collapse + self.tape_compile + self.t0 + self.fault_sim + self.verify
     }
 }
 
@@ -816,9 +726,6 @@ pub struct SessionParts {
     pub backend: &'static str,
     /// Size of the collapsed fault universe.
     pub faults_total: usize,
-    /// Gates the staged compiler removed from the simulated tape (0 for
-    /// an unoptimized session).
-    pub gates_removed: usize,
     /// The off-chip test sequence the scheme started from.
     pub t0: TestSequence,
     /// Coverage of `T0` (detected set + `udet` times).
@@ -839,7 +746,6 @@ pub struct SessionReport {
     circuit: Circuit,
     backend: &'static str,
     faults_total: usize,
-    gates_removed: usize,
     t0: TestSequence,
     coverage: FaultCoverage,
     scheme: SchemeResult,
@@ -865,13 +771,6 @@ impl SessionReport {
     #[must_use]
     pub fn faults_total(&self) -> usize {
         self.faults_total
-    }
-
-    /// Gates the staged compiler removed from the simulated tape (0 for
-    /// an unoptimized session).
-    #[must_use]
-    pub fn gates_removed(&self) -> usize {
-        self.gates_removed
     }
 
     /// The off-chip test sequence the scheme started from.
@@ -944,7 +843,6 @@ impl SessionReport {
             circuit: self.circuit,
             backend: self.backend,
             faults_total: self.faults_total,
-            gates_removed: self.gates_removed,
             t0: self.t0,
             coverage: self.coverage,
             scheme: self.scheme,
@@ -963,15 +861,10 @@ impl SessionReport {
             Some(false) => "FAILED VERIFICATION",
             None => "not verified",
         };
-        let optimized = if self.gates_removed > 0 {
-            format!(", optimized tape (-{} gates)", self.gates_removed)
-        } else {
-            String::new()
-        };
         format!(
             "{}: T0 = {} vectors covering {}/{} faults; best n = {}: |S| = {}, \
              tot len = {} ({:.0}% of T0), max len = {}, applied at speed = {} \
-             [{} backend, coverage {}{}]",
+             [{} backend, coverage {}]",
             self.circuit.name(),
             self.t0.len(),
             self.coverage.detected_count(),
@@ -984,7 +877,6 @@ impl SessionReport {
             best.applied_test_len(),
             self.backend,
             verified,
-            optimized,
         )
     }
 }
@@ -1119,66 +1011,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, BistError::Config(_)), "{err:?}");
         assert!(err.to_string().contains("tape"), "{err}");
-    }
-
-    #[test]
-    fn optimized_sessions_are_bit_identical_to_unoptimized() {
-        for name in ["s27", "a298"] {
-            let base =
-                Session::builder().suite_circuit(name).seed(1999).ns(vec![1, 2]).run().unwrap();
-            let session = Session::builder()
-                .suite_circuit(name)
-                .seed(1999)
-                .ns(vec![1, 2])
-                .optimize(CompileOptions::all())
-                .build()
-                .unwrap();
-            let opt = session.run().unwrap();
-            assert_eq!(opt.t0(), base.t0(), "{name}: T0 must stay baseline-generated");
-            assert_eq!(opt.coverage(), base.coverage(), "{name}");
-            assert_eq!(opt.best().after.total_len, base.best().after.total_len, "{name}");
-            assert_eq!(opt.best().after.max_len, base.best().after.max_len, "{name}");
-            assert_eq!(opt.verified(), Some(true), "{name}");
-            assert_eq!(base.gates_removed(), 0);
-            assert_eq!(opt.gates_removed(), session.compiled().unwrap().gates_removed(), "{name}");
-            if opt.gates_removed() > 0 {
-                assert!(opt.summary().contains("optimized tape"), "{}", opt.summary());
-            }
-        }
-    }
-
-    #[test]
-    fn injected_compiled_artifact_is_served_back_and_validated() {
-        use bist_netlist::compile_staged;
-
-        let circuit = Arc::new(benchmarks::s27());
-        let compiled = Arc::new(compile_staged(&circuit, CompileOptions::all()));
-        let session = Session::builder()
-            .with_artifacts(
-                SessionArtifacts::new()
-                    .circuit(Arc::clone(&circuit))
-                    .compiled(Arc::clone(&compiled)),
-            )
-            .seed(3)
-            .ns(vec![1])
-            .build()
-            .unwrap();
-        // The injected compile is served back, and its baseline fills the
-        // session's tape slot.
-        assert!(Arc::ptr_eq(session.compiled().unwrap(), &compiled));
-        assert!(Arc::ptr_eq(session.tape(), compiled.baseline()));
-        let report = session.run().unwrap();
-        assert_eq!(report.coverage().detected_count(), 32);
-        assert_eq!(report.gates_removed(), compiled.gates_removed());
-        // A compile of another circuit is rejected at build time.
-        let other = benchmarks::suite()[1].build().unwrap();
-        let alien = Arc::new(compile_staged(&other, CompileOptions::all()));
-        let err = Session::builder()
-            .with_artifacts(SessionArtifacts::new().circuit(circuit).compiled(alien))
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, BistError::Config(_)), "{err:?}");
-        assert!(err.to_string().contains("compiled"), "{err}");
     }
 
     #[test]
