@@ -1,12 +1,13 @@
 //! JSONL rendering and schema validation for campaign output.
 //!
-//! One JSON object per line, hand-rolled in the same offline style as
-//! `bist_bench::timing`: a strict recursive-descent parser checks every
-//! row for well-formed JSON *and* the campaign row schema, so truncated
-//! or drifting output fails loudly (the [`JsonlSink`](crate::JsonlSink)
-//! validates each row before writing it, and CI re-validates the file).
+//! One JSON object per line. Every reader is [`Json::parse`] from
+//! `bist_obs::json` followed by a walk over the campaign row schema, so
+//! truncated or drifting output fails loudly (the
+//! [`JsonlSink`](crate::JsonlSink) validates each row before writing
+//! it, and CI re-validates the file). Rows allow unknown keys.
 
 use crate::report::{JobMetrics, JobRecord, JobStatus};
+use bist_obs::json::{push_string, validate_lines, Json};
 
 /// Keys every row must carry. `seconds` stays the job's total wall time
 /// (`queue_seconds + exec_seconds`) so historical consumers keep working.
@@ -42,6 +43,13 @@ const OK_KEYS: [&str; 14] = [
 /// Renders one record as a single JSONL row (no trailing newline).
 #[must_use]
 pub fn record_to_json(record: &JobRecord) -> String {
+    record_row(record, None)
+}
+
+/// [`record_to_json`], with an `"fp"` key carrying the writing
+/// campaign's configuration fingerprint appended when one is given —
+/// the row format of fingerprint-stamped journals.
+pub(crate) fn record_row(record: &JobRecord, fingerprint: Option<&str>) -> String {
     let mut out = String::with_capacity(256);
     out.push('{');
     push_kv(&mut out, "job", &record.job.to_string());
@@ -80,38 +88,29 @@ pub fn record_to_json(record: &JobRecord) -> String {
     if let Some(error) = &record.error {
         push_kv_str(&mut out, "error", error);
     }
+    if let Some(fp) = fingerprint {
+        push_kv_str(&mut out, "fp", fp);
+    }
     out.push('}');
     out
 }
 
 fn push_kv(out: &mut String, key: &str, raw: &str) {
-    if out.len() > 1 {
-        out.push_str(", ");
-    }
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\": ");
+    push_key(out, key);
     out.push_str(raw);
 }
 
 fn push_kv_str(out: &mut String, key: &str, value: &str) {
-    push_kv(out, key, &format!("\"{}\"", escape(value)));
+    push_key(out, key);
+    push_string(out, value);
 }
 
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push(' '),
-            c => out.push(c),
-        }
+fn push_key(out: &mut String, key: &str) {
+    if out.len() > 1 {
+        out.push_str(", ");
     }
-    out
+    push_string(out, key);
+    out.push_str(": ");
 }
 
 /// Keys every lint diagnostic row must carry (`subseq-bist lint --jsonl`).
@@ -129,11 +128,34 @@ pub fn diagnostic_to_json(circuit: &str, diagnostic: &subseq_bist::verify::Diagn
     push_kv_str(&mut out, "code", diagnostic.code.code());
     push_kv_str(&mut out, "severity", &diagnostic.severity().to_string());
     push_kv_str(&mut out, "message", &diagnostic.message);
-    let nets =
-        diagnostic.nets.iter().map(|n| format!("\"{}\"", escape(n))).collect::<Vec<_>>().join(", ");
-    push_kv(&mut out, "nets", &format!("[{nets}]"));
-    out.push('}');
+    push_key(&mut out, "nets");
+    out.push('[');
+    for (i, net) in diagnostic.nets.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        push_string(&mut out, net);
+    }
+    out.push_str("]}");
     out
+}
+
+/// Parses `line` as one JSON object row and checks that it carries
+/// every key of `required` (`what` names the row kind in the error).
+fn row_object(line: &str, required: &[&str], what: &str) -> Result<Json, String> {
+    let row = Json::parse(line)?;
+    let members = row.as_object().ok_or("expected a JSON object row")?;
+    for key in required {
+        if !members.iter().any(|(k, _)| k == key) {
+            return Err(format!("{what} missing `{key}`"));
+        }
+    }
+    Ok(row)
+}
+
+/// The string member `key` of a row already checked to carry it.
+fn str_field<'a>(row: &'a Json, key: &str) -> Result<&'a str, String> {
+    row.get(key).and_then(Json::as_str).ok_or_else(|| format!("{key}: expected a string"))
 }
 
 /// Validates one lint diagnostic JSONL row: well-formed JSON object, the
@@ -143,36 +165,15 @@ pub fn diagnostic_to_json(circuit: &str, diagnostic: &subseq_bist::verify::Diagn
 ///
 /// A description of the first syntax or schema violation.
 pub fn validate_lint_jsonl_line(line: &str) -> Result<(), String> {
-    let mut p = Parser { bytes: line.as_bytes(), pos: 0 };
-    p.ws();
-    let mut keys: Vec<String> = Vec::new();
-    let mut code: Option<String> = None;
-    let mut severity: Option<String> = None;
-    p.object(&mut |p, key| {
-        p.ws();
-        match key {
-            "code" => code = Some(p.string()?),
-            "severity" => severity = Some(p.string()?),
-            "nets" => p.array()?,
-            _ => p.value()?,
-        }
-        keys.push(key.to_string());
-        Ok(())
-    })?;
-    p.ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    for required in LINT_KEYS {
-        if !keys.iter().any(|k| k == required) {
-            return Err(format!("diagnostic row missing `{required}`"));
-        }
-    }
-    let code = code.expect("presence checked above");
+    let row = row_object(line, &LINT_KEYS, "diagnostic row")?;
+    let code = str_field(&row, "code")?;
     if code.len() != 4 || !code.starts_with('L') || !code[1..].bytes().all(|b| b.is_ascii_digit()) {
         return Err(format!("bad lint code `{code}` (want L000-style)"));
     }
-    match severity.expect("presence checked above").as_str() {
+    if row.get("nets").and_then(Json::as_array).is_none() {
+        return Err("nets: expected an array".to_string());
+    }
+    match str_field(&row, "severity")? {
         "error" | "warning" => Ok(()),
         other => Err(format!("unknown severity `{other}`")),
     }
@@ -185,15 +186,26 @@ pub fn validate_lint_jsonl_line(line: &str) -> Result<(), String> {
 ///
 /// The first offending line number and its violation.
 pub fn validate_lint_jsonl(text: &str) -> Result<usize, String> {
-    let mut rows = 0;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
+    validate_lines(text, validate_lint_jsonl_line)
+}
+
+/// Parses a campaign row and checks its key set: the [`ROW_KEYS`], a
+/// known `status`, the [`OK_KEYS`] on an ok row and `error` on a failed
+/// one.
+fn campaign_row(line: &str) -> Result<(Json, JobStatus), String> {
+    let row = row_object(line, &ROW_KEYS, "row")?;
+    let status = match str_field(&row, "status")? {
+        "ok" => JobStatus::Ok,
+        "failed" => JobStatus::Failed,
+        other => return Err(format!("unknown status `{other}`")),
+    };
+    let required: &[&str] = if status == JobStatus::Ok { &OK_KEYS } else { &["error"] };
+    for key in required {
+        if row.get(key).is_none() {
+            return Err(format!("{} row missing `{key}`", status.as_str()));
         }
-        validate_lint_jsonl_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        rows += 1;
     }
-    Ok(rows)
+    Ok((row, status))
 }
 
 /// Validates one JSONL row: well-formed JSON object, the required row
@@ -203,47 +215,7 @@ pub fn validate_lint_jsonl(text: &str) -> Result<usize, String> {
 ///
 /// A description of the first syntax or schema violation.
 pub fn validate_jsonl_line(line: &str) -> Result<(), String> {
-    let mut p = Parser { bytes: line.as_bytes(), pos: 0 };
-    p.ws();
-    let mut keys: Vec<String> = Vec::new();
-    let mut status: Option<String> = None;
-    p.object(&mut |p, key| {
-        p.ws();
-        if key == "status" {
-            let value = p.string()?;
-            status = Some(value);
-        } else {
-            p.value()?;
-        }
-        keys.push(key.to_string());
-        Ok(())
-    })?;
-    p.ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    for required in ROW_KEYS {
-        if !keys.iter().any(|k| k == required) {
-            return Err(format!("row missing `{required}`"));
-        }
-    }
-    match status.as_deref() {
-        Some("ok") => {
-            for required in OK_KEYS {
-                if !keys.iter().any(|k| k == required) {
-                    return Err(format!("ok row missing `{required}`"));
-                }
-            }
-        }
-        Some("failed") => {
-            if !keys.iter().any(|k| k == "error") {
-                return Err("failed row missing `error`".to_string());
-            }
-        }
-        Some(other) => return Err(format!("unknown status `{other}`")),
-        None => unreachable!("status presence checked above"),
-    }
-    Ok(())
+    campaign_row(line).map(|_| ())
 }
 
 /// Validates a whole JSONL document (one row per non-empty line) and
@@ -253,15 +225,7 @@ pub fn validate_jsonl_line(line: &str) -> Result<(), String> {
 ///
 /// The first offending line number and its violation.
 pub fn validate_jsonl(text: &str) -> Result<usize, String> {
-    let mut rows = 0;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        validate_jsonl_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        rows += 1;
-    }
-    Ok(rows)
+    validate_lines(text, validate_jsonl_line)
 }
 
 /// [`validate_jsonl`] for crash-recovery (`--resume`): tolerates exactly
@@ -307,337 +271,54 @@ pub struct ParsedRow {
 ///
 /// A description of the first syntax or schema violation.
 pub fn parse_record(line: &str) -> Result<ParsedRow, String> {
-    let mut p = Parser { bytes: line.as_bytes(), pos: 0 };
-    p.ws();
-    let mut job: Option<usize> = None;
-    let mut circuit: Option<String> = None;
-    let mut backend: Option<String> = None;
-    let mut scheme: Option<String> = None;
-    let mut seed: Option<u64> = None;
-    let mut status: Option<String> = None;
-    let mut seconds: Option<f64> = None;
-    let mut queue_seconds: Option<f64> = None;
-    let mut exec_seconds: Option<f64> = None;
-    let mut error: Option<String> = None;
-    let mut fingerprint: Option<String> = None;
-    let mut engine: Option<String> = None;
-    let mut nums: std::collections::HashMap<String, String> = std::collections::HashMap::new();
-    let mut verified: Option<Option<bool>> = None;
-    p.object(&mut |p, key| {
-        p.ws();
-        match key {
-            "job" => job = Some(p.raw_number()?.parse().map_err(|e| format!("job: {e}"))?),
-            "circuit" => circuit = Some(p.string()?),
-            "backend" => backend = Some(p.string()?),
-            "scheme" => scheme = Some(p.string()?),
-            "seed" => seed = Some(p.raw_number()?.parse().map_err(|e| format!("seed: {e}"))?),
-            "status" => status = Some(p.string()?),
-            "seconds" => {
-                seconds = Some(p.raw_number()?.parse().map_err(|e| format!("seconds: {e}"))?);
-            }
-            "queue_seconds" => {
-                queue_seconds =
-                    Some(p.raw_number()?.parse().map_err(|e| format!("queue_seconds: {e}"))?);
-            }
-            "exec_seconds" => {
-                exec_seconds =
-                    Some(p.raw_number()?.parse().map_err(|e| format!("exec_seconds: {e}"))?);
-            }
-            "error" => error = Some(p.string()?),
-            "fp" => fingerprint = Some(p.string()?),
-            "engine" => engine = Some(p.string()?),
-            "verified" => {
-                verified = Some(match p.bytes.get(p.pos) {
-                    Some(b't') => {
-                        p.literal("true")?;
-                        Some(true)
-                    }
-                    Some(b'f') => {
-                        p.literal("false")?;
-                        Some(false)
-                    }
-                    _ => {
-                        p.literal("null")?;
-                        None
-                    }
-                });
-            }
-            k if OK_KEYS.contains(&k) => {
-                nums.insert(k.to_string(), p.raw_number()?.to_string());
-            }
-            _ => p.value()?,
-        }
-        Ok(())
-    })?;
-    p.ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    let status = match status.as_deref() {
-        Some("ok") => JobStatus::Ok,
-        Some("failed") => JobStatus::Failed,
-        Some(other) => return Err(format!("unknown status `{other}`")),
-        None => return Err("row missing `status`".to_string()),
+    let (row, status) = campaign_row(line)?;
+    let string = |key: &str| str_field(&row, key).map(str::to_string);
+    let number = |key: &str| {
+        row.get(key).and_then(Json::as_f64).ok_or_else(|| format!("{key}: expected a number"))
     };
-    let need = |name: &str, v: Option<String>| v.ok_or_else(|| format!("row missing `{name}`"));
-    let metrics = if status == JobStatus::Ok {
-        let num = |name: &str| -> Result<usize, String> {
-            nums.get(name)
-                .ok_or_else(|| format!("ok row missing `{name}`"))?
-                .parse()
-                .map_err(|e| format!("{name}: {e}"))
-        };
-        Some(JobMetrics {
-            engine: need("engine", engine)?,
-            faults_total: num("faults_total")?,
-            faults_detected: num("faults_detected")?,
-            t0_len: num("t0_len")?,
-            n: num("n")?,
-            set_count: num("set_count")?,
-            total_len: num("total_len")?,
-            max_len: num("max_len")?,
-            applied_test_len: num("applied_test_len")?,
-            loaded_fraction: nums
-                .get("loaded_fraction")
-                .ok_or("ok row missing `loaded_fraction`")?
-                .parse()
-                .map_err(|e| format!("loaded_fraction: {e}"))?,
-            scheme_data_bits: num("scheme_data_bits")?,
-            monolithic_data_bits: num("monolithic_data_bits")?,
-            gates_removed: num("gates_removed")?,
-            verified: verified.ok_or("ok row missing `verified`")?,
-        })
-    } else {
-        if error.is_none() {
-            return Err("failed row missing `error`".to_string());
-        }
-        None
+    let count = |key: &str| {
+        row.get(key).and_then(Json::as_usize).ok_or_else(|| format!("{key}: expected a count"))
     };
+    let metrics = match status {
+        JobStatus::Ok => Some(JobMetrics {
+            engine: string("engine")?,
+            faults_total: count("faults_total")?,
+            faults_detected: count("faults_detected")?,
+            t0_len: count("t0_len")?,
+            n: count("n")?,
+            set_count: count("set_count")?,
+            total_len: count("total_len")?,
+            max_len: count("max_len")?,
+            applied_test_len: count("applied_test_len")?,
+            loaded_fraction: number("loaded_fraction")?,
+            scheme_data_bits: count("scheme_data_bits")?,
+            monolithic_data_bits: count("monolithic_data_bits")?,
+            gates_removed: count("gates_removed")?,
+            verified: match row.get("verified") {
+                Some(Json::Null) => None,
+                Some(Json::Bool(b)) => Some(*b),
+                _ => return Err("verified: expected `true`, `false` or `null`".to_string()),
+            },
+        }),
+        JobStatus::Failed => None,
+    };
+    let optional = |key: &str| row.get(key).map(|_| string(key)).transpose();
     Ok(ParsedRow {
         record: JobRecord {
-            job: job.ok_or("row missing `job`")?,
-            circuit: need("circuit", circuit)?,
-            backend: need("backend", backend)?,
-            scheme: need("scheme", scheme)?,
-            seed: seed.ok_or("row missing `seed`")?,
+            job: count("job")?,
+            circuit: string("circuit")?,
+            backend: string("backend")?,
+            scheme: string("scheme")?,
+            seed: row.get("seed").and_then(Json::as_u64).ok_or("seed: expected a u64")?,
             status,
-            seconds: seconds.ok_or("row missing `seconds`")?,
-            queue_seconds: queue_seconds.ok_or("row missing `queue_seconds`")?,
-            exec_seconds: exec_seconds.ok_or("row missing `exec_seconds`")?,
+            seconds: number("seconds")?,
+            queue_seconds: number("queue_seconds")?,
+            exec_seconds: number("exec_seconds")?,
             metrics,
-            error,
+            error: optional("error")?,
         },
-        fingerprint,
+        fingerprint: optional("fp")?,
     })
-}
-
-/// Minimal strict JSON scanner (subset shared with
-/// `bist_bench::timing`'s validator: objects, arrays, strings, numbers,
-/// literals; no trailing commas, strict escapes). Crate-visible so the
-/// campaign service parses submission bodies with the same strictness
-/// as the row validators.
-pub(crate) struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    /// A parser over `text`, positioned at the start.
-    pub(crate) fn new(text: &'a str) -> Self {
-        Parser { bytes: text.as_bytes(), pos: 0 }
-    }
-
-    /// `true` once every byte has been consumed (call after `ws`).
-    pub(crate) fn at_end(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-
-    /// The current byte position (for error messages).
-    pub(crate) fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// The byte at the cursor, if any (one-byte lookahead).
-    pub(crate) fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    pub(crate) fn ws(&mut self) {
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_whitespace) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        if self.bytes.get(self.pos) == Some(&c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", c as char, self.pos))
-        }
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    match self.bytes.get(self.pos + 1) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/' | b'b' | b'f' | b'n' | b'r' | b't') => out.push(' '),
-                        Some(b'u') => {
-                            let hex = self.bytes.get(self.pos + 2..self.pos + 6);
-                            if !hex.is_some_and(|h| h.iter().all(u8::is_ascii_hexdigit)) {
-                                return Err(format!("bad \\u escape at byte {}", self.pos));
-                            }
-                            out.push(' ');
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 2;
-                }
-                Some(&b) if b >= 0x20 => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                _ => return Err(format!("unterminated string at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        let digits = |p: &mut Self| {
-            let s = p.pos;
-            while p.bytes.get(p.pos).is_some_and(u8::is_ascii_digit) {
-                p.pos += 1;
-            }
-            p.pos > s
-        };
-        if !digits(self) {
-            return Err(format!("expected number at byte {start}"));
-        }
-        if self.bytes.get(self.pos) == Some(&b'.') {
-            self.pos += 1;
-            if !digits(self) {
-                return Err(format!("digits required after `.` at byte {}", self.pos));
-            }
-        }
-        if matches!(self.bytes.get(self.pos), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.bytes.get(self.pos), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            if !digits(self) {
-                return Err(format!("digits required in exponent at byte {}", self.pos));
-            }
-        }
-        Ok(())
-    }
-
-    /// Like [`Parser::number`], but returns the matched text so callers
-    /// can parse it into a typed value.
-    pub(crate) fn raw_number(&mut self) -> Result<&str, String> {
-        let start = self.pos;
-        self.number()?;
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("non-utf8 number at byte {start}"))
-    }
-
-    pub(crate) fn literal(&mut self, word: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(())
-        } else {
-            Err(format!("expected `{word}` at byte {}", self.pos))
-        }
-    }
-
-    pub(crate) fn value(&mut self) -> Result<(), String> {
-        self.ws();
-        match self.bytes.get(self.pos) {
-            Some(b'"') => self.string().map(|_| ()),
-            Some(b'{') => self.object(&mut |p, _| {
-                p.ws();
-                p.value()
-            }),
-            Some(b'[') => self.array(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            _ => self.number(),
-        }
-    }
-
-    pub(crate) fn array(&mut self) -> Result<(), String> {
-        self.array_items(&mut |p| p.value())
-    }
-
-    /// Parses a JSON array, handing the cursor to `item` once per
-    /// element (positioned at the element's first non-whitespace byte).
-    pub(crate) fn array_items(
-        &mut self,
-        item: &mut dyn FnMut(&mut Self) -> Result<(), String>,
-    ) -> Result<(), String> {
-        self.eat(b'[')?;
-        self.ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            item(self)?;
-            self.ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    pub(crate) fn object(
-        &mut self,
-        member: &mut dyn FnMut(&mut Self, &str) -> Result<(), String>,
-    ) -> Result<(), String> {
-        self.ws();
-        self.eat(b'{')?;
-        self.ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            member(self, &key)?;
-            self.ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -809,5 +490,32 @@ mod tests {
             .contains("engine"));
         // Torn rows fail to parse.
         assert!(parse_record(&line[..line.len() - 4]).is_err());
+        // Circuit and error strings survive any content, not just ASCII.
+        for text in ["café", "😀", "tab\there", "nl\nx", "\u{1}", "back\\slash", "\"q\""] {
+            let mut record = ok_record();
+            record.circuit = text.to_string();
+            record.error = Some(format!("{text} failed"));
+            let parsed = parse_record(&record_row(&record, Some(text))).unwrap();
+            assert_eq!(format!("{:?}", parsed.record), format!("{record:?}"));
+            assert_eq!(parsed.fingerprint.as_deref(), Some(text));
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"x\": "] {
+            let deep = format!("{{\"x\": {}", open.repeat(500_000));
+            assert!(validate_jsonl_line(&deep).unwrap_err().contains("nesting"));
+            assert!(parse_record(&deep).unwrap_err().contains("nesting"));
+            assert!(validate_lint_jsonl_line(&deep).unwrap_err().contains("nesting"));
+        }
+    }
+
+    #[test]
+    fn stamped_rows_append_the_fingerprint_last() {
+        let plain = record_to_json(&ok_record());
+        let stamped = record_row(&ok_record(), Some("abc123"));
+        assert_eq!(stamped, format!("{}, \"fp\": \"abc123\"}}", &plain[..plain.len() - 1]));
+        assert_eq!(record_row(&ok_record(), None), plain);
     }
 }

@@ -2,7 +2,7 @@
 //! [`ReportSink`]s as jobs complete, and a [`CampaignSummary`] rolls up
 //! coverage, storage and wall time per axis at the end.
 
-use crate::jsonl::{parse_record, record_to_json, validate_jsonl_line};
+use crate::jsonl::{parse_record, record_row, validate_jsonl_line};
 use crate::BatchError;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -139,9 +139,7 @@ impl ReportSink for MemorySink {
 
 /// A sink writing one JSON object per line (JSONL), schema-validating
 /// every row before it is written — a schema regression fails the
-/// campaign instead of silently corrupting the output file. Follows the
-/// hand-rolled JSON conventions of `bist_bench::timing` (no serde in
-/// this offline environment).
+/// campaign instead of silently corrupting the output file.
 ///
 /// The sink doubles as the campaign's write-ahead journal: every row is
 /// flushed to the OS as soon as it is accepted, so a killed process
@@ -268,11 +266,7 @@ impl JsonlSink {
 
 impl ReportSink for JsonlSink {
     fn accept(&mut self, record: &JobRecord) -> Result<(), BatchError> {
-        let mut line = record_to_json(record);
-        if let Some(fp) = &self.fingerprint {
-            line.truncate(line.len() - 1);
-            line.push_str(&format!(", \"fp\": \"{fp}\"}}"));
-        }
+        let line = record_row(record, self.fingerprint.as_deref());
         validate_jsonl_line(&line).map_err(|e| {
             BatchError::Config(format!("JSONL row failed schema validation: {e}: {line}"))
         })?;
@@ -568,6 +562,7 @@ impl fmt::Display for CampaignSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jsonl::record_to_json;
 
     fn ok_record(job: usize, circuit: &str, backend: &str, seconds: f64) -> JobRecord {
         JobRecord {
@@ -866,6 +861,21 @@ mod tests {
         assert!(err.to_string().contains("line 1"), "{err}");
         let err = ResumeLog::load(&path, "x").unwrap_err();
         assert!(err.to_string().contains("line 1"), "{err}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn deep_nesting_mid_journal_is_an_error_not_a_stack_overflow() {
+        let dir = std::env::temp_dir().join("bist_batch_deep_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("deep.jsonl");
+        let good = record_row(&ok_record(0, "s27", "packed", 0.1), Some("x"));
+        std::fs::write(&path, format!("{good}\n{{\"x\": {}\n{good}\n", "[".repeat(500_000)))
+            .unwrap();
+        let err = ResumeLog::load(&path, "x").unwrap_err();
+        assert!(err.to_string().contains("line 2") && err.to_string().contains("nesting"), "{err}");
+        let err = JsonlSink::append(&path).map(|_| ()).unwrap_err();
+        assert!(err.to_string().contains("nesting"), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -1,8 +1,9 @@
 //! `subseq-bist serve` — the long-lived campaign service.
 //!
 //! A hand-rolled HTTP/1.1 front end over [`std::net::TcpListener`] (zero
-//! new dependencies, the same offline discipline as [`crate::jsonl`])
-//! that promotes the batch engine into a daemon:
+//! new dependencies; request heads are size-capped and specs are read
+//! with the workspace's one JSON grammar, `bist_obs::json`) that
+//! promotes the batch engine into a daemon:
 //!
 //! * `POST /campaigns` — submit a campaign spec (the JSON vocabulary of
 //!   the `run` CLI flags); responds with a campaign id and the spec's
@@ -41,22 +42,29 @@
 use crate::cache::{ArtifactCache, CachePolicy};
 use crate::campaign::Campaign;
 use crate::engine::CampaignEngine;
-use crate::jsonl::{escape, record_to_json, Parser};
+use crate::jsonl::record_row;
 use crate::report::{CampaignSummary, JobRecord, JsonlSink, ReportSink};
 use crate::BatchError;
+use bist_obs::json::{quote, Json};
 use bist_obs::{export, CounterHandle, GaugeHandle, Obs, Registry};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 use subseq_bist::tgen::TgenConfig;
 use subseq_bist::Backend;
 
 /// Largest accepted request body: campaign specs are small, and the
 /// parser should never be fed an unbounded allocation.
 const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Largest accepted request head (request line plus headers): each
+/// connection has its own thread, so an unbounded head would let one
+/// client grow the process's memory without limit.
+const MAX_HEAD_BYTES: u64 = 16 << 10;
 
 /// Configuration of a [`CampaignServer`].
 #[derive(Debug, Clone)]
@@ -121,29 +129,26 @@ pub fn campaign_from_spec(body: &str) -> Result<Campaign, BatchError> {
     let mut t0_budget: Option<usize> = None;
     let mut smoke = false;
 
-    let mut p = Parser::new(body);
-    p.ws();
-    p.object(&mut |p, key| {
-        p.ws();
+    let spec = Json::parse(body).map_err(bad)?;
+    let members = spec.as_object().ok_or_else(|| bad("expected a JSON object".to_string()))?;
+    let mut read = |key: &str, value: &Json| -> Result<(), String> {
         match key {
-            "circuits" => circuits = Some(string_array(p)?),
-            "upto" => upto = Some(number(p, "upto")?),
-            "backends" => backend_tokens = Some(string_array(p)?),
-            "seeds" => seeds = Some(number_array(p, "seeds")?),
-            "ns" => ns = Some(number_array(p, "ns")?),
-            "postprocess" => postprocess = boolean(p)?,
-            "verify" => verify = boolean(p)?,
-            "t0_cap" => t0_cap = Some(number(p, "t0_cap")?),
-            "t0_budget" => t0_budget = Some(number(p, "t0_budget")?),
-            "smoke" => smoke = boolean(p)?,
+            "circuits" => circuits = Some(string_array(value, key)?),
+            "upto" => upto = Some(number(value, key)?),
+            "backends" => backend_tokens = Some(string_array(value, key)?),
+            "seeds" => seeds = Some(number_array(value, key)?),
+            "ns" => ns = Some(number_array(value, key)?),
+            "postprocess" => postprocess = boolean(value, key)?,
+            "verify" => verify = boolean(value, key)?,
+            "t0_cap" => t0_cap = Some(number(value, key)?),
+            "t0_budget" => t0_budget = Some(number(value, key)?),
+            "smoke" => smoke = boolean(value, key)?,
             other => return Err(format!("unknown key `{other}`")),
         }
         Ok(())
-    })
-    .map_err(bad)?;
-    p.ws();
-    if !p.at_end() {
-        return Err(bad(format!("trailing garbage at byte {}", p.position())));
+    };
+    for (key, value) in members {
+        read(key, value).map_err(bad)?;
     }
 
     // Smoke mode mirrors the CLI: explicit fields always win.
@@ -187,34 +192,30 @@ pub fn campaign_from_spec(body: &str) -> Result<Campaign, BatchError> {
     Ok(campaign)
 }
 
-fn boolean(p: &mut Parser) -> Result<bool, String> {
-    match p.peek() {
-        Some(b't') => p.literal("true").map(|()| true),
-        Some(b'f') => p.literal("false").map(|()| false),
-        _ => Err(format!("expected `true` or `false` at byte {}", p.position())),
+fn boolean(value: &Json, key: &str) -> Result<bool, String> {
+    value.as_bool().ok_or_else(|| format!("`{key}`: expected `true` or `false`"))
+}
+
+fn string_array(value: &Json, key: &str) -> Result<Vec<String>, String> {
+    let items = value.as_array().ok_or_else(|| format!("`{key}`: expected an array"))?;
+    items
+        .iter()
+        .map(|item| item.as_str().map(str::to_string))
+        .collect::<Option<_>>()
+        .ok_or_else(|| format!("`{key}`: expected an array of strings"))
+}
+
+fn number<T: std::str::FromStr>(value: &Json, key: &str) -> Result<T, String> {
+    match value {
+        Json::Num(lexeme) => lexeme.parse().ok(),
+        _ => None,
     }
+    .ok_or_else(|| format!("bad number in `{key}`"))
 }
 
-fn string_array(p: &mut Parser) -> Result<Vec<String>, String> {
-    let mut out = Vec::new();
-    p.array_items(&mut |p| {
-        out.push(p.string()?);
-        Ok(())
-    })?;
-    Ok(out)
-}
-
-fn number<T: std::str::FromStr>(p: &mut Parser, what: &str) -> Result<T, String> {
-    p.raw_number()?.parse().map_err(|_| format!("bad number in `{what}`"))
-}
-
-fn number_array<T: std::str::FromStr>(p: &mut Parser, what: &str) -> Result<Vec<T>, String> {
-    let mut out = Vec::new();
-    p.array_items(&mut |p| {
-        out.push(number(p, what)?);
-        Ok(())
-    })?;
-    Ok(out)
+fn number_array<T: std::str::FromStr>(value: &Json, key: &str) -> Result<Vec<T>, String> {
+    let items = value.as_array().ok_or_else(|| format!("`{key}`: expected an array"))?;
+    items.iter().map(|item| number(item, key)).collect()
 }
 
 /// One submitted campaign's lifecycle, shared between the scheduler
@@ -448,9 +449,7 @@ struct StreamSink {
 
 impl ReportSink for StreamSink {
     fn accept(&mut self, record: &JobRecord) -> Result<(), BatchError> {
-        let mut line = record_to_json(record);
-        line.truncate(line.len() - 1);
-        line.push_str(&format!(", \"fp\": \"{}\"}}", self.state.fingerprint));
+        let line = record_row(record, Some(&self.state.fingerprint));
         let mut progress = self.state.progress.lock().expect("progress lock");
         progress.rows.push(line);
         self.state.progressed.notify_all();
@@ -472,17 +471,28 @@ impl Request {
     }
 }
 
-fn read_request(stream: &TcpStream) -> Result<Request, String> {
-    let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
+/// Reads one line of the request head; a line cut short by the head
+/// budget (or by the client hanging up) is an error, not a header.
+fn read_head_line(head: &mut impl BufRead) -> Result<String, String> {
     let mut line = String::new();
-    reader.read_line(&mut line).map_err(|e| e.to_string())?;
+    head.read_line(&mut line).map_err(|e| e.to_string())?;
+    if line.ends_with('\n') {
+        Ok(line)
+    } else {
+        Err(format!("request head is unterminated or exceeds {MAX_HEAD_BYTES} bytes"))
+    }
+}
+
+fn read_request(stream: &TcpStream) -> Result<Request, String> {
+    let reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
+    let mut head = reader.take(MAX_HEAD_BYTES);
+    let line = read_head_line(&mut head)?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or("empty request line")?.to_string();
     let path = parts.next().ok_or("request line missing path")?.to_string();
     let mut headers = Vec::new();
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).map_err(|e| e.to_string())?;
+        let header = read_head_line(&mut head)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -499,7 +509,7 @@ fn read_request(stream: &TcpStream) -> Result<Request, String> {
         return Err(format!("request body of {length} bytes exceeds {MAX_BODY_BYTES}"));
     }
     let mut body = vec![0u8; length];
-    reader.read_exact(&mut body).map_err(|e| e.to_string())?;
+    head.into_inner().read_exact(&mut body).map_err(|e| e.to_string())?;
     let body = String::from_utf8(body).map_err(|_| "request body is not UTF-8".to_string())?;
     Ok(Request { method, path, headers, body })
 }
@@ -518,7 +528,18 @@ fn respond_json(stream: &mut TcpStream, status: &str, body: &str) {
 }
 
 fn error_body(message: &str) -> String {
-    format!("{{\"error\": \"{}\"}}", escape(message))
+    format!("{{\"error\": {}}}", quote(message))
+}
+
+/// Lingering close after rejecting a request the server did not read to
+/// its end: half-close, then discard what the client is still sending
+/// (bounded in bytes, with a per-read timeout). Closing a socket with
+/// unread input makes the kernel answer with a reset, which can destroy
+/// the error response before the client reads it.
+fn linger(stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(Duration::from_secs(1)));
+    let _ = std::io::copy(&mut stream.take(MAX_BODY_BYTES as u64), &mut std::io::sink());
 }
 
 fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
@@ -526,6 +547,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         Ok(request) => request,
         Err(e) => {
             respond_json(&mut stream, "400 Bad Request", &error_body(&e));
+            linger(&stream);
             return;
         }
     };
@@ -629,8 +651,8 @@ fn submit_campaign(stream: &mut TcpStream, shared: &Arc<Shared>, request: &Reque
         stream,
         "200 OK",
         &format!(
-            "{{\"id\": {id}, \"fingerprint\": \"{fingerprint}\", \"journal\": \"{}\"}}",
-            escape(&journal.display().to_string())
+            "{{\"id\": {id}, \"fingerprint\": \"{fingerprint}\", \"journal\": {}}}",
+            quote(&journal.display().to_string())
         ),
     );
 }
@@ -712,14 +734,14 @@ fn serve_summary(stream: &mut TcpStream, shared: &Shared, id: u64) {
             &format!(
                 "{{\"id\": {id}, \"fingerprint\": \"{}\", \"digest\": \"{:016x}\", \
                  \"jobs_total\": {}, \"jobs_ok\": {}, \"jobs_failed\": {}, \"jobs_skipped\": {}, \
-                 \"journal\": \"{}\"}}",
+                 \"journal\": {}}}",
                 state.fingerprint,
                 summary.digest(),
                 summary.jobs_total,
                 summary.jobs_ok,
                 summary.jobs_failed,
                 summary.jobs_skipped,
-                escape(&state.journal.display().to_string())
+                quote(&state.journal.display().to_string())
             ),
         ),
         (None, Some(error)) => {

@@ -343,3 +343,44 @@ fn journal_stamped_by_an_older_fingerprint_is_refused() {
     assert_eq!(log.records().len(), 1);
     std::fs::remove_file(&path).unwrap();
 }
+
+/// A circuit file whose stem is not ASCII must journal and replay under
+/// the same label: the resumed summary digests exactly like the offline
+/// run, so the replayed rows land on the same axis line as the rerun
+/// ones would have.
+#[test]
+fn non_ascii_circuit_label_resumes_to_the_offline_digest() {
+    let dir = std::env::temp_dir().join(format!("bist_batch_non_ascii_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let bench = dir.join("café.bench");
+    std::fs::write(&bench, subseq_bist::netlist::writer::to_bench(&benchmarks::s27())).unwrap();
+    let campaign = Campaign::new()
+        .circuit_file(&bench)
+        .backends([Backend::Packed])
+        .seeds([1999, 2000])
+        .ns(vec![1])
+        .tgen(tiny_tgen())
+        .verify(false);
+    let fingerprint = campaign.fingerprint();
+    let offline = CampaignEngine::new().run(&campaign, &mut []).unwrap();
+    assert_eq!(offline.summary.jobs_ok, 2);
+    assert_eq!(offline.summary.circuits[0].label, "café");
+
+    let path = dir.join("journal.jsonl");
+    {
+        let mut sink = JsonlSink::create(&path).unwrap().with_fingerprint(&fingerprint);
+        let mut sinks: [&mut dyn ReportSink; 1] = [&mut sink];
+        CampaignEngine::new().run(&campaign, &mut sinks).unwrap();
+    }
+    // Keep the first row only, as a kill after one job would.
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::write(&path, format!("{}\n", text.lines().next().unwrap())).unwrap();
+    let log = ResumeLog::load(&path, &fingerprint).unwrap();
+    assert_eq!(log.records().len(), 1);
+    assert_eq!(log.records()[0].circuit, "café");
+    let resumed = CampaignEngine::new().run_resumed(&campaign, &mut [], log.records()).unwrap();
+    let labels: Vec<&str> = resumed.summary.circuits.iter().map(|l| l.label.as_str()).collect();
+    assert_eq!(labels, ["café"], "replayed and rerun jobs share one axis line");
+    assert_eq!(resumed.summary.digest(), offline.summary.digest());
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -20,6 +20,7 @@ use bist_batch::jsonl::validate_jsonl_line;
 use bist_batch::{
     campaign_from_spec, CachePolicy, CampaignEngine, CampaignServer, ResumeLog, ServeConfig,
 };
+use bist_obs::json::Json;
 use bist_obs::{export, Registry};
 
 /// A small two-circuit spec; `SPEC_A` and `SPEC_B` share `s27` so a
@@ -139,23 +140,19 @@ fn read_one_chunk(reader: &mut impl BufRead, body: &mut String) -> bool {
     size != 0
 }
 
-/// Pulls an unquoted numeric field out of a flat JSON object body.
+/// The numeric field `key` of a JSON object body.
 fn json_u64(body: &str, key: &str) -> u64 {
-    let tail = body
-        .split(&format!("\"{key}\": "))
-        .nth(1)
-        .unwrap_or_else(|| panic!("no `{key}` in {body}"));
-    let digits: String = tail.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().unwrap_or_else(|_| panic!("bad `{key}` in {body}"))
+    let doc = Json::parse(body).unwrap_or_else(|e| panic!("{e}: {body}"));
+    doc.get(key).and_then(Json::as_u64).unwrap_or_else(|| panic!("no `{key}` in {body}"))
 }
 
-/// Pulls a string field out of a flat JSON object body.
+/// The string field `key` of a JSON object body.
 fn json_str(body: &str, key: &str) -> String {
-    let tail = body
-        .split(&format!("\"{key}\": \""))
-        .nth(1)
-        .unwrap_or_else(|| panic!("no `{key}` in {body}"));
-    tail.split('"').next().expect("closing quote").to_string()
+    let doc = Json::parse(body).unwrap_or_else(|e| panic!("{e}: {body}"));
+    doc.get(key)
+        .and_then(Json::as_str)
+        .unwrap_or_else(|| panic!("no `{key}` in {body}"))
+        .to_string()
 }
 
 /// The tentpole acceptance test: two clients drive the real socket
@@ -390,4 +387,48 @@ fn graceful_drain_finishes_in_flight_work_and_leaves_resumable_journals() {
         .expect("queued campaign resumes offline from its journal");
     assert_eq!(resumed.summary.jobs_ok, 2);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The request head is capped: a client streaming 64 KiB without a
+/// newline gets a `400` once the cap is reached, instead of growing the
+/// server's memory, and the next request is served as usual.
+#[test]
+fn oversized_request_head_is_a_400_and_the_server_keeps_serving() {
+    let dir = temp_journal_dir("head");
+    let (addr, _registry, server) =
+        start(ServeConfig { journal_dir: dir.clone(), ..ServeConfig::default() });
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    // The server may stop reading (and close) before all bytes are
+    // written; only its answer matters.
+    let _ = stream.write_all(&vec![b'a'; 64 << 10]);
+    let mut reader = BufReader::new(stream);
+    let (status, length, _) = read_head(&mut reader);
+    assert_eq!(status, 400);
+    let mut body = vec![0u8; length];
+    reader.read_exact(&mut body).expect("error body");
+    let body = String::from_utf8(body).expect("utf-8 body");
+    assert!(json_str(&body, "error").contains("exceeds"), "{body}");
+    drop(reader);
+
+    let health = request(addr, "GET", "/healthz", &[], "");
+    assert_eq!((health.status, health.body.as_str()), (200, "ok\n"));
+    let shutdown = request(addr, "POST", "/shutdown", &[], "");
+    assert_eq!(shutdown.status, 200);
+    server.join().expect("server thread exits cleanly");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Submission bodies are untrusted: nesting far past the grammar's cap
+/// is a spec error under a known key and under an unknown one, never a
+/// stack overflow.
+#[test]
+fn deeply_nested_specs_are_errors_not_a_stack_overflow() {
+    for key in ["circuits", "seeds", "smoke", "no_such_key"] {
+        for open in ["[", "{\"x\": "] {
+            let spec = format!("{{\"{key}\": {}", open.repeat(500_000));
+            let err = campaign_from_spec(&spec).map(|_| ()).unwrap_err().to_string();
+            assert!(err.contains("nesting"), "{key}: {err}");
+        }
+    }
 }

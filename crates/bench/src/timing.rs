@@ -7,6 +7,7 @@
 //! a `BENCH_<name>.json` file so successive PRs can track performance
 //! trajectories.
 
+use bist_obs::json::{quote, Json};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -132,19 +133,19 @@ impl Report {
         self.measurements.iter().find(|m| m.name == name)
     }
 
-    /// Renders the report as a JSON document (hand-rolled: no serde in
-    /// this environment; names are ASCII identifiers by convention).
+    /// Renders the report as a JSON document, strings escaped by
+    /// `bist_obs::json`.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str(&format!("  \"bench\": \"{}\",\n", escape(&self.name)));
+        out.push_str(&format!("  \"bench\": {},\n", quote(&self.name)));
         out.push_str("  \"results\": [\n");
         for (i, m) in self.measurements.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"iters\": {}, \"median_ns\": {:.1}, \
+                "    {{\"name\": {}, \"iters\": {}, \"median_ns\": {:.1}, \
                  \"min_ns\": {:.1}, \"mean_ns\": {:.1}}}{}\n",
-                escape(&m.name),
+                quote(&m.name),
                 m.iters,
                 m.median_ns,
                 m.min_ns,
@@ -201,238 +202,31 @@ impl Report {
 ///
 /// A description of the first syntax or schema violation found.
 pub fn validate_json(text: &str) -> Result<(), String> {
-    let mut p = JsonParser { bytes: text.as_bytes(), pos: 0 };
-    p.ws();
-    p.report()?;
-    p.ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
+    let report = Json::parse(text)?;
+    if report.as_object().is_none() {
+        return Err("expected a top-level object".to_string());
+    }
+    match report.get("bench") {
+        Some(Json::Str(_)) => {}
+        Some(_) => return Err("top-level `bench` must be a string".to_string()),
+        None => return Err("missing top-level `bench` key".to_string()),
+    }
+    let results = match report.get("results") {
+        Some(results) => results.as_array().ok_or("top-level `results` must be an array")?,
+        None => return Err("missing top-level `results` key".to_string()),
+    };
+    for entry in results {
+        let entry = entry.as_object().ok_or("result entry must be an object")?;
+        for required in RESULT_KEYS {
+            if !entry.iter().any(|(k, _)| k == required) {
+                return Err(format!("result entry missing `{required}`"));
+            }
+        }
     }
     Ok(())
 }
 
 const RESULT_KEYS: [&str; 5] = ["name", "iters", "median_ns", "min_ns", "mean_ns"];
-
-/// Hand-rolled recursive-descent JSON parser (no serde in this offline
-/// environment); strict enough to catch truncation, bad escaping and
-/// missing report fields.
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn ws(&mut self) {
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_whitespace) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        if self.bytes.get(self.pos) == Some(&c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", c as char, self.pos))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    let esc = self.bytes.get(self.pos + 1);
-                    match esc {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') | Some(b'b') | Some(b'f') | Some(b'n') | Some(b'r')
-                        | Some(b't') => out.push(' '),
-                        Some(b'u') => {
-                            let hex = self.bytes.get(self.pos + 2..self.pos + 6);
-                            if !hex.is_some_and(|h| h.iter().all(u8::is_ascii_hexdigit)) {
-                                return Err(format!("bad \\u escape at byte {}", self.pos));
-                            }
-                            out.push(' ');
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 2;
-                }
-                Some(&b) if b >= 0x20 => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                _ => return Err(format!("unterminated string at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        let digits = |p: &mut Self| {
-            let s = p.pos;
-            while p.bytes.get(p.pos).is_some_and(u8::is_ascii_digit) {
-                p.pos += 1;
-            }
-            p.pos > s
-        };
-        if !digits(self) {
-            return Err(format!("expected number at byte {start}"));
-        }
-        if self.bytes.get(self.pos) == Some(&b'.') {
-            self.pos += 1;
-            if !digits(self) {
-                return Err(format!("digits required after `.` at byte {}", self.pos));
-            }
-        }
-        if matches!(self.bytes.get(self.pos), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.bytes.get(self.pos), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            if !digits(self) {
-                return Err(format!("digits required in exponent at byte {}", self.pos));
-            }
-        }
-        Ok(())
-    }
-
-    /// Any JSON value, structure-checked only.
-    fn value(&mut self) -> Result<(), String> {
-        self.ws();
-        match self.bytes.get(self.pos) {
-            Some(b'"') => self.string().map(|_| ()),
-            Some(b'{') => self.object(|p, _| p.value()),
-            Some(b'[') => self.array(JsonParser::value),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            _ => self.number(),
-        }
-    }
-
-    fn literal(&mut self, word: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(())
-        } else {
-            Err(format!("expected `{word}` at byte {}", self.pos))
-        }
-    }
-
-    fn object(
-        &mut self,
-        mut member: impl FnMut(&mut Self, &str) -> Result<(), String>,
-    ) -> Result<(), String> {
-        self.ws();
-        self.eat(b'{')?;
-        self.ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            member(self, &key)?;
-            self.ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(
-        &mut self,
-        mut element: impl FnMut(&mut Self) -> Result<(), String>,
-    ) -> Result<(), String> {
-        self.ws();
-        self.eat(b'[')?;
-        self.ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            element(self)?;
-            self.ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    /// The report schema: `{"bench": <string>, "results": [<entry>...]}`.
-    fn report(&mut self) -> Result<(), String> {
-        let mut saw_bench = false;
-        let mut saw_results = false;
-        self.object(|p, key| match key {
-            "bench" => {
-                saw_bench = true;
-                p.ws();
-                p.string().map(|_| ())
-            }
-            "results" => {
-                saw_results = true;
-                p.array(JsonParser::result_entry)
-            }
-            _ => p.value(),
-        })?;
-        if !saw_bench {
-            return Err("missing top-level `bench` key".to_string());
-        }
-        if !saw_results {
-            return Err("missing top-level `results` key".to_string());
-        }
-        Ok(())
-    }
-
-    fn result_entry(&mut self) -> Result<(), String> {
-        let mut seen: Vec<String> = Vec::new();
-        self.object(|p, key| {
-            seen.push(key.to_string());
-            p.value()
-        })?;
-        for required in RESULT_KEYS {
-            if !seen.iter().any(|k| k == required) {
-                return Err(format!("result entry missing `{required}`"));
-            }
-        }
-        Ok(())
-    }
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c => vec![c],
-        })
-        .collect()
-}
 
 #[cfg(test)]
 mod tests {
@@ -501,6 +295,30 @@ mod tests {
         assert!(validate_json(r#"{"bench": "a"}"#).unwrap_err().contains("results"));
         let missing_key = r#"{"bench": "a", "results": [{"name": "x", "iters": 1}]}"#;
         assert!(validate_json(missing_key).unwrap_err().contains("median_ns"));
+    }
+
+    #[test]
+    fn committed_ledger_files_validate() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for name in ["expansion", "fault_sim", "procedure1", "tables"] {
+            let text = std::fs::read_to_string(root.join(format!("BENCH_{name}.json"))).unwrap();
+            validate_json(&text).unwrap_or_else(|e| panic!("BENCH_{name}.json: {e}"));
+        }
+    }
+
+    #[test]
+    fn names_are_escaped_and_nesting_is_capped() {
+        let mut r = Report::new("tab\there");
+        r.measurements.push(Measurement {
+            name: "nl\n\u{1}".into(),
+            iters: 1,
+            median_ns: 1.0,
+            min_ns: 1.0,
+            mean_ns: 1.0,
+        });
+        validate_json(&r.to_json()).expect("control characters are escaped");
+        let deep = format!("{{\"bench\": \"a\", \"results\": {}", "[".repeat(500_000));
+        assert!(validate_json(&deep).unwrap_err().contains("nesting"));
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! and a thread-safe [`Registry`] whose [`MetricsSnapshot`] is
 //! stable-sorted so every export is deterministic.
 //!
-//! In keeping with the repo's hand-rolled style (`bist_batch::jsonl`,
-//! the vendored `rand` shim) there are no dependencies: the exporters
-//! in [`export`] render a human-readable text table, a metrics JSON
-//! document and a trace JSONL stream, each paired with a strict
-//! recursive-descent validator.
+//! There are no dependencies. [`json`] holds the workspace's one JSON
+//! grammar (a value tree, a strict depth-capped parser and the string
+//! escaper) that every JSON reader and writer of the stack shares; the
+//! exporters in [`export`] render a human-readable text table, a
+//! metrics JSON document and a trace JSONL stream, each paired with a
+//! strict schema validator built on it.
 //!
 //! ## The `Obs` handle
 //!
@@ -41,6 +42,7 @@
 #![warn(missing_docs)]
 
 pub mod export;
+pub mod json;
 mod metric;
 mod registry;
 
