@@ -209,13 +209,15 @@ fn campaign_row(line: &str) -> Result<(Json, JobStatus), String> {
 }
 
 /// Validates one JSONL row: well-formed JSON object, the required row
-/// keys, and — for `status: "ok"` rows — the metric keys.
+/// keys, and — for `status: "ok"` rows — the metric keys, each with the
+/// type [`parse_record`] reads it as. A row passes exactly when
+/// `--resume` can replay it.
 ///
 /// # Errors
 ///
 /// A description of the first syntax or schema violation.
 pub fn validate_jsonl_line(line: &str) -> Result<(), String> {
-    campaign_row(line).map(|_| ())
+    parse_record(line).map(|_| ())
 }
 
 /// Validates a whole JSONL document (one row per non-empty line) and
@@ -402,6 +404,30 @@ mod tests {
             "exec_seconds": 0.1}"#
             .replace('\n', " ");
         assert!(validate_jsonl_line(&bad_status).unwrap_err().contains("meh"));
+    }
+
+    #[test]
+    fn mistyped_fields_are_caught() {
+        let row = record_to_json(&ok_record());
+        for (from, to) in [
+            ("\"faults_total\": 32", "\"faults_total\": \"x\""),
+            ("\"t0_len\": 10", "\"t0_len\": -1"),
+            ("\"loaded_fraction\": 0.5", "\"loaded_fraction\": \"0.5\""),
+            ("\"verified\": true", "\"verified\": 1"),
+            ("\"engine\": \"sharded256\"", "\"engine\": 7"),
+            ("\"seed\": 1999", "\"seed\": 1.5"),
+            ("\"circuit\": \"s27\"", "\"circuit\": null"),
+        ] {
+            let bad = row.replace(from, to);
+            assert_ne!(bad, row, "{from}");
+            let key = &from[1..from[1..].find('"').unwrap() + 1];
+            assert!(validate_jsonl_line(&bad).unwrap_err().contains(key), "{to}");
+            // A whole document rejects it anywhere; a lenient read forgives
+            // it only as the torn last line.
+            assert!(validate_jsonl(&format!("{bad}\n{row}\n")).unwrap_err().starts_with("line 1"));
+            assert!(validate_jsonl_lenient(&format!("{bad}\n{row}\n")).is_err(), "{to}");
+            assert_eq!(validate_jsonl_lenient(&format!("{row}\n{bad}\n")), Ok((1, true)));
+        }
     }
 
     #[test]

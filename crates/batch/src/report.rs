@@ -788,6 +788,21 @@ mod tests {
     }
 
     #[test]
+    fn append_refuses_a_mistyped_row_resume_could_not_replay() {
+        let dir = std::env::temp_dir().join("bist_batch_mistyped_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("mistyped.jsonl");
+        let good = record_to_json(&ok_record(0, "s27", "packed", 0.1));
+        let bad = good.replacen("\"faults_total\": ", "\"faults_total\": \"x\", \"was\": ", 1);
+        assert_ne!(bad, good);
+        std::fs::write(&path, format!("{bad}\n{good}\n")).unwrap();
+        let Err(err) = JsonlSink::append(&path) else { panic!("a mistyped row was accepted") };
+        let err = err.to_string();
+        assert!(err.contains("line 1") && err.contains("faults_total"), "{err}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn torn_only_journal_resumes_as_a_fresh_run() {
         // A client killed mid-first-write strands a journal holding only
         // a torn trailing fragment — zero valid rows. Resuming from it

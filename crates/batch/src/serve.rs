@@ -1,9 +1,10 @@
 //! `subseq-bist serve` — the long-lived campaign service.
 //!
 //! A hand-rolled HTTP/1.1 front end over [`std::net::TcpListener`] (zero
-//! new dependencies; request heads are size-capped and specs are read
-//! with the workspace's one JSON grammar, `bist_obs::json`) that
-//! promotes the batch engine into a daemon:
+//! new dependencies; requests are size-capped and must arrive within a
+//! fixed read timeout, and specs are read with the workspace's one JSON
+//! grammar, `bist_obs::json`) that promotes the batch engine into a
+//! daemon:
 //!
 //! * `POST /campaigns` — submit a campaign spec (the JSON vocabulary of
 //!   the `run` CLI flags); responds with a campaign id and the spec's
@@ -65,6 +66,12 @@ const MAX_BODY_BYTES: usize = 1 << 20;
 /// connection has its own thread, so an unbounded head would let one
 /// client grow the process's memory without limit.
 const MAX_HEAD_BYTES: u64 = 16 << 10;
+
+/// How long a client may take to send its request head and body. Each
+/// connection has its own thread, so a client that sends part of a
+/// request, or nothing, would otherwise hold that thread forever. The
+/// timeout covers only the request; streamed responses are not bounded.
+const REQUEST_READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Configuration of a [`CampaignServer`].
 #[derive(Debug, Clone)]
@@ -475,7 +482,7 @@ impl Request {
 /// budget (or by the client hanging up) is an error, not a header.
 fn read_head_line(head: &mut impl BufRead) -> Result<String, String> {
     let mut line = String::new();
-    head.read_line(&mut line).map_err(|e| e.to_string())?;
+    head.read_line(&mut line).map_err(read_error)?;
     if line.ends_with('\n') {
         Ok(line)
     } else {
@@ -483,7 +490,26 @@ fn read_head_line(head: &mut impl BufRead) -> Result<String, String> {
     }
 }
 
+/// Describes a failed request read, naming the timeout when it struck.
+fn read_error(e: std::io::Error) -> String {
+    match e.kind() {
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
+            format!("request not received within {} s", REQUEST_READ_TIMEOUT.as_secs())
+        }
+        _ => e.to_string(),
+    }
+}
+
+/// Reads one request under [`REQUEST_READ_TIMEOUT`], then clears the
+/// timeout so that the response may stream for as long as it needs.
 fn read_request(stream: &TcpStream) -> Result<Request, String> {
+    stream.set_read_timeout(Some(REQUEST_READ_TIMEOUT)).map_err(|e| e.to_string())?;
+    let request = read_head_and_body(stream)?;
+    stream.set_read_timeout(None).map_err(|e| e.to_string())?;
+    Ok(request)
+}
+
+fn read_head_and_body(stream: &TcpStream) -> Result<Request, String> {
     let reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
     let mut head = reader.take(MAX_HEAD_BYTES);
     let line = read_head_line(&mut head)?;
@@ -509,7 +535,7 @@ fn read_request(stream: &TcpStream) -> Result<Request, String> {
         return Err(format!("request body of {length} bytes exceeds {MAX_BODY_BYTES}"));
     }
     let mut body = vec![0u8; length];
-    head.into_inner().read_exact(&mut body).map_err(|e| e.to_string())?;
+    head.into_inner().read_exact(&mut body).map_err(read_error)?;
     let body = String::from_utf8(body).map_err(|_| "request body is not UTF-8".to_string())?;
     Ok(Request { method, path, headers, body })
 }

@@ -419,6 +419,47 @@ fn oversized_request_head_is_a_400_and_the_server_keeps_serving() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A client that sends part of a request head, or nothing, does not hold
+/// its connection thread forever: the server answers `400` once the
+/// request read timeout passes and closes the connection, and other
+/// clients are served meanwhile and afterwards.
+#[test]
+fn silent_connections_time_out_and_the_server_keeps_serving() {
+    let dir = temp_journal_dir("silent");
+    let (addr, _registry, server) =
+        start(ServeConfig { journal_dir: dir.clone(), ..ServeConfig::default() });
+    let started = std::time::Instant::now();
+    let silent = TcpStream::connect(addr).expect("connect");
+    let mut partial = TcpStream::connect(addr).expect("connect");
+    partial.write_all(b"GET /heal").expect("write part of a head");
+
+    let health = request(addr, "GET", "/healthz", &[], "");
+    assert_eq!((health.status, health.body.as_str()), (200, "ok\n"));
+
+    for stream in [silent, partial] {
+        // A bound on this test's own wait, well past the server's.
+        stream.set_read_timeout(Some(std::time::Duration::from_secs(60))).expect("timeout");
+        let mut reader = BufReader::new(stream);
+        let (status, length, _) = read_head(&mut reader);
+        assert_eq!(status, 400);
+        let mut body = vec![0u8; length];
+        reader.read_exact(&mut body).expect("error body");
+        let body = String::from_utf8(body).expect("utf-8 body");
+        assert!(json_str(&body, "error").contains("not received within"), "{body}");
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).expect("the server closes the connection");
+        assert!(rest.is_empty());
+    }
+    assert!(started.elapsed() >= std::time::Duration::from_secs(4), "closed by the timeout");
+
+    let health = request(addr, "GET", "/healthz", &[], "");
+    assert_eq!((health.status, health.body.as_str()), (200, "ok\n"));
+    let shutdown = request(addr, "POST", "/shutdown", &[], "");
+    assert_eq!(shutdown.status, 200);
+    server.join().expect("server thread exits cleanly");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Submission bodies are untrusted: nesting far past the grammar's cap
 /// is a spec error under a known key and under an unknown one, never a
 /// stack overflow.

@@ -104,6 +104,26 @@ impl MachineState {
         self.row(fault).map(|r| self.row_values(r))
     }
 
+    /// This state relabelled as the state at `time`, tracking only the
+    /// faults `keep` accepts. Static compaction uses it when omitting a
+    /// vector shifts the tail of a walk one step earlier: the flip-flop
+    /// values stay valid, only their time and the faults still worth
+    /// tracking change. Rows are copied only if some are dropped.
+    #[must_use]
+    pub fn retimed(self, time: usize, keep: impl Fn(Fault) -> bool) -> Self {
+        debug_assert!(!self.is_reset() && time > 0, "only captured states can be retimed");
+        if self.faults.iter().all(|&f| keep(f)) {
+            return MachineState { time, ..self };
+        }
+        let mut faults = Vec::new();
+        let mut faulty = Vec::new();
+        for (r, &f) in self.faults.iter().enumerate().filter(|&(_, &f)| keep(f)) {
+            faults.push(f);
+            faulty.extend_from_slice(self.row_values(r));
+        }
+        MachineState::captured(time, self.good, faults, faulty)
+    }
+
     /// Row index of `fault`, if tracked.
     pub(crate) fn row(&self, fault: Fault) -> Option<usize> {
         let k = self.order.binary_search_by_key(&fault, |&r| self.faults[r as usize]).ok()?;
@@ -180,5 +200,21 @@ mod tests {
         assert_eq!(s, swapped);
         let changed = MachineState::captured(5, good, vec![b, a], [ra, rb].concat());
         assert_ne!(s, changed);
+    }
+
+    #[test]
+    fn retimed_relabels_and_drops_rows() {
+        let a = Fault::output(NodeId::from_index(3), true);
+        let b = Fault::output(NodeId::from_index(1), false);
+        let (ra, rb) = ([Logic::One, Logic::X], [Logic::Zero, Logic::One]);
+        let good = vec![Logic::One, Logic::Zero];
+        let s = MachineState::captured(5, good.clone(), vec![a, b], [ra, rb].concat());
+        let all = s.clone().retimed(4, |_| true);
+        assert_eq!(all.time(), 4);
+        assert_eq!(all.good(), &good[..]);
+        assert_eq!((all.fault_state(a), all.fault_state(b)), (Some(&ra[..]), Some(&rb[..])));
+        let only_b = s.retimed(4, |f| f == b);
+        assert_eq!(only_b, MachineState::captured(4, good, vec![b], rb.to_vec()));
+        assert_eq!(only_b.fault_state(a), None);
     }
 }

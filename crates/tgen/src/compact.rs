@@ -8,23 +8,50 @@
 //!
 //! Trials are incremental. Omitting vector `u` leaves the prefix
 //! `[0, u)` unchanged, and with it every detection before `u`, so a trial
-//! re-simulates only the target faults detected at `u` or later,
-//! resuming from the nearest *checkpoint* at or before `u` rather than
-//! from the all-`X` state. Checkpoints are [`MachineState`]s at every
-//! multiple of `2⌊√len⌋` vectors. The spacing follows from the input
-//! length alone; denser checkpoints measured no faster, and each one
-//! holds a row per still-undetected fault. One from-reset pass at the
-//! start captures them, yields the detection times and checks that the
-//! input detects the whole target set. A successful trial keeps the
-//! checkpoints up to `u` and replaces the later ones with snapshots from
-//! its own walk; a failed trial changes nothing. A trial with no target
-//! fault detected at or after `u` succeeds without simulating (it still
-//! counts against the budget). Sequences, trial counts and removals are
-//! exactly those of re-simulating every candidate from scratch.
+//! re-simulates only the *pending* faults, those detected at `u` or
+//! later, resuming from the latest *reference* at or before `u` rather
+//! than from the all-`X` state. A trial with no pending fault succeeds
+//! without simulating (it still counts against the budget).
 //!
-//! Checkpoints past the last detection time are never read — a trial
-//! there has nothing to simulate — so the snapshots a walk could not
-//! reach (every chunk stopped at its last detection) are simply absent.
+//! **References.** The compactor keeps [`MachineState`]s of the current
+//! sequence's walk from reset, in a list sorted by
+//! [`MachineState::time`]. The reference at time `t` holds the good
+//! machine's flip-flops and a row for every fault the walk has not
+//! detected before `t` (its *live* faults); a state with no live fault
+//! is never read and is not kept. The list starts as the reset state
+//! plus snapshots at every multiple of `2⌊√len⌋` vectors, captured by
+//! one pass from reset that also yields the detection times `udet` and
+//! checks that the input detects the whole target set. The spacing
+//! follows from the input length alone.
+//!
+//! **Rejoining.** Past `u`, trial time `τ` applies the vector of
+//! original time `τ + 1`. A trial walks in segments: from its resume
+//! point to one step before the next reference after `u`, then on to one
+//! step before the following one, and so on. After each segment it
+//! compares its state at trial time `T − 1` with the reference at `T`.
+//! It *rejoins* when the good machines' flip-flops are equal and every
+//! pending fault still undetected in the trial has an equal row in the
+//! reference with `udet ≥ T`. Three-valued simulation is deterministic
+//! from equal states, `X` included, so from there on the trial is the
+//! original walk one step earlier: each of those faults is detected at
+//! `udet − 1`, and the trial is accepted with no further walking. A trial
+//! that does not rejoin walks on: it is accepted once every pending fault
+//! is detected and rejected at the end of the sequence. Sequences,
+//! trial counts, removals and detection times are therefore exactly
+//! those of re-simulating every candidate from reset.
+//!
+//! **Keeping references valid.** A failed trial changes nothing. An
+//! accepted trial keeps the references up to `u` and replaces the ones
+//! it passed with the snapshots its segments ended in. After a rejoin at
+//! `T`, the later references describe the new walk one step earlier, so
+//! they stay, retimed by −1 ([`MachineState::retimed`]). Their rows of
+//! faults the trial detected before rejoining are stale: the new walk
+//! detects those faults before `T − 1`, and a row captured on the old
+//! walk no longer describes their machines. The `udet ≥ T` guard is what
+//! keeps a chance match against such a row from accepting a wrong trial;
+//! retiming also drops the stale rows, so references stay no larger than
+//! the snapshots they stand for. Without a rejoin, the references the
+//! trial did not reach have no live fault left and are dropped.
 
 use bist_expand::{TestSequence, TestVector, VectorSource};
 use bist_netlist::Circuit;
@@ -44,6 +71,9 @@ pub struct CompactionStats {
     pub removed: usize,
     /// Number of trial fault simulations spent.
     pub trials: usize,
+    /// Accepted trials that ended early by rejoining the walk of the
+    /// sequence before the omission (at most `removed`).
+    pub rejoined: usize,
 }
 
 impl CompactionStats {
@@ -102,23 +132,25 @@ pub(crate) fn compact_on(
     let mut current = sequence.clone();
     if sequence.is_empty() {
         assert!(keep.is_empty(), "{UNDETECTED_KEEP}");
-        return Ok(CompactionStats { sequence: current, original_len, removed: 0, trials: 0 });
+        return Ok(CompactionStats {
+            sequence: current,
+            original_len,
+            removed: 0,
+            trials: 0,
+            rejoined: 0,
+        });
     }
     let spacing = 2 * original_len.isqrt();
-    let walked = sim.resume(
-        &MachineState::reset(),
-        sequence,
-        keep,
-        &checkpoint_times(spacing, 1, original_len),
-    )?;
+    let capture: Vec<usize> = (spacing..original_len).step_by(spacing).collect();
+    let walked = sim.resume(&MachineState::reset(), sequence, keep, &capture)?;
     assert!(walked.times.iter().all(Option::is_some), "{UNDETECTED_KEEP}");
     let mut udet: Vec<usize> = walked.times.into_iter().flatten().collect();
-    // `checkpoints[j]` is the state before vector `j * spacing`.
-    let mut checkpoints: Vec<Option<MachineState>> =
-        std::iter::once(Some(MachineState::reset())).chain(walked.states).collect();
+    let mut refs: Vec<MachineState> =
+        std::iter::once(MachineState::reset()).chain(walked.states.into_iter().flatten()).collect();
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
     let mut trials = 0usize;
+    let mut rejoined = 0usize;
 
     'outer: loop {
         if current.len() <= 1 {
@@ -137,31 +169,30 @@ pub(crate) fn compact_on(
             trials += 1;
             // Only faults detected at `u` or later can be lost.
             let pending: Vec<usize> = (0..keep.len()).filter(|&i| udet[i] >= u).collect();
-            let new_len = current.len() - 1;
-            if !pending.is_empty() {
-                let c = u / spacing;
-                let continuation = Omitted { seq: &current, from: c * spacing, skip: u };
-                if continuation.is_empty() {
-                    // `u` is the last vector and its own checkpoint: the
-                    // faults detected there are lost.
-                    continue;
-                }
-                let from = checkpoints[c]
-                    .as_ref()
-                    .expect("checkpoints up to the last detection time are captured");
-                let faults: Vec<Fault> = pending.iter().map(|&i| keep[i]).collect();
-                let capture = checkpoint_times(spacing, c + 1, new_len);
-                let resumed = sim.resume(from, &continuation, &faults, &capture)?;
-                if resumed.times.iter().any(Option::is_none) {
-                    continue;
-                }
-                for (&i, t) in pending.iter().zip(resumed.times) {
-                    udet[i] = t.expect("checked above");
-                }
-                checkpoints.truncate(c + 1);
-                checkpoints.extend(resumed.states);
+            let Some(trial) = Trial::run(sim, &current, u, keep, &pending, &udet, &refs)? else {
+                continue;
+            };
+            for (&i, t) in pending.iter().zip(trial.times) {
+                udet[i] = t;
             }
-            checkpoints.truncate(new_len.div_ceil(spacing));
+            // References up to `u` stand; the ones the trial passed give
+            // way to its snapshots; after a rejoin, the later ones move
+            // one step earlier, without the rows the trial made stale.
+            let passed = refs.partition_point(|r| r.time() <= u);
+            let later = trial.rejoined.map_or_else(Vec::new, |k| refs.split_off(k + 1));
+            refs.truncate(passed);
+            refs.extend(trial.states);
+            rejoined += usize::from(trial.rejoined.is_some());
+            let stale = |f: Fault| trial.detected.binary_search(&f).is_ok();
+            refs.extend(
+                later
+                    .into_iter()
+                    .map(|r| {
+                        let time = r.time() - 1;
+                        r.retimed(time, |f| !stale(f))
+                    })
+                    .filter(|r| !r.faults().is_empty()),
+            );
             current = current.without(u);
             // Restart the scan over the shortened sequence.
             continue 'outer;
@@ -174,21 +205,100 @@ pub(crate) fn compact_on(
         original_len,
         sequence: current,
         trials,
+        rejoined,
     })
 }
 
-/// Checkpoint times `j * spacing` for `j >= first`, below `len`.
-fn checkpoint_times(spacing: usize, first: usize, len: usize) -> Vec<usize> {
-    (first * spacing..len).step_by(spacing).collect()
+/// An accepted trial: what the shortened sequence's walk looks like.
+struct Trial {
+    /// New detection times of the pending faults, in `pending` order.
+    times: Vec<usize>,
+    /// The snapshots the trial's segments ended in, ascending in time.
+    states: Vec<MachineState>,
+    /// The pending faults the trial's own walk detected, sorted: after a
+    /// rejoin, their rows in the later references are stale.
+    detected: Vec<Fault>,
+    /// Index of the reference the trial rejoined, if it did.
+    rejoined: Option<usize>,
 }
 
-/// `seq[from..]` with the vector at `skip` left out: a trial's
-/// continuation after its checkpoint, streamed without building the
-/// candidate sequence.
+impl Trial {
+    /// Runs the trial that omits vector `u` of `current`: `Some` if every
+    /// pending fault stays detected.
+    fn run(
+        sim: &FaultSimulator<'_>,
+        current: &TestSequence,
+        u: usize,
+        keep: &[Fault],
+        pending: &[usize],
+        udet: &[usize],
+        refs: &[MachineState],
+    ) -> Result<Option<Trial>, SimError> {
+        let mut times: Vec<Option<usize>> = vec![None; pending.len()];
+        let mut states: Vec<MachineState> = Vec::new();
+        // Pending faults (indices into `pending`) the trial has not
+        // detected yet.
+        let mut live: Vec<usize> = (0..pending.len()).collect();
+        let mut next = refs.partition_point(|r| r.time() <= u);
+        let start = &refs[next - 1];
+        let rejoined = loop {
+            let at = states.last().unwrap_or(start);
+            let reference = refs.get(next);
+            // Walk to one step before the next reference, or to the end.
+            let stop = reference.map(|r| r.time() - 1);
+            let end = stop.unwrap_or(current.len() - 1);
+            if !live.is_empty() && end > at.time() {
+                let segment = Omitted { seq: current, from: at.time(), skip: u, end };
+                let faults: Vec<Fault> = live.iter().map(|&k| keep[pending[k]]).collect();
+                let mut walked = sim.resume(at, &segment, &faults, stop.as_slice())?;
+                for (&k, &t) in live.iter().zip(&walked.times) {
+                    times[k] = t;
+                }
+                live.retain(|&k| times[k].is_none());
+                states.extend(walked.states.pop().flatten());
+            }
+            if live.is_empty() {
+                break None;
+            }
+            // The end of the sequence, with a pending fault undetected.
+            let Some(reference) = reference else { return Ok(None) };
+            let at = states.last().unwrap_or(start);
+            let rejoins = live.iter().all(|&k| udet[pending[k]] >= reference.time())
+                && at.good() == reference.good()
+                && live.iter().all(|&k| {
+                    let f = keep[pending[k]];
+                    at.fault_state(f).is_some_and(|row| reference.fault_state(f) == Some(row))
+                });
+            if rejoins {
+                break Some(next);
+            }
+            next += 1;
+        };
+        let mut detected: Vec<Fault> = pending
+            .iter()
+            .zip(&times)
+            .filter(|(_, t)| t.is_some())
+            .map(|(&i, _)| keep[i])
+            .collect();
+        detected.sort_unstable();
+        for &k in &live {
+            times[k] = Some(udet[pending[k]] - 1);
+        }
+        let times = times.into_iter().map(|t| t.expect("detected or rejoined")).collect();
+        Ok(Some(Trial { times, states, detected, rejoined }))
+    }
+}
+
+/// The vectors a trial applies at trial times `from..end` when it omits
+/// the vector at `skip`: trial time `τ` applies `seq[τ]` before `skip`
+/// and `seq[τ + 1]` from `skip` on, so `from` may lie past `skip`. One
+/// segment of a trial's walk, streamed without building the candidate
+/// sequence.
 struct Omitted<'a> {
     seq: &'a TestSequence,
     from: usize,
     skip: usize,
+    end: usize,
 }
 
 impl VectorSource for Omitted<'_> {
@@ -197,13 +307,15 @@ impl VectorSource for Omitted<'_> {
     }
 
     fn num_vectors(&self) -> usize {
-        self.seq.len() - self.from - 1
+        self.end - self.from
     }
 
     fn visit(&self, visitor: &mut dyn FnMut(usize, &TestVector) -> bool) {
         let vectors = self.seq.vectors();
-        let kept = vectors[self.from..self.skip].iter().chain(&vectors[self.skip + 1..]);
-        for (t, v) in kept.enumerate() {
+        let (from, end, skip) = (self.from, self.end, self.skip);
+        let before = &vectors[from.min(skip)..end.min(skip)];
+        let after = &vectors[from.max(skip) + 1..end.max(skip) + 1];
+        for (t, v) in before.iter().chain(after).enumerate() {
             if !visitor(t, v) {
                 return;
             }
@@ -219,6 +331,7 @@ impl VectorSource for Omitted<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{generate_t0_with_faults, TgenConfig};
     use bist_netlist::benchmarks;
     use bist_sim::{collapse, fault_universe};
 
@@ -233,16 +346,35 @@ mod tests {
     #[test]
     fn omitted_random_access_equals_its_walk() {
         let t0 = s27_t0();
-        let continuation = Omitted { seq: &t0, from: 2, skip: 5 };
         let mut out = TestVector::zeros(1);
-        let mut seen = 0;
-        continuation.visit(&mut |t, v| {
-            continuation.vector_into(t, &mut out);
-            assert_eq!(&out, v, "t={t}");
-            seen += 1;
-            true
+        // Every view: starting before, at or past the omitted vector, up
+        // to every bounded end, against the candidate sequence itself.
+        for skip in 0..t0.len() {
+            let candidate = t0.without(skip);
+            for from in 0..candidate.len() {
+                for end in from..=candidate.len() {
+                    let view = Omitted { seq: &t0, from, skip, end };
+                    let mut seen = 0;
+                    view.visit(&mut |t, v| {
+                        view.vector_into(t, &mut out);
+                        assert_eq!(&out, v, "skip={skip} from={from} end={end} t={t}");
+                        assert_eq!(v, &candidate[from + t], "skip={skip} from={from} t={t}");
+                        seen += 1;
+                        true
+                    });
+                    assert_eq!(seen, view.num_vectors(), "skip={skip} from={from} end={end}");
+                    assert_eq!(seen, end - from);
+                }
+            }
+        }
+        // A visitor that stops is not called again.
+        let view = Omitted { seq: &t0, from: 6, skip: 2, end: 9 };
+        let mut calls = 0;
+        view.visit(&mut |_, _| {
+            calls += 1;
+            calls < 2
         });
-        assert_eq!(seen, continuation.num_vectors());
+        assert_eq!(calls, 2);
     }
 
     #[test]
@@ -293,8 +425,30 @@ mod tests {
     }
 
     #[test]
+    fn rejoined_trials_are_counted() {
+        let c =
+            benchmarks::suite().into_iter().find(|e| e.name == "a298").unwrap().build().unwrap();
+        let faults = collapse(&c, &fault_universe(&c)).representatives().to_vec();
+        // The campaign defaults: a 1024-vector cap and a 300-trial budget.
+        let config = TgenConfig::new().max_length(1024).compaction_budget(0).seed(1999);
+        let raw = generate_t0_with_faults(&c, &config, faults).unwrap();
+        let detected = raw.detected_faults();
+        let stats = static_compact(&c, &raw.sequence, &detected, 300, 1999).unwrap();
+        assert!(stats.rejoined > 0, "a298 trials rejoin");
+        assert!(stats.rejoined <= stats.removed, "{} > {}", stats.rejoined, stats.removed);
+        let idle = static_compact(&c, &raw.sequence, &detected, 0, 1999).unwrap();
+        assert_eq!((idle.trials, idle.removed, idle.rejoined), (0, 0, 0));
+    }
+
+    #[test]
     fn reduction_statistic() {
-        let stats = CompactionStats { sequence: seq("01"), original_len: 4, removed: 3, trials: 9 };
+        let stats = CompactionStats {
+            sequence: seq("01"),
+            original_len: 4,
+            removed: 3,
+            trials: 9,
+            rejoined: 2,
+        };
         assert!((stats.reduction() - 0.75).abs() < 1e-12);
     }
 }

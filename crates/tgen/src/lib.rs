@@ -19,7 +19,8 @@
 //!   for \[12\]): vectors are tentatively omitted and the omission is kept
 //!   when the full target fault set stays detected. A trial re-simulates
 //!   only the faults detected at or after the omitted vector, from the
-//!   nearest machine-state checkpoint before it.
+//!   nearest machine-state reference before it, and stops as soon as its
+//!   state rejoins the walk of the sequence without the omission.
 //! * [`Lfsr`] and [`RandomSequence`] — pseudo-random stimulus sources,
 //!   also used by the LFSR-with-hold baseline of \[3\] in `bist-core`.
 //!
