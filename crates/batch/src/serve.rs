@@ -1,10 +1,11 @@
 //! `subseq-bist serve` — the long-lived campaign service.
 //!
 //! A hand-rolled HTTP/1.1 front end over [`std::net::TcpListener`] (zero
-//! new dependencies; requests are size-capped and must arrive within a
-//! fixed read timeout, and specs are read with the workspace's one JSON
-//! grammar, `bist_obs::json`) that promotes the batch engine into a
-//! daemon:
+//! new dependencies; requests are size-capped, must arrive whole within a
+//! fixed deadline and carry `Content-Length` bodies — any transfer coding
+//! or disagreeing lengths are a `400` — and specs are read with the
+//! workspace's one JSON grammar, `bist_obs::json`) that promotes the
+//! batch engine into a daemon:
 //!
 //! * `POST /campaigns` — submit a campaign spec (the JSON vocabulary of
 //!   the `run` CLI flags); responds with a campaign id and the spec's
@@ -54,7 +55,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use subseq_bist::tgen::TgenConfig;
 use subseq_bist::Backend;
 
@@ -67,10 +68,11 @@ const MAX_BODY_BYTES: usize = 1 << 20;
 /// client grow the process's memory without limit.
 const MAX_HEAD_BYTES: u64 = 16 << 10;
 
-/// How long a client may take to send its request head and body. Each
-/// connection has its own thread, so a client that sends part of a
-/// request, or nothing, would otherwise hold that thread forever. The
-/// timeout covers only the request; streamed responses are not bounded.
+/// How long a client may take to send its request head and body, in
+/// total. Each connection has its own thread, so a client that sends part
+/// of a request, nothing, or one byte at a time would otherwise hold that
+/// thread for as long as it likes. The deadline covers only the request;
+/// streamed responses are not bounded.
 const REQUEST_READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Configuration of a [`CampaignServer`].
@@ -500,18 +502,61 @@ fn read_error(e: std::io::Error) -> String {
     }
 }
 
-/// Reads one request under [`REQUEST_READ_TIMEOUT`], then clears the
+/// The connection as a reader with one deadline for everything read
+/// through it: each read first arms the socket's read timeout with the
+/// time left, so a client that dribbles bytes cannot stretch the whole
+/// past the deadline one short read at a time.
+struct Deadline<'s> {
+    stream: &'s TcpStream,
+    at: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.at.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        let mut stream = self.stream;
+        stream.set_read_timeout(Some(left))?;
+        stream.read(buf)
+    }
+}
+
+/// Reads one request within [`REQUEST_READ_TIMEOUT`], then clears the
 /// timeout so that the response may stream for as long as it needs.
 fn read_request(stream: &TcpStream) -> Result<Request, String> {
-    stream.set_read_timeout(Some(REQUEST_READ_TIMEOUT)).map_err(|e| e.to_string())?;
-    let request = read_head_and_body(stream)?;
+    let request =
+        read_head_and_body(Deadline { stream, at: Instant::now() + REQUEST_READ_TIMEOUT })?;
     stream.set_read_timeout(None).map_err(|e| e.to_string())?;
     Ok(request)
 }
 
-fn read_head_and_body(stream: &TcpStream) -> Result<Request, String> {
-    let reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-    let mut head = reader.take(MAX_HEAD_BYTES);
+/// The body length the head declares. Framing the server cannot honour
+/// is an error, not a guess: any transfer coding (only `Content-Length`
+/// bodies are read), a length that is not plain decimal digits, and
+/// repeated `Content-Length` headers that disagree.
+fn body_length(headers: &[(String, String)]) -> Result<usize, String> {
+    if headers.iter().any(|(name, _)| name == "transfer-encoding") {
+        return Err("transfer-encoding is not supported; send a content-length body".to_string());
+    }
+    let mut length = None;
+    for (_, value) in headers.iter().filter(|(name, _)| name == "content-length") {
+        // Digits only: `usize::from_str` would also take a leading `+`.
+        let n: usize = Some(value)
+            .filter(|v| v.bytes().all(|b| b.is_ascii_digit()))
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(|| format!("bad content-length `{value}`"))?;
+        if length.is_some_and(|l| l != n) {
+            return Err("conflicting content-length headers".to_string());
+        }
+        length = Some(n);
+    }
+    Ok(length.unwrap_or(0))
+}
+
+fn read_head_and_body(reader: Deadline<'_>) -> Result<Request, String> {
+    let mut head = BufReader::new(reader).take(MAX_HEAD_BYTES);
     let line = read_head_line(&mut head)?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or("empty request line")?.to_string();
@@ -523,14 +568,11 @@ fn read_head_and_body(stream: &TcpStream) -> Result<Request, String> {
         if header.is_empty() {
             break;
         }
-        if let Some((name, value)) = header.split_once(':') {
-            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-        }
+        let (name, value) =
+            header.split_once(':').ok_or_else(|| format!("malformed header line `{header}`"))?;
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
-    let length: usize = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .map_or(Ok(0), |(_, v)| v.parse().map_err(|_| format!("bad content-length `{v}`")))?;
+    let length = body_length(&headers)?;
     if length > MAX_BODY_BYTES {
         return Err(format!("request body of {length} bytes exceeds {MAX_BODY_BYTES}"));
     }
@@ -557,15 +599,16 @@ fn error_body(message: &str) -> String {
     format!("{{\"error\": {}}}", quote(message))
 }
 
-/// Lingering close after rejecting a request the server did not read to
-/// its end: half-close, then discard what the client is still sending
-/// (bounded in bytes, with a per-read timeout). Closing a socket with
-/// unread input makes the kernel answer with a reset, which can destroy
-/// the error response before the client reads it.
+/// Lingering close after every response: half-close, then discard what
+/// the client is still sending — the unread rest of a rejected request,
+/// or bytes past the declared body — until it closes its side (bounded in
+/// bytes and to one second in total). Closing a socket with unread input
+/// makes the kernel answer with a reset, which can destroy the response
+/// before the client reads it.
 fn linger(stream: &TcpStream) {
     let _ = stream.shutdown(Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(1)));
-    let _ = std::io::copy(&mut stream.take(MAX_BODY_BYTES as u64), &mut std::io::sink());
+    let drain = Deadline { stream, at: Instant::now() + Duration::from_secs(1) };
+    let _ = std::io::copy(&mut drain.take(MAX_BODY_BYTES as u64), &mut std::io::sink());
 }
 
 fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
@@ -590,6 +633,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         },
         _ => respond_json(&mut stream, "404 Not Found", &error_body("no such route")),
     }
+    linger(&stream);
 }
 
 /// Parses `/campaigns/<id>/<leaf>` into `(id, leaf)`.

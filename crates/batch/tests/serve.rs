@@ -419,10 +419,11 @@ fn oversized_request_head_is_a_400_and_the_server_keeps_serving() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A client that sends part of a request head, or nothing, does not hold
-/// its connection thread forever: the server answers `400` once the
-/// request read timeout passes and closes the connection, and other
-/// clients are served meanwhile and afterwards.
+/// A client that sends part of a request head, nothing, or one byte every
+/// half second does not hold its connection thread past the request
+/// deadline: the server answers `400` once the deadline passes and closes
+/// the connection shortly after, and other clients are served meanwhile
+/// and afterwards.
 #[test]
 fn silent_connections_time_out_and_the_server_keeps_serving() {
     let dir = temp_journal_dir("silent");
@@ -432,11 +433,23 @@ fn silent_connections_time_out_and_the_server_keeps_serving() {
     let silent = TcpStream::connect(addr).expect("connect");
     let mut partial = TcpStream::connect(addr).expect("connect");
     partial.write_all(b"GET /heal").expect("write part of a head");
+    // Every read is quick, the request as a whole is not: unanswered, its
+    // head would be complete after about 18 s.
+    let dribbling = TcpStream::connect(addr).expect("connect");
+    let mut writer = dribbling.try_clone().expect("clone");
+    let dribbler = std::thread::spawn(move || {
+        for &byte in b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n" {
+            if writer.write_all(&[byte]).is_err() {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(500));
+        }
+    });
 
     let health = request(addr, "GET", "/healthz", &[], "");
     assert_eq!((health.status, health.body.as_str()), (200, "ok\n"));
 
-    for stream in [silent, partial] {
+    for stream in [dribbling, silent, partial] {
         // A bound on this test's own wait, well past the server's.
         stream.set_read_timeout(Some(std::time::Duration::from_secs(60))).expect("timeout");
         let mut reader = BufReader::new(stream);
@@ -450,7 +463,10 @@ fn silent_connections_time_out_and_the_server_keeps_serving() {
         reader.read_to_end(&mut rest).expect("the server closes the connection");
         assert!(rest.is_empty());
     }
-    assert!(started.elapsed() >= std::time::Duration::from_secs(4), "closed by the timeout");
+    let elapsed = started.elapsed();
+    assert!(elapsed >= std::time::Duration::from_secs(4), "closed by the timeout");
+    assert!(elapsed < std::time::Duration::from_secs(12), "closed {elapsed:?} after connecting");
+    dribbler.join().expect("dribbler");
 
     let health = request(addr, "GET", "/healthz", &[], "");
     assert_eq!((health.status, health.body.as_str()), (200, "ok\n"));

@@ -2,9 +2,12 @@
 //!
 //! [`SimBackend`] is the engine interface behind
 //! [`FaultSimulator`](crate::FaultSimulator): given a circuit — in its
-//! compiled [`GateTape`] form — a replayable stream of input vectors and
-//! a fault list, produce the first detection time of every fault. Three
-//! engines are provided:
+//! compiled [`GateTape`] form — a machine state to start from, a
+//! replayable stream of input vectors and a fault list, produce the first
+//! detection time of every fault and snapshot the state at requested
+//! times. That resumed pass, [`SimBackend::resume_tape_obs`], is the one
+//! query an engine implements; every other query is provided on top of
+//! it. Three engines are provided:
 //!
 //! * [`PackedBackend`] — the single-threaded production engine: 63 faulty
 //!   machines per pass, one per [`PackedValue`] lane, with the good
@@ -18,10 +21,11 @@
 //!   advance 255 or 511 faulty machines.
 //! * [`ScalarBackend`] — a deliberately simple reference: one faulty
 //!   machine at a time over the scalar [`Logic`](crate::Logic) algebra,
-//!   run in lockstep with its own fault-free machine. Exists for
-//!   differential testing of the packed engines. (The even simpler
-//!   node-graph oracle that bypasses the tape entirely lives in
-//!   [`crate::reference`].)
+//!   stepped in lockstep with its own fault-free machine — both the
+//!   crate's one scalar machine (see [`SteppedSim`](crate::SteppedSim)).
+//!   It is the differential oracle of the packed engines for every query,
+//!   resume included. (The even simpler node-graph oracle that bypasses
+//!   the tape entirely lives in [`crate::reference`].)
 //!
 //! Every engine *executes the tape*, never the node graph: the inner loop
 //! reads byte opcodes, CSR fanin indices and pre-resolved PI/DFF/PO
@@ -38,7 +42,7 @@
 //!
 //! All engines fuse the good machine into the fault passes: the packed
 //! engines reserve the top lane of every word for the fault-free machine
-//! and the scalar engine streams a good/faulty pair, so the fault-free
+//! and the scalar engine steps a good/faulty pair, so the fault-free
 //! primary-output trace is **never** collected up front and detection is
 //! O(1) in stream length. A chunk pass also terminates the stream walk
 //! the moment its last undetected fault falls: detection times are
@@ -47,15 +51,18 @@
 //! [`ExpansionIter`](bist_expand::ExpansionIter) this keeps the whole
 //! `8·n·|S|`-vector pipeline allocation-flat.
 //!
-//! The packed engines keep machine state explicit:
-//! [`SimBackend::resume_tape_obs`] loads every lane from a
+//! Every engine keeps machine state explicit:
+//! [`SimBackend::resume_tape_obs`] loads each machine from a
 //! [`MachineState`] — the good machine's flip-flops and, per fault, the
-//! faulty machine's, re-packed into lanes at chunk load so a shrinking
-//! fault list still fills whole words — and snapshots the lanes at
-//! requested times. It is the engines' only stepping loop: a plain
-//! detection pass is the resumed pass from [`MachineState::reset`],
-//! which loads all-`X` lanes exactly as before and allocates nothing
-//! extra.
+//! faulty machine's — and snapshots the machines after the latch at each
+//! requested time, building the snapshots in fault-list order. The packed
+//! engines re-pack the rows into lanes at chunk load, so a shrinking
+//! fault list still fills whole words; the scalar engine loads its two
+//! machines per fault. It is each engine's only stepping loop: a plain
+//! detection pass is the resumed pass from [`MachineState::reset`], which
+//! loads all-`X` machines and allocates nothing extra. One validation,
+//! shared by both engine families, checks the stream, the fault sites,
+//! the state and the capture times before any machine steps.
 //!
 //! Procedure 2 asks a different question — which of several candidate
 //! streams is the first to detect *one* fault —
@@ -68,11 +75,13 @@
 //! other packed pass.
 //!
 //! Every engine validates its inputs at the boundary — width mismatches,
-//! empty streams and oversized fault chunks surface as typed
-//! [`SimError`]s rather than panics deep inside the engine.
+//! empty streams, faults on nodes the tape does not have and oversized
+//! fault chunks surface as typed [`SimError`]s rather than panics deep
+//! inside the engine.
 
-use crate::good::{stream_machine_fused_tape, validate_width};
+use crate::good::validate;
 use crate::packed::{LaneMask, PackedWord};
+use crate::stepped::Machine;
 use crate::{
     Fault, FaultSite, Logic, MachineState, PackedValue, PackedValue256, PackedValue512, Resumed,
     SimError,
@@ -90,104 +99,50 @@ const OUT_FORCE: u8 = 2;
 
 /// A sequential stuck-at fault-simulation engine.
 ///
+/// Every engine implements one contract,
+/// [`resume_tape_obs`](Self::resume_tape_obs): continue a pass from an
+/// explicit [`MachineState`] and snapshot the state at requested times.
+/// Every other query is provided on top of it — a plain detection pass is
+/// the resumed pass from [`MachineState::reset`] without captures.
+///
 /// Implementations must treat `source` as replayable: it may be streamed
 /// once per internal pass. All engines implement the same detection
 /// criterion — a fault is detected at time `u` if some primary output is
 /// binary in the fault-free machine and the complementary binary value in
 /// the faulty machine at `u`, both machines starting from the all-`X`
-/// state — or, for [`resume_tape_obs`](Self::resume_tape_obs), from an
-/// explicit [`MachineState`].
+/// state or from the given [`MachineState`].
 pub trait SimBackend: fmt::Debug + Send + Sync {
     /// Short engine name for reports (e.g. `"packed64"`).
     fn name(&self) -> &'static str;
 
-    /// First detection time of every fault in `faults` under the vector
-    /// stream, executing a caller-compiled [`GateTape`] — the hot path.
-    /// Callers that simulate the same circuit repeatedly (the
-    /// [`FaultSimulator`](crate::FaultSimulator) facade, sessions,
-    /// campaigns) compile once and pass the shared tape here.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::WidthMismatch`] / [`SimError::EmptySequence`] for bad
-    /// streams; [`SimError::LaneOutOfRange`] / [`SimError::ZeroThreads`]
-    /// for invalid engine configurations.
-    fn detection_times_tape(
-        &self,
-        tape: &GateTape,
-        source: &dyn VectorSource,
-        faults: &[Fault],
-    ) -> Result<Vec<Option<usize>>, SimError>;
-
-    /// Convenience wrapper over
-    /// [`detection_times_tape`](Self::detection_times_tape) that compiles
-    /// the tape on the fly — fine for one-shot calls; repeated callers
-    /// should compile once.
-    ///
-    /// # Errors
-    ///
-    /// As for [`detection_times_tape`](Self::detection_times_tape).
-    fn detection_times(
-        &self,
-        circuit: &Circuit,
-        source: &dyn VectorSource,
-        faults: &[Fault],
-    ) -> Result<Vec<Option<usize>>, SimError> {
-        self.detection_times_tape(&GateTape::compile(circuit), source, faults)
-    }
-
-    /// [`detection_times_tape`](Self::detection_times_tape) with a
-    /// telemetry sink: engines that support sweep-level counters
-    /// (vectors simulated, chunk early-exits, tape patches applied,
-    /// per-shard busy time) record them into `obs`. Results are
-    /// **bit-identical** to the uninstrumented call — telemetry is
-    /// observation-only. The default implementation ignores `obs`, so
-    /// third-party backends keep working unchanged.
-    ///
-    /// # Errors
-    ///
-    /// As for [`detection_times_tape`](Self::detection_times_tape).
-    fn detection_times_tape_obs(
-        &self,
-        tape: &GateTape,
-        source: &dyn VectorSource,
-        faults: &[Fault],
-        obs: &Obs,
-    ) -> Result<Vec<Option<usize>>, SimError> {
-        let _ = obs;
-        self.detection_times_tape(tape, source, faults)
-    }
-
-    /// The resumable pass — the one entry point of the packed engines,
-    /// which run every detection pass through it from
-    /// [`MachineState::reset`]. Every lane starts from `from` (the good
-    /// machine from its good state, each fault's machine from that
-    /// fault's row, re-packed into whatever lane the fault lands in), the
-    /// stream's first vector is applied at time `from.time()`, and
-    /// detection times are reported as times since reset. A resumed pass
-    /// reports exactly what the from-reset pass over the whole history
-    /// reports for every fault `from` tracks.
+    /// The resumable pass, executing a caller-compiled [`GateTape`].
+    /// Every machine starts from `from` (the good machine from its good
+    /// state, each fault's machine from that fault's row), the stream's
+    /// first vector is applied at time `from.time()`, and detection times
+    /// are reported as times since reset. A resumed pass reports exactly
+    /// what the from-reset pass over the whole history reports for every
+    /// fault `from` tracks.
     ///
     /// `capture` lists times, strictly ascending and after `from.time()`,
     /// at which to snapshot the flip-flop state (the state *before* the
     /// vector of that time, so `from.time() + len` is the state the
     /// stream leaves behind); see [`Resumed::states`]. Capturing costs
     /// O(faults × flip-flops) per capture time on top of the sweep.
-    ///
-    /// The default implementation serves plain from-reset passes through
-    /// [`detection_times_tape_obs`](Self::detection_times_tape_obs) and
-    /// rejects anything else, so engines without explicit state keep
-    /// working.
+    /// `obs` receives sweep telemetry (vectors simulated, chunk
+    /// early-exits, tape patches applied, per-shard busy time) and may
+    /// carry a cancel token; results never depend on it.
     ///
     /// # Errors
     ///
-    /// As for [`detection_times_tape`](Self::detection_times_tape), plus
-    /// [`SimError::ResumeUnsupported`] from engines that cannot load or
-    /// capture state, [`SimError::StateMismatch`] when `from` was
-    /// captured on a tape with another flip-flop count,
+    /// [`SimError::WidthMismatch`] / [`SimError::EmptySequence`] for bad
+    /// streams, [`SimError::FaultSiteOutOfRange`] for a fault on a node
+    /// the tape does not have, [`SimError::StateMismatch`] when `from`
+    /// was captured on a tape with another flip-flop count,
     /// [`SimError::MissingFaultState`] when a fault is not tracked by a
-    /// non-reset `from`, and [`SimError::InvalidCapture`] for
-    /// out-of-order capture times.
+    /// non-reset `from`, [`SimError::InvalidCapture`] for out-of-order
+    /// capture times, [`SimError::LaneOutOfRange`] /
+    /// [`SimError::ZeroThreads`] for invalid engine configurations and
+    /// [`SimError::Cancelled`] when `obs` carries a cancelled token.
     fn resume_tape_obs(
         &self,
         tape: &GateTape,
@@ -196,12 +151,58 @@ pub trait SimBackend: fmt::Debug + Send + Sync {
         faults: &[Fault],
         capture: &[usize],
         obs: &Obs,
-    ) -> Result<Resumed, SimError> {
-        if from.is_reset() && capture.is_empty() {
-            let times = self.detection_times_tape_obs(tape, source, faults, obs)?;
-            return Ok(Resumed { times, states: Vec::new() });
-        }
-        Err(SimError::ResumeUnsupported { engine: self.name() })
+    ) -> Result<Resumed, SimError>;
+
+    /// First detection time of every fault in `faults` under the vector
+    /// stream from the all-`X` state — the resumed pass from
+    /// [`MachineState::reset`] without captures. Callers that simulate
+    /// the same circuit repeatedly (the
+    /// [`FaultSimulator`](crate::FaultSimulator) facade, sessions,
+    /// campaigns) compile the tape once and pass it here.
+    ///
+    /// # Errors
+    ///
+    /// As for [`resume_tape_obs`](Self::resume_tape_obs).
+    fn detection_times_tape_obs(
+        &self,
+        tape: &GateTape,
+        source: &dyn VectorSource,
+        faults: &[Fault],
+        obs: &Obs,
+    ) -> Result<Vec<Option<usize>>, SimError> {
+        Ok(self.resume_tape_obs(tape, &MachineState::reset(), source, faults, &[], obs)?.times)
+    }
+
+    /// [`detection_times_tape_obs`](Self::detection_times_tape_obs)
+    /// without telemetry.
+    ///
+    /// # Errors
+    ///
+    /// As for [`resume_tape_obs`](Self::resume_tape_obs).
+    fn detection_times_tape(
+        &self,
+        tape: &GateTape,
+        source: &dyn VectorSource,
+        faults: &[Fault],
+    ) -> Result<Vec<Option<usize>>, SimError> {
+        self.detection_times_tape_obs(tape, source, faults, &Obs::noop())
+    }
+
+    /// Convenience wrapper over
+    /// [`detection_times_tape`](Self::detection_times_tape) that compiles
+    /// the tape on the fly — fine for one-shot calls; repeated callers
+    /// should compile once.
+    ///
+    /// # Errors
+    ///
+    /// As for [`resume_tape_obs`](Self::resume_tape_obs).
+    fn detection_times(
+        &self,
+        circuit: &Circuit,
+        source: &dyn VectorSource,
+        faults: &[Fault],
+    ) -> Result<Vec<Option<usize>>, SimError> {
+        self.detection_times_tape(&GateTape::compile(circuit), source, faults)
     }
 
     /// Index of the first candidate stream whose from-reset pass detects
@@ -213,8 +214,8 @@ pub trait SimBackend: fmt::Debug + Send + Sync {
     ///
     /// # Errors
     ///
-    /// As for [`detection_times_tape`](Self::detection_times_tape), for
-    /// the first invalid candidate the scan reaches.
+    /// As for [`detection_times_tape_obs`](Self::detection_times_tape_obs),
+    /// for the first invalid candidate the scan reaches.
     fn first_detecting_tape_obs(
         &self,
         tape: &GateTape,
@@ -251,9 +252,8 @@ struct SweepStats {
 }
 
 /// Pre-resolved sweep metric handles shared by every engine. Built once
-/// per `detection_times_tape_obs` call; inactive handles are `None`
-/// branches, so the `detect/tape/*` bench path pays no name lookups and
-/// no clock reads.
+/// per pass; inactive handles are `None` branches, so the `detect/tape/*`
+/// bench path pays no name lookups and no clock reads.
 #[derive(Debug, Clone, Default)]
 struct SweepObs {
     active: bool,
@@ -602,23 +602,32 @@ impl<W: PackedWord> ShardScratch<W> {
     }
 }
 
-/// Where a pass starts and when it snapshots its lanes, validated once
-/// per call and shared by every chunk of every shard.
+/// Where a pass starts and when it snapshots its machines: validated
+/// once per call, for every engine, and shared by every chunk of every
+/// shard.
 struct PassPlan<'a> {
     from: &'a MachineState,
+    /// The row of `from` holding each fault's starting flip-flops, in
+    /// fault-list order — empty when `from` is the reset state.
+    rows: Vec<usize>,
     /// Capture times since reset, strictly ascending, all after
     /// `from.time()`.
     capture: &'a [usize],
 }
 
 impl<'a> PassPlan<'a> {
-    /// Checks `from` against the tape and the capture times against
-    /// `from`.
+    /// The one validation of a resumed pass, shared by the packed and
+    /// scalar engines: the stream and the fault sites, `from` against the
+    /// tape, every fault against the rows of a non-reset `from`, and the
+    /// capture times against `from`.
     fn new(
         tape: &GateTape,
         from: &'a MachineState,
+        source: &dyn VectorSource,
+        faults: &[Fault],
         capture: &'a [usize],
     ) -> Result<Self, SimError> {
+        validate(tape.num_inputs(), tape.num_nodes(), source, faults)?;
         let dffs = tape.num_dffs();
         if !from.is_reset() && from.good().len() != dffs {
             return Err(SimError::StateMismatch { state_dffs: from.good().len(), tape_dffs: dffs });
@@ -630,26 +639,39 @@ impl<'a> PassPlan<'a> {
             }
             after = time;
         }
-        Ok(PassPlan { from, capture })
+        let rows = if from.is_reset() {
+            Vec::new()
+        } else {
+            faults
+                .iter()
+                .map(|&fault| from.row(fault).ok_or(SimError::MissingFaultState { fault }))
+                .collect::<Result<_, _>>()?
+        };
+        Ok(PassPlan { from, rows, capture })
     }
 
-    /// Packs the starting flip-flop values of `chunk` (lane `i` ← fault
-    /// `i`) and of the good machine (every other lane) into `state`.
-    fn load<W: PackedWord>(&self, chunk: &[Fault], state: &mut [W]) -> Result<(), SimError> {
+    /// The starting flip-flops of fault `i`'s machine (`i` indexes the
+    /// pass's fault list) — empty (all `X`) at reset.
+    fn start(&self, i: usize) -> &[Logic] {
+        self.rows.get(i).map_or(&[], |&r| self.from.row_values(r))
+    }
+
+    /// Packs the starting flip-flop values of the `len` faults from
+    /// fault-list index `first` on (lane `i` ← fault `first + i`) and of
+    /// the good machine (every other lane) into `state`.
+    fn load<W: PackedWord>(&self, first: usize, len: usize, state: &mut [W]) {
         if self.from.is_reset() {
             state.fill(W::ALL_X);
-            return Ok(());
+            return;
         }
         for (w, &v) in state.iter_mut().zip(self.from.good()) {
             *w = W::splat(v);
         }
-        for (lane, &fault) in chunk.iter().enumerate() {
-            let row = self.from.row(fault).ok_or(SimError::MissingFaultState { fault })?;
-            for (w, &v) in state.iter_mut().zip(self.from.row_values(row)) {
+        for lane in 0..len {
+            for (w, &v) in state.iter_mut().zip(self.start(first + lane)) {
                 w.set_lane(lane, v);
             }
         }
-        Ok(())
     }
 
     /// Turns the shards' merged captures into the snapshots.
@@ -707,6 +729,15 @@ impl Captured {
             snap.faults.push(chunk[lane]);
             snap.values.extend(state.iter().map(|w| w.lane(lane)));
         });
+    }
+
+    /// Records capture `ci` of one scalar fault pass: the good machine's
+    /// flip-flops (once) and the faulty machine's.
+    fn push(&mut self, ci: usize, fault: Fault, good: &[Logic], faulty: &[Logic]) {
+        let snap = &mut self.0[ci];
+        snap.good.get_or_insert_with(|| good.to_vec());
+        snap.faults.push(fault);
+        snap.values.extend_from_slice(faulty);
     }
 
     /// Folds a later shard's snapshots into this one's.
@@ -811,7 +842,8 @@ fn latch<W: PackedWord>(tape: &GateTape, injector: &Injector, values: &[W], stat
 
 /// One pass over the stream with up to `W::LANES - 1` faulty machines in
 /// the low lanes and the fault-free machine fused into the top lane,
-/// every lane starting from `plan`'s machine state. The good machine sees
+/// every lane starting from the flip-flop values the caller loaded into
+/// `scratch.state`. The good machine sees
 /// no forces (the injector never loads its lane), so each output word
 /// carries the reference value and all faulty values of that output in
 /// the same pass — no precollected PO trace. The walk stops at the vector
@@ -828,7 +860,6 @@ fn run_chunk<W: PackedWord>(
     let good_lane = W::LANES - 1;
     scratch.injector.load(tape, chunk, good_lane)?;
     scratch.values.fill(W::ALL_X);
-    plan.load(chunk, &mut scratch.state)?;
     let ShardScratch { injector, values, state, pins, stats } = scratch;
     stats.chunks += 1;
     stats.patches += injector.forced_gates.len() as u64;
@@ -876,12 +907,14 @@ fn run_chunk<W: PackedWord>(
     Ok(())
 }
 
-/// Runs one contiguous shard of the fault list through chunked passes of
-/// `W::LANES - 1` faults each, reusing one scratch block throughout.
+/// Runs one contiguous shard of the fault list, beginning at fault-list
+/// index `first`, through chunked passes of `W::LANES - 1` faults each,
+/// reusing one scratch block throughout.
 fn run_shard<W: PackedWord>(
     tape: &GateTape,
     source: &dyn VectorSource,
     plan: &PassPlan<'_>,
+    first: usize,
     faults: &[Fault],
     times: &mut [Option<usize>],
     sweep: &SweepObs,
@@ -890,8 +923,10 @@ fn run_shard<W: PackedWord>(
     let start = sweep.is_active().then(Instant::now);
     let mut scratch = ShardScratch::<W>::new(tape);
     let mut captured = Captured::new(plan);
-    for (chunk, slots) in faults.chunks(per_chunk).zip(times.chunks_mut(per_chunk)) {
+    for (c, (chunk, slots)) in faults.chunks(per_chunk).zip(times.chunks_mut(per_chunk)).enumerate()
+    {
         sweep.check_cancelled()?;
+        plan.load(first + c * per_chunk, chunk.len(), &mut scratch.state);
         run_chunk::<W>(tape, source, plan, chunk, slots, &mut captured, &mut scratch)?;
     }
     if let Some(start) = start {
@@ -917,24 +952,24 @@ fn resume_interleaved<W: PackedWord>(
     threads: usize,
     obs: &Obs,
 ) -> Result<Resumed, SimError> {
-    validate_width(tape.num_inputs(), source)?;
-    let plan = PassPlan::new(tape, from, capture)?;
+    let plan = PassPlan::new(tape, from, source, faults, capture)?;
     let sweep = SweepObs::new(obs);
     let mut times = vec![None; faults.len()];
     let per_chunk = W::LANES - 1;
     let shard = faults.len().div_ceil(threads).div_ceil(per_chunk).max(1) * per_chunk;
-    let run = |chunk: &[Fault], slots: &mut [Option<usize>]| {
-        run_shard::<W>(tape, source, &plan, chunk, slots, &sweep)
+    let run = |first: usize, chunk: &[Fault], slots: &mut [Option<usize>]| {
+        run_shard::<W>(tape, source, &plan, first, chunk, slots, &sweep)
     };
     let captured = if threads == 1 || faults.len() <= shard {
-        run(faults, &mut times)?
+        run(0, faults, &mut times)?
     } else {
         std::thread::scope(|scope| {
             let run = &run;
             let handles: Vec<_> = faults
                 .chunks(shard)
                 .zip(times.chunks_mut(shard))
-                .map(|(chunk, slots)| scope.spawn(move || run(chunk, slots)))
+                .enumerate()
+                .map(|(i, (chunk, slots))| scope.spawn(move || run(i * shard, chunk, slots)))
                 .collect();
             let mut merged = Captured::new(&plan);
             for handle in handles {
@@ -983,10 +1018,9 @@ fn first_detecting_packed(
             sweep.check_cancelled()?;
             // The sequential scan never reaches past the first invalid
             // candidate: simulate the valid ones before it, then report it.
-            let invalid = batch
-                .iter()
-                .enumerate()
-                .find_map(|(i, &c)| validate_width(tape.num_inputs(), c).err().map(|e| (i, e)));
+            let invalid = batch.iter().enumerate().find_map(|(i, &c)| {
+                validate(tape.num_inputs(), tape.num_nodes(), c, &[fault]).err().map(|e| (i, e))
+            });
             let valid = &batch[..invalid.as_ref().map_or(batch.len(), |(i, _)| *i)];
             if let Some(k) = probe.pass(tape, valid, &mut scratch)? {
                 return Ok(Some(b * PROBE_LANES + k));
@@ -1100,26 +1134,6 @@ pub struct PackedBackend;
 impl SimBackend for PackedBackend {
     fn name(&self) -> &'static str {
         "packed64"
-    }
-
-    fn detection_times_tape(
-        &self,
-        tape: &GateTape,
-        source: &dyn VectorSource,
-        faults: &[Fault],
-    ) -> Result<Vec<Option<usize>>, SimError> {
-        self.detection_times_tape_obs(tape, source, faults, &Obs::noop())
-    }
-
-    fn detection_times_tape_obs(
-        &self,
-        tape: &GateTape,
-        source: &dyn VectorSource,
-        faults: &[Fault],
-        obs: &Obs,
-    ) -> Result<Vec<Option<usize>>, SimError> {
-        let reset = MachineState::reset();
-        Ok(self.resume_tape_obs(tape, &reset, source, faults, &[], obs)?.times)
     }
 
     fn resume_tape_obs(
@@ -1265,26 +1279,6 @@ impl SimBackend for ShardedBackend {
         }
     }
 
-    fn detection_times_tape(
-        &self,
-        tape: &GateTape,
-        source: &dyn VectorSource,
-        faults: &[Fault],
-    ) -> Result<Vec<Option<usize>>, SimError> {
-        self.detection_times_tape_obs(tape, source, faults, &Obs::noop())
-    }
-
-    fn detection_times_tape_obs(
-        &self,
-        tape: &GateTape,
-        source: &dyn VectorSource,
-        faults: &[Fault],
-        obs: &Obs,
-    ) -> Result<Vec<Option<usize>>, SimError> {
-        let reset = MachineState::reset();
-        Ok(self.resume_tape_obs(tape, &reset, source, faults, &[], obs)?.times)
-    }
-
     fn resume_tape_obs(
         &self,
         tape: &GateTape,
@@ -1329,10 +1323,12 @@ impl SimBackend for ShardedBackend {
 // ---------------------------------------------------------------------
 
 /// The reference engine: one faulty machine at a time over the scalar
-/// three-valued algebra, streamed in lockstep with its own fault-free
-/// machine (the scalar form of good-machine fusion) — both walking the
-/// compiled tape. Dramatically slower than the packed engines on large
-/// fault lists; exists for differential testing and as the simplest
+/// three-valued algebra, stepped in lockstep with its own fault-free
+/// machine (the scalar form of good-machine fusion) — both the crate's
+/// one scalar machine walking the compiled tape, loaded from the pass's
+/// [`MachineState`] and snapshotted after the latch at each capture time.
+/// Dramatically slower than the packed engines on large fault lists; it
+/// is the oracle for every query, resume included, and the simplest
 /// possible template for new backends. For a tape-free oracle, see
 /// [`crate::reference`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -1343,51 +1339,52 @@ impl SimBackend for ScalarBackend {
         "scalar"
     }
 
-    fn detection_times_tape(
+    fn resume_tape_obs(
         &self,
         tape: &GateTape,
+        from: &MachineState,
         source: &dyn VectorSource,
         faults: &[Fault],
-    ) -> Result<Vec<Option<usize>>, SimError> {
-        self.detection_times_tape_obs(tape, source, faults, &Obs::noop())
-    }
-
-    fn detection_times_tape_obs(
-        &self,
-        tape: &GateTape,
-        source: &dyn VectorSource,
-        faults: &[Fault],
+        capture: &[usize],
         obs: &Obs,
-    ) -> Result<Vec<Option<usize>>, SimError> {
-        validate_width(tape.num_inputs(), source)?;
+    ) -> Result<Resumed, SimError> {
+        let plan = PassPlan::new(tape, from, source, faults, capture)?;
         let sweep = SweepObs::new(obs);
         let start = sweep.is_active().then(Instant::now);
         let mut stats = SweepStats::default();
+        let mut captured = Captured::new(&plan);
         let mut times = vec![None; faults.len()];
-        for (slot, &fault) in times.iter_mut().zip(faults) {
+        let base = from.time();
+        let mut good = Machine::new(tape, None);
+        for (i, (slot, &fault)) in times.iter_mut().zip(faults).enumerate() {
             // One fault per pass: the scalar engine's "chunk" is a
             // single faulty machine.
             sweep.check_cancelled()?;
             stats.chunks += 1;
-            let mut first = None;
-            let vectors = &mut stats.vectors;
-            stream_machine_fused_tape(tape, source, fault, &mut |t, good, bad| {
-                *vectors += 1;
-                let observable =
-                    good.iter().zip(bad).any(|(g, b)| g.is_binary() && b.is_binary() && g != b);
-                if observable {
-                    first = Some(t);
+            good.load(from.good());
+            let mut bad = Machine::new(tape, Some(fault));
+            bad.load(plan.start(i));
+            let mut next_capture = 0usize;
+            source.visit(&mut |t, vector| {
+                stats.vectors += 1;
+                let (g, b) = (good.step(tape, vector), bad.step(tape, vector));
+                if g.iter().zip(b).any(|(g, b)| g.is_binary() && b.is_binary() && g != b) {
+                    *slot = Some(base + t);
                     return false;
                 }
+                if plan.capture.get(next_capture) == Some(&(base + t + 1)) {
+                    captured.push(next_capture, fault, good.state(), bad.state());
+                    next_capture += 1;
+                }
                 true
-            })?;
-            stats.early_exits += u64::from(first.is_some());
-            *slot = first;
+            });
+            stats.early_exits += u64::from(slot.is_some());
         }
         if let Some(start) = start {
             sweep.flush(&stats, elapsed_us(start));
         }
-        Ok(times)
+        let states = plan.states(captured);
+        Ok(Resumed { times, states })
     }
 }
 

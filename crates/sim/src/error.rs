@@ -48,11 +48,12 @@ pub enum SimError {
         /// explicit cancellation request).
         deadline_expired: bool,
     },
-    /// A resumed pass was asked of an engine that cannot load or capture
-    /// machine state: of the built-in engines, only the scalar reference.
-    ResumeUnsupported {
-        /// Name of the engine.
-        engine: &'static str,
+    /// A fault names a node the circuit does not have.
+    FaultSiteOutOfRange {
+        /// The offending fault.
+        fault: Fault,
+        /// Number of nodes of the circuit.
+        nodes: usize,
     },
     /// A [`MachineState`](crate::MachineState) was resumed on a tape
     /// with a different number of flip-flops.
@@ -103,8 +104,8 @@ impl fmt::Display for SimError {
                     write!(f, "sweep cancelled by request")
                 }
             }
-            SimError::ResumeUnsupported { engine } => {
-                write!(f, "engine {engine} cannot resume from a machine state")
+            SimError::FaultSiteOutOfRange { fault, nodes } => {
+                write!(f, "fault {fault} is not on one of the circuit's {nodes} nodes")
             }
             SimError::StateMismatch { state_dffs, tape_dffs } => write!(
                 f,
@@ -141,8 +142,9 @@ mod tests {
         assert!(tape.to_string().contains("17"));
         assert!(SimError::Cancelled { deadline_expired: true }.to_string().contains("deadline"));
         assert!(SimError::Cancelled { deadline_expired: false }.to_string().contains("request"));
-        let engine = SimError::ResumeUnsupported { engine: "scalar" };
-        assert!(engine.to_string().contains("scalar"));
+        let fault = Fault::output(bist_netlist::NodeId::from_index(40), true);
+        let site = SimError::FaultSiteOutOfRange { fault, nodes: 17 };
+        assert!(site.to_string().contains("17"));
         let state = SimError::StateMismatch { state_dffs: 3, tape_dffs: 14 };
         assert!(state.to_string().contains("14"));
         let fault = Fault::output(bist_netlist::NodeId::from_index(7), true);

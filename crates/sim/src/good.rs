@@ -1,13 +1,15 @@
 //! Fault-free (good-machine) and single-faulty-machine scalar simulation.
 //!
-//! All walks execute the compiled [`GateTape`] — the flat, cache-linear
-//! instruction form of a [`Circuit`] — never the node graph itself. The
-//! public entry points compile the tape on the fly (compilation is
-//! `O(nodes)`, trivial next to any simulation pass); the `pub(crate)`
-//! `*_tape` cores take a caller-supplied tape so the engines and facades
-//! that simulate repeatedly compile exactly once.
+//! Both are loops over the crate's one scalar machine (see
+//! [`SteppedSim`](crate::SteppedSim)), which executes the compiled
+//! [`GateTape`] — the flat, cache-linear instruction form of a
+//! [`Circuit`] — never the node graph itself. The public entry points
+//! compile the tape on the fly (compilation is `O(nodes)`, trivial next to
+//! any simulation pass); [`FaultSimulator::good`](crate::FaultSimulator::good)
+//! reuses its cached tape.
 
-use crate::{Fault, FaultSite, Logic, SimError};
+use crate::stepped::Machine;
+use crate::{Fault, Logic, SimError};
 use bist_expand::{TestSequence, VectorSource};
 use bist_netlist::{Circuit, GateTape};
 
@@ -51,17 +53,7 @@ impl GoodTrace {
 /// circuit's primary input count; [`SimError::EmptySequence`] for an empty
 /// sequence.
 pub fn simulate_good(circuit: &Circuit, seq: &TestSequence) -> Result<GoodTrace, SimError> {
-    simulate_good_tape(&GateTape::compile(circuit), seq)
-}
-
-/// [`simulate_good`] over a caller-compiled tape — the path the
-/// [`FaultSimulator`](crate::FaultSimulator) facade uses so repeated
-/// `good()` calls never recompile.
-pub(crate) fn simulate_good_tape(
-    tape: &GateTape,
-    seq: &TestSequence,
-) -> Result<GoodTrace, SimError> {
-    simulate_machine(tape, seq, None)
+    simulate_machine(&GateTape::compile(circuit), seq, None)
 }
 
 /// Simulates the circuit with a single stuck-at fault injected, from the
@@ -69,7 +61,8 @@ pub(crate) fn simulate_good_tape(
 ///
 /// # Errors
 ///
-/// Same as [`simulate_good`].
+/// Same as [`simulate_good`], plus [`SimError::FaultSiteOutOfRange`] if
+/// `fault` names a node the circuit does not have.
 pub fn simulate_faulty(
     circuit: &Circuit,
     seq: &TestSequence,
@@ -78,122 +71,16 @@ pub fn simulate_faulty(
     simulate_machine(&GateTape::compile(circuit), seq, Some(fault))
 }
 
-/// The single-fault injection hooks a scalar tape walk needs, decomposed
-/// from a [`Fault`] once up front — the one definition of scalar force
-/// semantics, shared by every scalar walk in this crate (streams here,
-/// the stepped simulator, the scalar backend).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ScalarForce {
-    out: Option<(usize, Logic)>,
-    input: Option<(usize, u32, Logic)>,
-}
-
-impl ScalarForce {
-    pub(crate) fn of(fault: Option<Fault>) -> Self {
-        let out = match fault {
-            Some(Fault { site: FaultSite::Output(n), stuck }) => {
-                Some((n.index(), Logic::from_bool(stuck)))
-            }
-            _ => None,
-        };
-        let input = match fault {
-            Some(Fault { site: FaultSite::Input { node, pin }, stuck }) => {
-                Some((node.index(), pin, Logic::from_bool(stuck)))
-            }
-            _ => None,
-        };
-        ScalarForce { out, input }
-    }
-
-    #[inline]
-    pub(crate) fn read(&self, values: &[Logic], consumer: usize, pin: u32, src: usize) -> Logic {
-        match self.input {
-            Some((n, p, v)) if n == consumer && p == pin => v,
-            _ => values[src],
-        }
-    }
-
-    #[inline]
-    pub(crate) fn force_out(&self, node: usize, v: Logic) -> Logic {
-        match self.out {
-            Some((n, f)) if n == node => f,
-            _ => v,
-        }
-    }
-}
-
-/// One combinational sweep of the tape over a scalar value table, with
-/// `force` applied — the single definition of scalar gate-tape execution
-/// shared by every scalar walk in this crate.
-#[inline]
-fn sweep_tape(tape: &GateTape, values: &mut [Logic], force: &ScalarForce) {
-    let ops = tape.ops();
-    let outs = tape.gate_out();
-    let starts = tape.fanin_start();
-    let fanin = tape.fanin();
-    for g in 0..ops.len() {
-        let out = outs[g] as usize;
-        let s = starts[g] as usize;
-        let e = starts[g + 1] as usize;
-        let v = crate::eval::eval_scalar_fold(
-            ops[g],
-            fanin[s..e]
-                .iter()
-                .enumerate()
-                .map(|(p, &f)| force.read(values, out, p as u32, f as usize)),
-        );
-        values[out] = force.force_out(out, v);
-    }
-}
-
-/// Streams one machine (fault-free or single-fault) over a vector source,
-/// delivering the primary-output values of each time unit to `on_po`.
-/// The visitor returns `true` to continue; returning `false` stops the
-/// stream early. Returns the flip-flop state after the last simulated
-/// vector.
-pub(crate) fn stream_machine_tape(
-    tape: &GateTape,
+/// Input validation shared by every simulation engine and the node-graph
+/// oracle: rejects mismatched and empty streams, and faults on nodes the
+/// circuit does not have, before anything runs — so all of them fail
+/// identically on bad input, including with an empty fault list.
+pub(crate) fn validate(
+    num_inputs: usize,
+    num_nodes: usize,
     source: &dyn VectorSource,
-    fault: Option<Fault>,
-    on_po: &mut dyn FnMut(usize, &[Logic]) -> bool,
-) -> Result<Vec<Logic>, SimError> {
-    validate_width(tape.num_inputs(), source)?;
-    let force = ScalarForce::of(fault);
-
-    let mut values = vec![Logic::X; tape.num_nodes()];
-    let mut state = vec![Logic::X; tape.num_dffs()];
-    let mut po_scratch: Vec<Logic> = Vec::with_capacity(tape.num_outputs());
-
-    source.visit(&mut |t, vector| {
-        // Drive sources.
-        for (i, &pi) in tape.inputs().iter().enumerate() {
-            let pi = pi as usize;
-            values[pi] = force.force_out(pi, Logic::from_bool(vector.get(i)));
-        }
-        for (k, &dff) in tape.dffs().iter().enumerate() {
-            let dff = dff as usize;
-            values[dff] = force.force_out(dff, state[k]);
-        }
-        // Combinational sweep.
-        sweep_tape(tape, &mut values, &force);
-        // Observe.
-        po_scratch.clear();
-        po_scratch.extend(tape.outputs().iter().map(|&o| values[o as usize]));
-        let go_on = on_po(t, &po_scratch);
-        // Clock (with D-pin injection).
-        for (k, (&dff, &src)) in tape.dffs().iter().zip(tape.dff_src()).enumerate() {
-            state[k] = force.read(&values, dff as usize, 0, src as usize);
-        }
-        go_on
-    });
-
-    Ok(state)
-}
-
-/// Width/emptiness validation shared by every simulation engine: rejects
-/// mismatched and empty streams before anything runs, so all backends
-/// fail identically on bad input — including with an empty fault list.
-pub(crate) fn validate_width(num_inputs: usize, source: &dyn VectorSource) -> Result<(), SimError> {
+    faults: &[Fault],
+) -> Result<(), SimError> {
     if source.width() != num_inputs {
         return Err(SimError::WidthMismatch {
             circuit_inputs: num_inputs,
@@ -203,98 +90,23 @@ pub(crate) fn validate_width(num_inputs: usize, source: &dyn VectorSource) -> Re
     if source.is_empty() {
         return Err(SimError::EmptySequence);
     }
+    if let Some(&fault) = faults.iter().find(|f| f.site.node().index() >= num_nodes) {
+        return Err(SimError::FaultSiteOutOfRange { fault, nodes: num_nodes });
+    }
     Ok(())
 }
 
-/// Visitor of the fused pair walk: receives the time unit, the fault-free
-/// primary outputs and the faulty primary outputs; returns `true` to keep
-/// streaming.
-pub(crate) type PairVisitor<'v> = dyn FnMut(usize, &[Logic], &[Logic]) -> bool + 'v;
-
-/// Streams the fault-free machine and one faulty machine in lockstep over
-/// the tape, delivering both primary-output slices per time unit — the
-/// fused good-machine walk of the scalar reference backend. Nothing is
-/// collected: detection is O(1) in stream length.
-pub(crate) fn stream_machine_fused_tape(
-    tape: &GateTape,
-    source: &dyn VectorSource,
-    fault: Fault,
-    on_po: &mut PairVisitor<'_>,
-) -> Result<(), SimError> {
-    validate_width(tape.num_inputs(), source)?;
-    let force = ScalarForce::of(Some(fault));
-
-    let n = tape.num_nodes();
-    let mut good = vec![Logic::X; n];
-    let mut bad = vec![Logic::X; n];
-    let mut good_state = vec![Logic::X; tape.num_dffs()];
-    let mut bad_state = vec![Logic::X; tape.num_dffs()];
-    let mut good_po: Vec<Logic> = Vec::with_capacity(tape.num_outputs());
-    let mut bad_po: Vec<Logic> = Vec::with_capacity(tape.num_outputs());
-
-    source.visit(&mut |t, vector| {
-        // Drive sources on both machines.
-        for (i, &pi) in tape.inputs().iter().enumerate() {
-            let pi = pi as usize;
-            let v = Logic::from_bool(vector.get(i));
-            good[pi] = v;
-            bad[pi] = force.force_out(pi, v);
-        }
-        for (k, &dff) in tape.dffs().iter().enumerate() {
-            let dff = dff as usize;
-            good[dff] = good_state[k];
-            bad[dff] = force.force_out(dff, bad_state[k]);
-        }
-        // One combinational sweep over both value tables: each gate's
-        // metadata (opcode, CSR window) is read once and drives both
-        // machines, the scalar analogue of the packed engines' fused
-        // good lane.
-        let ops = tape.ops();
-        let outs = tape.gate_out();
-        let starts = tape.fanin_start();
-        let fanin = tape.fanin();
-        for g in 0..ops.len() {
-            let out = outs[g] as usize;
-            let window = &fanin[starts[g] as usize..starts[g + 1] as usize];
-            good[out] =
-                crate::eval::eval_scalar_fold(ops[g], window.iter().map(|&f| good[f as usize]));
-            let v = crate::eval::eval_scalar_fold(
-                ops[g],
-                window
-                    .iter()
-                    .enumerate()
-                    .map(|(p, &f)| force.read(&bad, out, p as u32, f as usize)),
-            );
-            bad[out] = force.force_out(out, v);
-        }
-        // Observe both machines.
-        good_po.clear();
-        good_po.extend(tape.outputs().iter().map(|&o| good[o as usize]));
-        bad_po.clear();
-        bad_po.extend(tape.outputs().iter().map(|&o| bad[o as usize]));
-        let go_on = on_po(t, &good_po, &bad_po);
-        // Clock both machines (with D-pin injection on the faulty one).
-        for (k, (&dff, &src)) in tape.dffs().iter().zip(tape.dff_src()).enumerate() {
-            good_state[k] = good[src as usize];
-            bad_state[k] = force.read(&bad, dff as usize, 0, src as usize);
-        }
-        go_on
-    });
-
-    Ok(())
-}
-
-fn simulate_machine(
+/// One scalar machine over `seq` from the all-`X` state, every clock's
+/// outputs collected, on a caller-compiled tape.
+pub(crate) fn simulate_machine(
     tape: &GateTape,
     seq: &TestSequence,
     fault: Option<Fault>,
 ) -> Result<GoodTrace, SimError> {
-    let mut po = Vec::with_capacity(seq.len());
-    let final_state = stream_machine_tape(tape, seq, fault, &mut |_, outs| {
-        po.push(outs.to_vec());
-        true
-    })?;
-    Ok(GoodTrace { po, final_state })
+    validate(tape.num_inputs(), tape.num_nodes(), seq, fault.as_slice())?;
+    let mut machine = Machine::new(tape, fault);
+    let po = seq.iter().map(|vector| machine.step(tape, vector).to_vec()).collect();
+    Ok(GoodTrace { po, final_state: machine.state().to_vec() })
 }
 
 #[cfg(test)]
@@ -399,46 +211,6 @@ mod tests {
                 .any(|(g, b)| g.is_binary() && b.is_binary() && g != b);
             assert!(!observable, "difference before detection time at u={u}");
         }
-    }
-
-    #[test]
-    fn fused_pair_matches_separate_machines() {
-        use crate::Fault;
-        let c = benchmarks::s27();
-        let tape = GateTape::compile(&c);
-        let t0 = seq("0111 1001 0111 1001 0100 1011 1001 0000 0000 1011");
-        let g8 = c.find("G8").unwrap();
-        let g5 = c.dffs()[0];
-        for fault in
-            [Fault::output(g8, true), Fault::input(g8, 0, false), Fault::input(g5, 0, true)]
-        {
-            let good = simulate_good(&c, &t0).unwrap();
-            let bad = simulate_faulty(&c, &t0, fault).unwrap();
-            let mut steps = 0usize;
-            stream_machine_fused_tape(&tape, &t0, fault, &mut |t, g, b| {
-                assert_eq!(g, &good.po[t][..], "good PO at t={t} for {fault}");
-                assert_eq!(b, &bad.po[t][..], "faulty PO at t={t} for {fault}");
-                steps += 1;
-                true
-            })
-            .unwrap();
-            assert_eq!(steps, t0.len());
-        }
-    }
-
-    #[test]
-    fn fused_pair_validates_input() {
-        use crate::Fault;
-        let c = benchmarks::s27();
-        let tape = GateTape::compile(&c);
-        let g8 = c.find("G8").unwrap();
-        let err = stream_machine_fused_tape(
-            &tape,
-            &seq("000"),
-            Fault::output(g8, true),
-            &mut |_, _, _| panic!("must not run"),
-        );
-        assert_eq!(err, Err(SimError::WidthMismatch { circuit_inputs: 4, sequence_width: 3 }));
     }
 
     #[test]

@@ -17,10 +17,13 @@
 //!   faulty machines per pass plus the fused good machine in the top
 //!   lane; [`ShardedBackend`] splits the fault list across OS threads at
 //!   a configurable [`WordWidth`] (64/256/512 lanes); the
-//!   [`ScalarBackend`] reference engine runs one machine at a time for
-//!   differential testing. Every engine executes the compiled
-//!   [`GateTape`] (flat CSR fanin arrays + byte opcodes, compiled once
-//!   per circuit and shareable via
+//!   [`ScalarBackend`] reference engine steps one good/faulty pair of the
+//!   crate's scalar machine (the one behind [`SteppedSim`],
+//!   [`simulate_good`] and [`simulate_faulty`]) at a time, as the
+//!   differential oracle for every query, resume included. Every engine
+//!   implements one contract, [`SimBackend::resume_tape_obs`], and
+//!   executes the compiled [`GateTape`] (flat CSR fanin arrays + byte
+//!   opcodes, compiled once per circuit and shareable via
 //!   [`SimBackend::detection_times_tape`]); the node-graph oracle of the
 //!   seed implementation survives in [`reference`] purely as a
 //!   differential-test baseline. All engines fuse the fault-free machine
@@ -31,9 +34,9 @@
 //! * [`MachineState`] — the explicit, cloneable state of a pass (the
 //!   good machine's flip-flops plus each fault's).
 //!   [`FaultSimulator::resume`] / [`SimBackend::resume_tape_obs`]
-//!   continue a pass from one and snapshot new ones, so sequences that
-//!   grow or change late (test generation, static compaction) are
-//!   re-simulated only from the change on.
+//!   continue a pass from one and snapshot new ones on every engine, so
+//!   sequences that grow or change late (test generation, static
+//!   compaction) are re-simulated only from the change on.
 //! * [`FaultCoverage`] — fault list + detection times bookkeeping.
 //!
 //! # Example

@@ -25,13 +25,14 @@ use bist_netlist::{Circuit, NodeKind};
 /// # Errors
 ///
 /// [`SimError::WidthMismatch`] / [`SimError::EmptySequence`] for bad
-/// streams, exactly like the engines.
+/// streams and [`SimError::FaultSiteOutOfRange`] for a fault on a node
+/// the circuit does not have, exactly like the engines.
 pub fn detection_times(
     circuit: &Circuit,
     source: &dyn VectorSource,
     faults: &[Fault],
 ) -> Result<Vec<Option<usize>>, SimError> {
-    crate::good::validate_width(circuit.num_inputs(), source)?;
+    crate::good::validate(circuit.num_inputs(), circuit.num_nodes(), source, faults)?;
     faults.iter().map(|&fault| first_detection(circuit, source, fault)).collect()
 }
 

@@ -5,9 +5,9 @@
 //! default engine simulates faults 63 at a time (one faulty machine per
 //! low [`PackedValue`](crate::PackedValue) lane, with the fault-free
 //! machine fused into the top lane); [`FaultSimulator::sharded`] selects
-//! the thread-sharded wide-word engine, and a scalar reference engine is
-//! available for differential testing via
-//! [`FaultSimulator::with_backend`]. A fault is *detected* at time unit
+//! the thread-sharded wide-word engine, and the scalar reference engine,
+//! the differential oracle for every query, via
+//! [`FaultSimulator::scalar`]. A fault is *detected* at time unit
 //! `u` if some primary output has a binary value in the fault-free circuit
 //! and the complementary binary value in the faulty circuit at time `u` —
 //! the standard pessimistic three-valued criterion, matching the paper's
@@ -78,7 +78,8 @@ impl<'c> FaultSimulator<'c> {
     }
 
     /// Creates a simulator using the scalar reference engine (one faulty
-    /// machine at a time) — for differential testing.
+    /// machine at a time) — the differential oracle for every query,
+    /// resume included.
     #[must_use]
     pub fn scalar(circuit: &'c Circuit) -> Self {
         FaultSimulator::with_backend(circuit, Arc::new(ScalarBackend))
@@ -171,7 +172,7 @@ impl<'c> FaultSimulator<'c> {
     ///
     /// Width mismatch / empty sequence.
     pub fn good(&self, seq: &TestSequence) -> Result<GoodTrace, SimError> {
-        crate::good::simulate_good_tape(&self.tape, seq)
+        crate::good::simulate_machine(&self.tape, seq, None)
     }
 
     /// First detection time of every fault in `faults` under `seq`, or
@@ -232,11 +233,12 @@ impl<'c> FaultSimulator<'c> {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     ///
+    /// Every engine serves it, the scalar reference included, with
+    /// bit-identical times and snapshots.
+    ///
     /// # Errors
     ///
-    /// As for [`SimBackend::resume_tape_obs`]. Of the built-in engines,
-    /// only the scalar reference returns [`SimError::ResumeUnsupported`]:
-    /// it keeps no machine state.
+    /// As for [`SimBackend::resume_tape_obs`].
     pub fn resume(
         &self,
         from: &MachineState,

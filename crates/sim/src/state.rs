@@ -16,7 +16,10 @@
 //! from-scratch pass starts from; it holds no per-fault rows and costs
 //! no allocation. States at later times come out of
 //! [`SimBackend::resume_tape_obs`](crate::SimBackend::resume_tape_obs)
-//! as [`Resumed::states`] snapshots.
+//! as [`Resumed::states`] snapshots. Every engine loads and captures
+//! them — the packed engines one lane per machine, the scalar reference
+//! one scalar machine each — and a state captured by one engine resumes
+//! on any other with the same result.
 
 use crate::{Fault, Logic};
 
@@ -160,10 +163,10 @@ pub struct Resumed {
     /// detect it.
     pub times: Vec<Option<usize>>,
     /// One snapshot per requested capture time, tracking exactly the
-    /// faults not yet detected before it. `None` when no fault chunk's
+    /// faults not yet detected before it. `None` when no faulty machine's
     /// walk reached that time — every fault was detected earlier, the
     /// fault list is empty or the stream ends first — because the pass
-    /// carries the good machine only inside fault chunks.
+    /// steps the good machine only alongside faulty ones.
     pub states: Vec<Option<MachineState>>,
 }
 

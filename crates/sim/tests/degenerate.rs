@@ -4,13 +4,15 @@
 //! the identity results the three-valued semantics dictate.
 //!
 //! These shapes appear in the randomized fuzz corpus too; this file pins
-//! the exact expected results rather than just oracle agreement.
+//! the exact expected results rather than just oracle agreement. Fault
+//! sites past the circuit's nodes are pinned here as well: one typed
+//! error from every engine, query and the oracle, never a panic.
 
 use bist_expand::TestSequence;
-use bist_netlist::{CircuitBuilder, GateTape};
+use bist_netlist::{CircuitBuilder, GateTape, NodeId};
 use bist_sim::{
-    collapse, fault_universe, reference, simulate_good, Fault, FaultSimulator, Logic, SimBackend,
-    SteppedSim,
+    collapse, fault_universe, reference, simulate_faulty, simulate_good, Fault, FaultSimulator,
+    Logic, MachineState, Obs, SimBackend, SimError, SteppedSim,
 };
 
 mod common;
@@ -129,4 +131,39 @@ fn po_fed_directly_from_pi_next_to_gates() {
     }
     // Full coverage is reachable: every fault site feeds a PO.
     assert!(oracle.iter().filter(|t| t.is_some()).count() >= faults.len() - 1);
+}
+
+#[test]
+fn fault_sites_past_the_circuit_are_a_typed_error_everywhere() {
+    let c = bist_netlist::benchmarks::s27();
+    let tape = GateTape::compile(&c);
+    let nodes = c.num_nodes();
+    let t0: TestSequence = "0111 1001 0111 1001 0100 1011 1001 0000 0000 1011".parse().unwrap();
+    let valid = collapse(&c, &fault_universe(&c)).representatives()[0];
+    let reset = MachineState::reset();
+    let obs = Obs::noop();
+    for fault in [
+        Fault::output(NodeId::from_index(nodes + 5), true),
+        Fault::input(NodeId::from_index(nodes), 0, false),
+    ] {
+        let want = SimError::FaultSiteOutOfRange { fault, nodes };
+        // Rejected before any pass runs, wherever the fault sits in the list.
+        let faults = [valid, fault];
+        assert_eq!(reference::detection_times(&c, &t0, &faults), Err(want.clone()), "oracle");
+        for engine in all_engines() {
+            let name = engine.name();
+            assert_eq!(
+                engine.detection_times_tape(&tape, &t0, &faults),
+                Err(want.clone()),
+                "{name}"
+            );
+            let resumed = engine.resume_tape_obs(&tape, &reset, &t0, &faults, &[3], &obs);
+            assert_eq!(resumed, Err(want.clone()), "{name}");
+            let probe = engine.first_detecting_tape_obs(&tape, &[&t0, &t0], fault, &obs);
+            assert_eq!(probe, Err(want.clone()), "{name}");
+        }
+        assert_eq!(FaultSimulator::new(&c).detection_times(&t0, &[fault]), Err(want.clone()));
+        assert_eq!(FaultSimulator::scalar(&c).detection_times(&t0, &[fault]), Err(want.clone()));
+        assert_eq!(simulate_faulty(&c, &t0, fault), Err(want));
+    }
 }

@@ -10,12 +10,12 @@
 //! × threads 1/2/4) and compared bit-for-bit
 //! against the node-graph oracle in [`bist_sim::reference`].
 //!
-//! Each corpus circuit also gets a seeded resume case: the engines that
-//! keep explicit machine state resume from a random prefix and must
-//! reproduce the oracle's times for every fault the prefix left
-//! undetected. And a seeded candidate-parallel case: `first_detecting`
-//! over random candidate streams must name the candidate the oracle's
-//! sequential scan names.
+//! Each corpus circuit also gets a seeded resume case: every engine
+//! resumes from a random prefix and must reproduce the oracle's times for
+//! every fault the prefix left undetected, and the scalar reference
+//! engine's `Resumed` — captured machine states included. And a seeded
+//! candidate-parallel case: `first_detecting` over random candidate
+//! streams must name the candidate the oracle's sequential scan names.
 //!
 //! Two entry points, like the 13-circuit campaign acceptance test:
 //! a fast subset that runs in debug `cargo test` on every push, and the
@@ -25,7 +25,8 @@ use bist_expand::{TestSequence, TestVector, VectorSource};
 use bist_netlist::fuzz::fuzz_circuit;
 use bist_netlist::{CircuitBuilder, GateKind, GateTape};
 use bist_sim::{
-    collapse, fault_universe, reference, Fault, FaultSite, MachineState, Obs, SimBackend, SimError,
+    collapse, fault_universe, reference, Fault, FaultSite, MachineState, Obs, ScalarBackend,
+    SimBackend, SimError,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -72,51 +73,54 @@ fn run_corpus(seeds: std::ops::Range<u64>, max_faults: usize, max_seq_len: usize
                 circuit.name()
             );
         }
-        // Seeded resume case: every engine that keeps explicit machine
-        // state walks a random prefix, then resumes the faults it left
-        // undetected — shuffled, so they land in other lanes — over the
-        // rest, and must reproduce the oracle's times for all of them.
+        // Seeded resume case: the scalar reference walks a random prefix,
+        // capturing the state it leaves behind, then resumes the faults it
+        // left undetected — shuffled, so they land in other lanes of the
+        // packed engines — over the rest, capturing the final state. Its
+        // times must be the oracle's, and every engine's `Resumed`, each
+        // captured `MachineState` included, must equal the scalar one.
         let at = rng.gen_range(1..len);
         let (prefix, rest) = (seq.subsequence(0, at - 1), seq.subsequence(at, len - 1));
-        let reset = MachineState::reset();
+        let obs = Obs::noop();
+        let fail = |engine: &dyn SimBackend, e: SimError| -> ! {
+            panic!("{} failed on {} (seed {seed}): {e}", engine.name(), circuit.name())
+        };
+        let walk = |engine: &dyn SimBackend| {
+            engine
+                .resume_tape_obs(&tape, &MachineState::reset(), &prefix, &faults, &[at], &obs)
+                .unwrap_or_else(|e| fail(engine, e))
+        };
+        let walked = walk(&ScalarBackend);
+        let mut pending: Vec<usize> = Vec::new();
+        for (i, &t) in walked.times.iter().enumerate() {
+            match t {
+                Some(_) => assert_eq!(t, oracle[i], "scalar prefix (seed {seed})"),
+                None => pending.push(i),
+            }
+        }
+        assert_eq!(walked.states[0].is_some(), !pending.is_empty(), "scalar state (seed {seed})");
+        pending.shuffle(&mut rng);
+        let subset: Vec<Fault> = pending.iter().map(|&i| faults[i]).collect();
+        let resume = |engine: &dyn SimBackend| {
+            walked.states[0].as_ref().map(|state| {
+                engine
+                    .resume_tape_obs(&tape, state, &rest, &subset, &[len], &obs)
+                    .unwrap_or_else(|e| fail(engine, e))
+            })
+        };
+        let resumed = resume(&ScalarBackend);
+        for (&i, &t) in pending.iter().zip(resumed.iter().flat_map(|r| &r.times)) {
+            assert_eq!(
+                t,
+                oracle[i],
+                "scalar resumed at {at} diverges from the oracle on {} (seed {seed})",
+                circuit.name()
+            );
+        }
         for engine in &grid {
-            let walked = match engine.resume_tape_obs(
-                &tape,
-                &reset,
-                &prefix,
-                &faults,
-                &[at],
-                &Obs::noop(),
-            ) {
-                Err(SimError::ResumeUnsupported { .. }) => continue,
-                walked => walked.unwrap_or_else(|e| {
-                    panic!("{} failed on {} (seed {seed}): {e}", engine.name(), circuit.name())
-                }),
-            };
-            let mut pending: Vec<usize> = Vec::new();
-            for (i, &t) in walked.times.iter().enumerate() {
-                match t {
-                    Some(_) => assert_eq!(t, oracle[i], "{} prefix (seed {seed})", engine.name()),
-                    None => pending.push(i),
-                }
-            }
-            let Some(state) = &walked.states[0] else {
-                assert!(pending.is_empty(), "{} lost the state (seed {seed})", engine.name());
-                continue;
-            };
-            pending.shuffle(&mut rng);
-            let subset: Vec<Fault> = pending.iter().map(|&i| faults[i]).collect();
-            let resumed =
-                engine.resume_tape_obs(&tape, state, &rest, &subset, &[], &Obs::noop()).unwrap();
-            for (&i, &t) in pending.iter().zip(&resumed.times) {
-                assert_eq!(
-                    t,
-                    oracle[i],
-                    "{} resumed at {at} diverges from the oracle on {} (seed {seed})",
-                    engine.name(),
-                    circuit.name()
-                );
-            }
+            let name = engine.name();
+            assert_eq!(walk(&**engine), walked, "{name} prefix walk (seed {seed})");
+            assert_eq!(resume(&**engine), resumed, "{name} resumed at {at} (seed {seed})");
         }
         // Seeded candidate-parallel case: up to 40 random streams of mixed
         // length (so some probes span two 32-candidate passes) for a few

@@ -4,11 +4,13 @@
 //! must report exactly what the from-reset pass over `P ++ B` reports for
 //! every fault `P` did not detect (times are times since reset, so
 //! "shifted by `|P|`" is built in), and must leave the same state behind.
-//! Checked on every packed engine of the shared test grid (packed64 and
-//! the sharded engine at 64, 256 and 512 lanes with one and two
-//! threads), over fault lists spanning several chunks, re-ordered
-//! subsets (so faults land in other lanes than the ones they were
-//! captured from) and prefixes in which whole chunks stopped early.
+//! Checked on the scalar reference engine, whose every `Resumed` —
+//! captured machine states compared with `==` — every other engine of the
+//! shared test grid (packed64 and the sharded engine at 64, 256 and 512
+//! lanes with one and two threads) must reproduce, over fault lists
+//! spanning several chunks, re-ordered subsets (so faults land in other
+//! lanes than the ones they were captured from) and prefixes in which
+//! whole chunks stopped early.
 
 use std::sync::Arc;
 
@@ -16,8 +18,8 @@ use bist_expand::{TestSequence, TestVector};
 use bist_netlist::{benchmarks, Circuit, GateTape};
 use bist_obs::Registry;
 use bist_sim::{
-    collapse, fault_universe, Fault, MachineState, Obs, PackedBackend, ScalarBackend, SimBackend,
-    SimError,
+    collapse, fault_universe, Fault, MachineState, Obs, PackedBackend, Resumed, ScalarBackend,
+    SimBackend, SimError,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -25,9 +27,9 @@ use rand::{Rng, SeedableRng};
 
 mod common;
 
-/// The engines that load and capture machine state: the shared grid
-/// without the scalar reference.
-fn resumable_engines() -> Vec<Box<dyn SimBackend>> {
+/// The engines checked against the scalar reference: the shared grid's
+/// packed and sharded engines.
+fn packed_engines() -> Vec<Box<dyn SimBackend>> {
     let scalar = ScalarBackend.name();
     common::engine_grid(&[1, 2]).into_iter().filter(|e| e.name() != scalar).collect()
 }
@@ -49,66 +51,86 @@ fn split(seq: &TestSequence, at: usize) -> (TestSequence, TestSequence) {
     (seq.subsequence(0, at - 1), seq.subsequence(at, seq.len() - 1))
 }
 
-/// Walks `prefix` from reset over `faults`, resumes the undetected ones
-/// (shuffled) over `burst`, and checks times and the final state against
-/// the from-reset pass over the whole sequence.
+/// For each split point `p`: walks the prefix `seq[..p]` from reset over
+/// `faults`, resumes the undetected ones (shuffled) over the rest, and
+/// checks times and the final state against the from-reset pass over the
+/// whole of `seq` on the scalar reference engine. One scalar walk over
+/// `seq`, capturing at every split point and at the end, serves as the
+/// whole pass and, cut at `p`, as each prefix walk. Every packed engine
+/// must return the scalar engine's `Resumed` for every pass.
 fn check_resume(
-    engine: &dyn SimBackend,
     tape: &GateTape,
-    prefix: &TestSequence,
-    burst: &TestSequence,
+    seq: &TestSequence,
+    splits: &[usize],
     faults: &[Fault],
     rng: &mut StdRng,
 ) {
-    let name = engine.name();
-    let whole = prefix.concat(burst).unwrap();
-    let end = whole.len();
+    let end = seq.len();
     let obs = Obs::noop();
+    let reset = MachineState::reset();
+    let capture: Vec<usize> = splits.iter().copied().chain([end]).collect();
     let reference =
-        engine.resume_tape_obs(tape, &MachineState::reset(), &whole, faults, &[end], &obs).unwrap();
-    assert_eq!(reference.times, engine.detection_times_tape(tape, &whole, faults).unwrap());
-
-    let p = prefix.len();
-    let walked =
-        engine.resume_tape_obs(tape, &MachineState::reset(), prefix, faults, &[p], &obs).unwrap();
-    let mut pending: Vec<Fault> = Vec::new();
-    for ((&f, &t), &want) in faults.iter().zip(&walked.times).zip(&reference.times) {
-        match t {
-            Some(t) => assert_eq!(Some(t), want, "{name}: prefix time of {f}"),
-            None => {
-                assert!(want.is_none_or(|w| w >= p), "{name}: {f} missed in the prefix");
-                pending.push(f);
-            }
-        }
+        ScalarBackend.resume_tape_obs(tape, &reset, seq, faults, &capture, &obs).unwrap();
+    let final_state = reference.states.last().unwrap();
+    let engines = packed_engines();
+    for engine in &engines {
+        let name = engine.name();
+        let whole = engine.resume_tape_obs(tape, &reset, seq, faults, &capture, &obs).unwrap();
+        assert_eq!(whole, reference, "{name}: whole pass");
+        assert_eq!(engine.detection_times_tape(tape, seq, faults).unwrap(), reference.times);
     }
-    let Some(state) = walked.states[0].clone() else {
-        assert!(pending.is_empty(), "{name}: undetected faults must carry the state");
-        return;
-    };
-    assert_eq!(state.time(), p);
-    assert_eq!(state.faults().len(), pending.len());
-
-    pending.shuffle(rng);
-    let keep = rng.gen_range(pending.len().div_ceil(2)..=pending.len());
-    pending.truncate(keep);
-    let resumed = engine.resume_tape_obs(tape, &state, burst, &pending, &[end], &obs).unwrap();
-    for (f, t) in pending.iter().zip(&resumed.times) {
-        let i = faults.iter().position(|g| g == f).unwrap();
-        assert_eq!(*t, reference.times[i], "{name}: resumed time of {f}");
-    }
-    // The state left behind matches the from-reset pass, fault by fault.
-    match (&resumed.states[0], &reference.states[0]) {
-        (Some(got), Some(want)) => {
-            assert_eq!(got.time(), end);
-            assert_eq!(got.good(), want.good(), "{name}: good machine state");
-            for &f in got.faults() {
-                assert_eq!(got.fault_state(f), want.fault_state(f), "{name}: state of {f}");
+    for (k, &p) in splits.iter().enumerate() {
+        let (prefix, burst) = split(seq, p);
+        let walked = Resumed {
+            times: reference.times.iter().map(|t| t.filter(|&t| t < p)).collect(),
+            states: vec![reference.states[k].clone()],
+        };
+        let mut pending: Vec<Fault> = faults
+            .iter()
+            .zip(&walked.times)
+            .filter(|(_, t)| t.is_none())
+            .map(|(&f, _)| f)
+            .collect();
+        pending.shuffle(rng);
+        let keep = rng.gen_range(pending.len().div_ceil(2)..=pending.len());
+        pending.truncate(keep);
+        let resume = |engine: &dyn SimBackend| {
+            walked.states[0].as_ref().map(|state| {
+                engine.resume_tape_obs(tape, state, &burst, &pending, &[end], &obs).unwrap()
+            })
+        };
+        let resumed = resume(&ScalarBackend);
+        match (&walked.states[0], &resumed) {
+            (Some(state), Some(resumed)) => {
+                assert_eq!(state.time(), p);
+                for (f, t) in pending.iter().zip(&resumed.times) {
+                    let i = faults.iter().position(|g| g == f).unwrap();
+                    assert_eq!(*t, reference.times[i], "resumed time of {f} at {p}");
+                }
+                // The state left behind matches the whole pass's, fault by
+                // fault.
+                match (&resumed.states[0], final_state) {
+                    (Some(got), Some(want)) => {
+                        assert_eq!(got.time(), end);
+                        assert_eq!(got.good(), want.good(), "good machine state");
+                        for &f in got.faults() {
+                            assert_eq!(got.fault_state(f), want.fault_state(f), "state of {f}");
+                        }
+                        let survivors = resumed.times.iter().filter(|t| t.is_none()).count();
+                        assert_eq!(got.faults().len(), survivors);
+                    }
+                    (None, _) => assert!(resumed.times.iter().all(Option::is_some)),
+                    (Some(_), None) => panic!("resumed pass reached a time the full pass did not"),
+                }
             }
-            let survivors = resumed.times.iter().filter(|t| t.is_none()).count();
-            assert_eq!(got.faults().len(), survivors);
+            _ => assert!(pending.is_empty(), "undetected faults must carry the state"),
         }
-        (None, _) => assert!(resumed.times.iter().all(Option::is_some), "{name}"),
-        (Some(_), None) => panic!("{name}: resumed pass reached a time the full pass did not"),
+        for engine in &engines {
+            let name = engine.name();
+            let walk = engine.resume_tape_obs(tape, &reset, &prefix, faults, &[p], &obs).unwrap();
+            assert_eq!(walk, walked, "{name}: prefix walk to {p}");
+            assert_eq!(resume(&**engine), resumed, "{name}: resumed at {p}");
+        }
     }
 }
 
@@ -121,12 +143,7 @@ fn resume_matches_the_whole_pass_over_several_chunks() {
         let faults = collapse(&circuit, &fault_universe(&circuit)).representatives().to_vec();
         assert!(name == "s27" || faults.len() > 63, "{name} must span several chunks");
         let seq = random_sequence(&circuit, 40, &mut rng);
-        for at in [1, 7, 23, 39] {
-            let (prefix, burst) = split(&seq, at);
-            for engine in resumable_engines() {
-                check_resume(&*engine, &tape, &prefix, &burst, &faults, &mut rng);
-            }
-        }
+        check_resume(&tape, &seq, &[1, 7, 23, 39], &faults, &mut rng);
     }
 }
 
@@ -136,7 +153,7 @@ fn resume_after_a_prefix_where_whole_chunks_stopped_early() {
     let tape = GateTape::compile(&circuit);
     let mut rng = StdRng::seed_from_u64(77);
     let seq = random_sequence(&circuit, 48, &mut rng);
-    let (prefix, burst) = split(&seq, 24);
+    let prefix = seq.subsequence(0, 23);
     let universe = collapse(&circuit, &fault_universe(&circuit)).representatives().to_vec();
     // Faults the prefix detects first, so the leading chunks exhaust and
     // stop before the prefix ends.
@@ -153,9 +170,7 @@ fn resume_after_a_prefix_where_whole_chunks_stopped_early() {
         .resume_tape_obs(&tape, &MachineState::reset(), &prefix, &faults, &[24], &obs)
         .unwrap();
     assert!(registry.snapshot().counter("sim.chunk_early_exits").unwrap_or(0) >= 1);
-    for engine in resumable_engines() {
-        check_resume(&*engine, &tape, &prefix, &burst, &faults, &mut rng);
-    }
+    check_resume(&tape, &seq, &[24], &faults, &mut rng);
 }
 
 #[test]
@@ -167,9 +182,11 @@ fn captures_along_one_walk_match_separate_walks() {
     let faults = collapse(&circuit, &fault_universe(&circuit)).representatives().to_vec();
     let obs = Obs::noop();
     let at = [5, 12, 30];
-    for engine in resumable_engines() {
-        let reset = MachineState::reset();
+    let reset = MachineState::reset();
+    let scalar = ScalarBackend.resume_tape_obs(&tape, &reset, &seq, &faults, &at, &obs).unwrap();
+    for engine in packed_engines() {
         let all = engine.resume_tape_obs(&tape, &reset, &seq, &faults, &at, &obs).unwrap();
+        assert_eq!(all, scalar, "{}", engine.name());
         for (k, &t) in at.iter().enumerate() {
             let head = seq.subsequence(0, t - 1);
             let one = engine.resume_tape_obs(&tape, &reset, &head, &faults, &[t], &obs).unwrap();
@@ -186,7 +203,7 @@ fn resume_errors_are_typed() {
     let prefix: TestSequence = "0111 1001".parse().unwrap();
     let obs = Obs::noop();
     let reset = MachineState::reset();
-    for engine in resumable_engines() {
+    for engine in common::engine_grid(&[1, 2]) {
         let walked = engine.resume_tape_obs(&tape, &reset, &prefix, &faults, &[2], &obs).unwrap();
         let state = walked.states[0].clone().unwrap();
         let pending: Vec<Fault> = faults
@@ -229,11 +246,4 @@ fn resume_errors_are_typed() {
             .unwrap_err();
         assert_eq!(err, SimError::StateMismatch { state_dffs: 3, tape_dffs: other.num_dffs() });
     }
-    // The scalar reference keeps no explicit state: it serves plain
-    // passes and refuses the rest.
-    let plain = ScalarBackend.resume_tape_obs(&tape, &reset, &prefix, &faults, &[], &obs).unwrap();
-    assert_eq!(plain.times, ScalarBackend.detection_times_tape(&tape, &prefix, &faults).unwrap());
-    let err =
-        ScalarBackend.resume_tape_obs(&tape, &reset, &prefix, &faults, &[2], &obs).unwrap_err();
-    assert_eq!(err, SimError::ResumeUnsupported { engine: ScalarBackend.name() });
 }
