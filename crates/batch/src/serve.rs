@@ -56,6 +56,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+use subseq_bist::netlist::benchmarks;
 use subseq_bist::tgen::TgenConfig;
 use subseq_bist::Backend;
 
@@ -110,7 +111,8 @@ impl Default for ServeConfig {
 ///
 /// The vocabulary mirrors the `run` CLI flags, with the same defaults
 /// (including `"smoke": true` shrinking the matrix exactly like
-/// `--smoke`): `circuits` (suite names), `upto`, `backends` (labels in
+/// `--smoke`): `circuits` (names of built-in suite circuits; an unknown
+/// name fails the submission), `upto`, `backends` (labels in
 /// the [`crate::parse_backend`] syntax), `seeds`, `ns`, `postprocess`,
 /// `verify`, `t0_cap`, `t0_budget`, `smoke`. Unknown keys are rejected — a misspelled field
 /// must fail the submission, not silently run a default campaign. The
@@ -180,7 +182,17 @@ pub fn campaign_from_spec(body: &str) -> Result<Campaign, BatchError> {
         campaign = campaign.seeds(seeds);
     }
     campaign = match circuits {
-        Some(names) => campaign.suite_circuits(names),
+        Some(names) => {
+            let suite = benchmarks::suite();
+            if let Some(name) = names.iter().find(|n| !suite.iter().any(|e| e.name == *n)) {
+                let known: Vec<&str> = suite.iter().map(|e| e.name).collect();
+                return Err(bad(format!(
+                    "`circuits`: unknown suite circuit `{name}`; known: {}",
+                    known.join(", ")
+                )));
+            }
+            campaign.suite_circuits(names)
+        }
         None => campaign.suite_up_to(upto.unwrap_or(3000)),
     };
     if let Some(tokens) = backend_tokens {

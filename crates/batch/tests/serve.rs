@@ -306,6 +306,34 @@ fn admission_bounds_and_submission_errors_are_typed_http_statuses() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A spec naming a circuit the built-in suite does not have is answered
+/// `400` naming it, and nothing is queued — not `200` and a job that
+/// fails when the pool reaches it.
+#[test]
+fn unknown_circuits_are_rejected_at_submission() {
+    let err = campaign_from_spec(r#"{"circuits": ["s27", "nope"]}"#).unwrap_err();
+    assert!(err.to_string().contains("unknown suite circuit `nope`"), "{err}");
+    assert!(campaign_from_spec(r#"{"circuits": ["s27", "a298"]}"#).is_ok());
+
+    let dir = temp_journal_dir("unknown-circuit");
+    let (addr, registry, server) =
+        start(ServeConfig { journal_dir: dir.clone(), ..ServeConfig::default() });
+    for body in [r#"{"circuits": ["nope"]}"#, r#"{"circuits": ["s27", "S27"], "smoke": true}"#] {
+        let response = request(addr, "POST", "/campaigns", &[], body);
+        assert_eq!(response.status, 400, "{body}: {}", response.body);
+        assert!(response.body.contains("unknown suite circuit"), "{}", response.body);
+    }
+    assert!(request(addr, "POST", "/campaigns", &[], r#"{"circuits": ["nope"]}"#)
+        .body
+        .contains("`nope`"));
+    assert_eq!(registry.snapshot().counter("serve.campaigns.accepted").unwrap_or(0), 0);
+
+    let shutdown = request(addr, "POST", "/shutdown", &[], "");
+    assert_eq!(shutdown.status, 200);
+    server.join().expect("server thread exits cleanly");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Graceful drain: shutdown while a campaign is mid-flight finishes that
 /// campaign (every row streamed and journaled), cancels the queued one,
 /// and leaves BOTH journals resumable — the cancelled campaign's empty

@@ -63,5 +63,5 @@ pub mod stream;
 
 pub use error::ExpandError;
 pub use sequence::TestSequence;
-pub use stream::{ExpansionIter, VectorSource};
+pub use stream::{ExpansionIter, VectorSource, Walks};
 pub use vector::TestVector;

@@ -11,10 +11,25 @@
 //! [`VectorSource`] abstracts "a finite, replayable stream of equally
 //! wide vectors" so that fault simulators can consume either a stored
 //! [`TestSequence`] or a lazy expansion without the caller materializing
-//! anything.
+//! anything. A source also describes its [`Walks`]: runs of memory walks
+//! that apply the same vectors on every repetition. An expansion reports
+//! its eight phases (`n` walks of `|S|` vectors each); a simulator that
+//! sees a walk end in the state it began in may resume the stream at the
+//! end of that run ([`VectorSource::visit_from`]), since the remaining
+//! walks can only replay it.
 
 use crate::expansion::Phase;
 use crate::{TestSequence, TestVector};
+
+/// A run of `reps` consecutive memory walks of `len` vectors each, every
+/// walk applying the same `len` vectors — one phase of an expansion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Walks {
+    /// Vectors per walk.
+    pub len: usize,
+    /// Number of walks.
+    pub reps: usize,
+}
 
 /// A finite, replayable stream of equally wide test vectors.
 ///
@@ -24,7 +39,16 @@ use crate::{TestSequence, TestVector};
 /// concurrently from several worker threads; [`visit`] takes `&self`, so
 /// implementors need no interior mutability to satisfy it.
 ///
+/// The stream's [`walks`] cut it into consecutive runs of repeated walks;
+/// simulators rely on every walk of a run applying identical vectors and
+/// jump over the rest of a run with [`visit_from`] once a walk returns
+/// to the state it began in. The provided defaults describe the stream as
+/// one walk of one repetition, so a source that repeats nothing overrides
+/// neither.
+///
 /// [`visit`]: VectorSource::visit
+/// [`walks`]: VectorSource::walks
+/// [`visit_from`]: VectorSource::visit_from
 pub trait VectorSource: Sync {
     /// The vector width (number of primary inputs driven).
     fn width(&self) -> usize;
@@ -42,6 +66,23 @@ pub trait VectorSource: Sync {
     /// `false` stops the walk early (used by simulators once every fault
     /// of a pass has been detected).
     fn visit(&self, visitor: &mut dyn FnMut(usize, &TestVector) -> bool);
+
+    /// [`visit`](Self::visit) from time unit `from` on: exactly the
+    /// vectors `visit` passes at times `from..`, with their times (none
+    /// when `from >= num_vectors()`). The default walks the stream from
+    /// the start and hides the vectors before `from`.
+    fn visit_from(&self, from: usize, visitor: &mut dyn FnMut(usize, &TestVector) -> bool) {
+        self.visit(&mut |t, v| t < from || visitor(t, v));
+    }
+
+    /// The stream cut into runs of repeated walks, in application order:
+    /// run `i` is `walks()[i].reps` walks of `walks()[i].len` vectors
+    /// each, every walk applying the same vectors, and the runs cover the
+    /// stream (`Σ len·reps = num_vectors()`). The default is the whole
+    /// stream as one walk of one repetition.
+    fn walks(&self) -> Vec<Walks> {
+        vec![Walks { len: self.num_vectors(), reps: 1 }]
+    }
 
     /// Writes the vector of time unit `t` into `out`, reusing its
     /// allocation: random access for simulators that step several streams
@@ -227,25 +268,42 @@ impl VectorSource for ExpansionIter<'_> {
     }
 
     fn visit(&self, visitor: &mut dyn FnMut(usize, &TestVector) -> bool) {
-        // Always the entire expansion, whatever the iterator cursor; one
-        // reused buffer carries every transformed vector.
+        // Always the entire expansion, whatever the iterator cursor.
+        self.visit_from(0, visitor);
+    }
+
+    fn visit_from(&self, from: usize, visitor: &mut dyn FnMut(usize, &TestVector) -> bool) {
+        // One reused buffer carries every transformed vector.
         let walk = self.loaded_len();
         if walk == 0 {
             return;
         }
         let mut out = TestVector::zeros(self.width);
-        let mut t = 0;
+        let mut start = 0;
         for phase in &self.phases {
-            for _ in 0..phase.reps {
-                for pos in 0..walk {
-                    phase.transform_into(self.word(phase, pos), &mut out);
-                    if !visitor(t, &out) {
-                        return;
-                    }
-                    t += 1;
+            let end = start + phase.reps * walk;
+            let mut t = from.max(start);
+            let mut pos = (t - start) % walk;
+            while t < end {
+                phase.transform_into(self.word(phase, pos), &mut out);
+                if !visitor(t, &out) {
+                    return;
                 }
+                t += 1;
+                pos = if pos + 1 == walk { 0 } else { pos + 1 };
             }
+            start = end;
         }
+    }
+
+    /// One run per phase: `reps` walks of the loaded length (zero-rep
+    /// phases and an empty memory contribute nothing).
+    fn walks(&self) -> Vec<Walks> {
+        let len = self.loaded_len();
+        if len == 0 {
+            return Vec::new();
+        }
+        self.phases.iter().filter(|p| p.reps > 0).map(|p| Walks { len, reps: p.reps }).collect()
     }
 
     fn vector_into(&self, t: usize, out: &mut TestVector) {

@@ -136,6 +136,96 @@ fn custom_recipes_stream_like_they_expand() {
     }
 }
 
+/// The contract simulators fast-forward by, on one source: `visit_from(t)`
+/// yields exactly the suffix of `visit` from `t` (times included) for
+/// every `t`, the declared walks cover the stream, and every repetition of
+/// a walk yields the vectors of the run's first walk.
+fn check_stream_contract(source: &dyn VectorSource, what: &str) {
+    let mut all = Vec::new();
+    source.visit(&mut |t, v| {
+        assert_eq!(t, all.len(), "{what}: visit times");
+        all.push(v.clone());
+        true
+    });
+    assert_eq!(all.len(), source.num_vectors(), "{what}: visit length");
+    for from in 0..=all.len() + 1 {
+        let mut next = from;
+        source.visit_from(from, &mut |t, v| {
+            assert_eq!(t, next, "{what}: visit_from({from}) times");
+            assert_eq!(v, &all[t], "{what}: visit_from({from}) at {t}");
+            next += 1;
+            true
+        });
+        assert_eq!(next, all.len().max(from), "{what}: visit_from({from}) stops at the end");
+    }
+    // Stopping early stops the resumed walk too.
+    let mut seen = 0;
+    source.visit_from(all.len() / 2, &mut |_, _| {
+        seen += 1;
+        false
+    });
+    assert_eq!(seen, usize::from(all.len() / 2 < all.len()), "{what}: early stop");
+
+    let walks = source.walks();
+    assert_eq!(walks.iter().map(|w| w.len * w.reps).sum::<usize>(), all.len(), "{what}: walks");
+    let mut start = 0;
+    for w in &walks {
+        for rep in 1..w.reps {
+            for i in 0..w.len {
+                assert_eq!(
+                    all[start + rep * w.len + i],
+                    all[start + i],
+                    "{what}: walk {rep} of a {}×{} run at {start} differs at offset {i}",
+                    w.reps,
+                    w.len
+                );
+            }
+        }
+        start += w.len * w.reps;
+    }
+}
+
+#[test]
+fn streams_resume_anywhere_and_repeat_their_walks() {
+    let mut rng = StdRng::seed_from_u64(0x3a1c);
+    for _ in 0..24 {
+        let s = random_sequence(&mut rng);
+        check_stream_contract(&s, "stored sequence");
+        for n in [1usize, 2, 3] {
+            let cfg = ExpansionConfig::new(n).unwrap();
+            check_stream_contract(&cfg.stream(&s), &format!("n={n}"));
+            let from = rng.gen_range(0..s.len());
+            let to = rng.gen_range(from..s.len());
+            check_stream_contract(&cfg.stream(&s).window(from, to), &format!("n={n} window"));
+            let u = rng.gen_range(0..s.len());
+            check_stream_contract(&cfg.stream(&s).without(u), &format!("n={n} without {u}"));
+        }
+        let recipe = CustomExpansion::new(rng.gen_range(1usize..=3))
+            .unwrap()
+            .complement(rng.gen_bool(0.5))
+            .shift(rng.gen_bool(0.5))
+            .reverse(rng.gen_bool(0.5));
+        check_stream_contract(&recipe.stream(&s), &recipe.describe());
+    }
+    // The paper's larger `n`: the walks and a sample of resume points.
+    let s = random_sequence(&mut rng);
+    for n in [8usize, 16] {
+        let stream = ExpansionConfig::new(n).unwrap().stream(&s);
+        let walks = stream.walks();
+        assert_eq!(walks.len(), 8, "eight phases");
+        assert!(walks.iter().all(|w| w.len == s.len() && w.reps == n));
+        let all = stream.materialize();
+        for from in [0, 1, s.len(), n * s.len() + 1, all.len() - 1] {
+            let mut tail = Vec::new();
+            stream.visit_from(from, &mut |_, v| {
+                tail.push(v.clone());
+                true
+            });
+            assert_eq!(tail, all.vectors()[from..], "n={n} from {from}");
+        }
+    }
+}
+
 #[test]
 fn hardware_equals_software() {
     for_each_case(|rng, s| {

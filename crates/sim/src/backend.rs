@@ -64,6 +64,22 @@
 //! shared by both engine families, checks the stream, the fault sites,
 //! the state and the capture times before any machine steps.
 //!
+//! The packed stepping loop also fast-forwards repeated memory walks. A
+//! stream declares its [`Walks`]: `Sexp` is eight phases, each walking
+//! the loaded memory `n` times with the same vectors. At the start of
+//! each walk that has a successor in its phase, a chunk keeps its
+//! flip-flop words; at the walk's end it compares them under the good
+//! lane and every undetected lane. Equal means each machine the chunk
+//! still tracks is back where the walk began, so — three-valued
+//! simulation being deterministic, `X` included — the phase's remaining
+//! walks replay this one and detect nothing: the chunk resumes the stream
+//! at the phase end ([`VectorSource::visit_from`]). A skip never crosses
+//! a requested capture time; a capture at the phase end reads the state
+//! the chunk holds, which the skipped walks would have returned to. The
+//! skipped walks and vectors are counted as `sim.walks_skipped` /
+//! `sim.vectors_skipped`, apart from the simulated `sim.vectors`. The
+//! scalar engine never skips, so it stays the oracle of the rule.
+//!
 //! Procedure 2 asks a different question — which of several candidate
 //! streams is the first to detect *one* fault —
 //! [`SimBackend::first_detecting_tape_obs`]. Its default is the
@@ -72,7 +88,10 @@
 //! lane `c` and its good machine in lane `c + 32`, each pair driven by
 //! its own candidate's vectors, and compare the halves lane pair by lane
 //! pair. The pass steps through the same per-vector sweep as every
-//! other packed pass.
+//! other packed pass. When every candidate of a pass declares the same
+//! walks — Procedure 2's omission batches do — it applies the same
+//! fast-forward under the undecided lane pairs; batches of mixed
+//! structure (growing windows) walk every vector.
 //!
 //! Every engine validates its inputs at the boundary — width mismatches,
 //! empty streams, faults on nodes the tape does not have and oversized
@@ -86,7 +105,7 @@ use crate::{
     Fault, FaultSite, Logic, MachineState, PackedValue, PackedValue256, PackedValue512, Resumed,
     SimError,
 };
-use bist_expand::{TestVector, VectorSource};
+use bist_expand::{TestVector, VectorSource, Walks};
 use bist_netlist::{Circuit, GateKind, GateTape, RunArity};
 use bist_obs::{CancelKind, CancelToken, CounterHandle, HistogramHandle, Obs};
 use std::fmt;
@@ -249,6 +268,10 @@ struct SweepStats {
     pub early_exits: u64,
     /// Injector patch points applied, summed over chunk passes.
     pub patches: u64,
+    /// Repeated memory walks fast-forwarded, summed over chunk passes.
+    pub walks_skipped: u64,
+    /// Vectors those walks would have applied (not in `vectors`).
+    pub vectors_skipped: u64,
 }
 
 /// Pre-resolved sweep metric handles shared by every engine. Built once
@@ -262,6 +285,8 @@ struct SweepObs {
     chunks: CounterHandle,
     early_exits: CounterHandle,
     patches: CounterHandle,
+    walks_skipped: CounterHandle,
+    vectors_skipped: CounterHandle,
     shard_busy: HistogramHandle,
 }
 
@@ -274,6 +299,8 @@ impl SweepObs {
             chunks: obs.counter("sim.chunks"),
             early_exits: obs.counter("sim.chunk_early_exits"),
             patches: obs.counter("sim.tape_patches"),
+            walks_skipped: obs.counter("sim.walks_skipped"),
+            vectors_skipped: obs.counter("sim.vectors_skipped"),
             shard_busy: obs.histogram("sim.shard_busy_us"),
         }
     }
@@ -305,6 +332,8 @@ impl SweepObs {
         self.chunks.add(stats.chunks);
         self.early_exits.add(stats.early_exits);
         self.patches.add(stats.patches);
+        self.walks_skipped.add(stats.walks_skipped);
+        self.vectors_skipped.add(stats.vectors_skipped);
         self.shard_busy.record(busy_us);
     }
 }
@@ -586,6 +615,8 @@ struct ShardScratch<W: PackedWord> {
     injector: Injector,
     values: Vec<W>,
     state: Vec<W>,
+    /// The flip-flop state at the start of the current repeated walk.
+    saved: Vec<W>,
     pins: Vec<W>,
     stats: SweepStats,
 }
@@ -596,9 +627,107 @@ impl<W: PackedWord> ShardScratch<W> {
             injector: Injector::new(tape.num_nodes()),
             values: vec![W::ALL_X; tape.num_nodes()],
             state: vec![W::ALL_X; tape.num_dffs()],
+            saved: vec![W::ALL_X; tape.num_dffs()],
             pins: Vec::new(),
             stats: SweepStats::default(),
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Walk fast-forward
+// ---------------------------------------------------------------------
+
+/// A run of a stream's [`Walks`] a packed pass can fast-forward: `reps ≥
+/// 2` walks of `len ≥ 1` equal vectors, the first applied at stream time
+/// `start`.
+#[derive(Debug, Clone, Copy)]
+struct RepeatedRun {
+    start: usize,
+    len: usize,
+    reps: usize,
+}
+
+/// The runs of `walks` that repeat, with their start times.
+fn repeated_runs(walks: &[Walks]) -> Vec<RepeatedRun> {
+    let mut start = 0;
+    let mut runs = Vec::new();
+    for w in walks {
+        if w.reps >= 2 && w.len >= 1 {
+            runs.push(RepeatedRun { start, len: w.len, reps: w.reps });
+        }
+        start += w.len * w.reps;
+    }
+    runs
+}
+
+/// A packed pass's position in its stream's repeated runs — the one skip
+/// rule of every packed pass. At the start of each walk that has a
+/// successor in its run, the pass keeps its flip-flop words; at the
+/// walk's end it compares them under the live lanes (the good machines
+/// and every machine whose verdict is still open). Equal means every live
+/// machine is back where the walk began: three-valued simulation is
+/// deterministic, `X` included, so the remaining walks of the run replay
+/// this one, detect nothing and end in this state. The pass then resumes
+/// at the end of the run.
+struct WalkCursor<'r> {
+    runs: &'r [RepeatedRun],
+    /// Index of the run the cursor is in (or waits for).
+    run: usize,
+    /// Stream time of the next walk boundary the cursor acts on:
+    /// `usize::MAX` past the last run.
+    next: usize,
+}
+
+impl<'r> WalkCursor<'r> {
+    fn new(runs: &'r [RepeatedRun]) -> Self {
+        let mut cursor = WalkCursor { runs, run: 0, next: 0 };
+        cursor.enter(0);
+        cursor
+    }
+
+    /// Waits for run `run` to begin.
+    fn enter(&mut self, run: usize) {
+        self.run = run;
+        self.next = self.runs.get(run).map_or(usize::MAX, |r| r.start);
+    }
+
+    /// Acts on the walk boundary at stream time `now == self.next`, the
+    /// machines holding `state`: keeps it in `saved` where a walk with a
+    /// successor begins, and returns the end of the run when the walk
+    /// that just ended repeats on the `live` lanes and the run ends no
+    /// later than `limit` (a pass never skips across a time it must
+    /// observe).
+    fn at<W: PackedWord>(
+        &mut self,
+        now: usize,
+        state: &[W],
+        saved: &mut [W],
+        live: W::Mask,
+        limit: usize,
+        stats: &mut SweepStats,
+    ) -> Option<usize> {
+        debug_assert_eq!(now, self.next);
+        let RepeatedRun { start, len, reps } = self.runs[self.run];
+        let end = start + reps * len;
+        // Walks of this run completed so far (0 at its start).
+        let walked = (now - start) / len;
+        if walked > 0
+            && end <= limit
+            && state.iter().zip(saved.iter()).all(|(s, k)| s.differs(*k).intersect(live).is_empty())
+        {
+            stats.walks_skipped += (reps - walked) as u64;
+            stats.vectors_skipped += (end - now) as u64;
+            self.enter(self.run + 1);
+            return Some(end);
+        }
+        if walked + 1 < reps {
+            saved.copy_from_slice(state);
+            self.next = now + len;
+        } else {
+            self.enter(self.run + 1);
+        }
+        None
     }
 }
 
@@ -613,6 +742,8 @@ struct PassPlan<'a> {
     /// Capture times since reset, strictly ascending, all after
     /// `from.time()`.
     capture: &'a [usize],
+    /// The stream's repeated walks, which the packed engines fast-forward.
+    repeats: Vec<RepeatedRun>,
 }
 
 impl<'a> PassPlan<'a> {
@@ -647,7 +778,7 @@ impl<'a> PassPlan<'a> {
                 .map(|&fault| from.row(fault).ok_or(SimError::MissingFaultState { fault }))
                 .collect::<Result<_, _>>()?
         };
-        Ok(PassPlan { from, rows, capture })
+        Ok(PassPlan { from, rows, capture, repeats: repeated_runs(&source.walks()) })
     }
 
     /// The starting flip-flops of fault `i`'s machine (`i` indexes the
@@ -847,7 +978,9 @@ fn latch<W: PackedWord>(tape: &GateTape, injector: &Injector, values: &[W], stat
 /// no forces (the injector never loads its lane), so each output word
 /// carries the reference value and all faulty values of that output in
 /// the same pass — no precollected PO trace. The walk stops at the vector
-/// that detects the chunk's last undetected fault.
+/// that detects the chunk's last undetected fault, and jumps to the end of
+/// a run of repeated walks once a walk returns the good machine and every
+/// undetected machine to the state it began in (see [`WalkCursor`]).
 fn run_chunk<W: PackedWord>(
     tape: &GateTape,
     source: &dyn VectorSource,
@@ -860,48 +993,73 @@ fn run_chunk<W: PackedWord>(
     let good_lane = W::LANES - 1;
     scratch.injector.load(tape, chunk, good_lane)?;
     scratch.values.fill(W::ALL_X);
-    let ShardScratch { injector, values, state, pins, stats } = scratch;
+    let ShardScratch { injector, values, state, saved, pins, stats } = scratch;
     stats.chunks += 1;
     stats.patches += injector.forced_gates.len() as u64;
     let mut vectors = 0u64;
     let mut early_exit = false;
 
     let mut undetected = W::Mask::first_n(chunk.len());
+    let good = W::Mask::first_n(W::LANES).subtract(W::Mask::first_n(good_lane));
     let base = plan.from.time();
     let mut next_capture = 0usize;
+    let mut walks = WalkCursor::new(&plan.repeats);
+    // A skip never crosses the next capture time (stream-relative).
+    let limit = |next: usize| plan.capture.get(next).map_or(usize::MAX, |&c| c - base);
 
-    source.visit(&mut |t, vector| {
-        vectors += 1;
-        evaluate(tape, injector, state, values, pins, |i| {
-            W::splat(Logic::from_bool(vector.get(i)))
-        });
-        // Compare the faulty lanes against the fused good lane.
-        for &o in tape.outputs() {
-            let w = values[o as usize];
-            let diff = match w.lane(good_lane) {
-                Logic::One => w.zeros_mask(),
-                Logic::Zero => w.ones_mask(),
-                Logic::X => continue,
-            };
-            let newly = diff.intersect(undetected);
-            if !newly.is_empty() {
-                newly.for_each_lane(|lane| times[lane] = Some(base + t));
-                undetected = undetected.subtract(newly);
+    let mut from = 0;
+    loop {
+        if walks.next == from {
+            // A run begins where the pass (re)starts: keep its state.
+            walks.at(from, state, saved, good.union(undetected), limit(next_capture), stats);
+        }
+        let mut resume = None;
+        source.visit_from(from, &mut |t, vector| {
+            vectors += 1;
+            evaluate(tape, injector, state, values, pins, |i| {
+                W::splat(Logic::from_bool(vector.get(i)))
+            });
+            // Compare the faulty lanes against the fused good lane.
+            for &o in tape.outputs() {
+                let w = values[o as usize];
+                let diff = match w.lane(good_lane) {
+                    Logic::One => w.zeros_mask(),
+                    Logic::Zero => w.ones_mask(),
+                    Logic::X => continue,
+                };
+                let newly = diff.intersect(undetected);
+                if !newly.is_empty() {
+                    newly.for_each_lane(|lane| times[lane] = Some(base + t));
+                    undetected = undetected.subtract(newly);
+                }
             }
-        }
-        // Chunk early-exit: every fault has its first detection; the rest
-        // of the stream cannot change any result.
-        if undetected.is_empty() {
-            early_exit = true;
-            return false;
-        }
-        latch(tape, injector, values, state);
-        if plan.capture.get(next_capture) == Some(&(base + t + 1)) {
+            // Chunk early-exit: every fault has its first detection; the
+            // rest of the stream cannot change any result.
+            if undetected.is_empty() {
+                early_exit = true;
+                return false;
+            }
+            latch(tape, injector, values, state);
+            let now = t + 1;
+            if plan.capture.get(next_capture) == Some(&(base + now)) {
+                captured.record(next_capture, chunk, state, undetected);
+                next_capture += 1;
+            }
+            if now == walks.next {
+                let live = good.union(undetected);
+                resume = walks.at(now, state, saved, live, limit(next_capture), stats);
+                return resume.is_none();
+            }
+            true
+        });
+        let Some(end) = resume else { break };
+        // The live machines hold at `end` the state they hold now.
+        if plan.capture.get(next_capture) == Some(&(base + end)) {
             captured.record(next_capture, chunk, state, undetected);
             next_capture += 1;
         }
-        true
-    });
+        from = end;
+    }
     stats.vectors += vectors;
     stats.early_exits += u64::from(early_exit);
     Ok(())
@@ -1050,7 +1208,10 @@ struct Probe {
 
 impl Probe {
     /// One pass over up to 32 valid candidates from reset; the index of
-    /// the first one that detects the fault, if any.
+    /// the first one that detects the fault, if any. When every candidate
+    /// reports the same [`Walks`] (Procedure 2's omission batches), the
+    /// pass fast-forwards repeated walks under the undecided lane pairs,
+    /// as [`run_chunk`] does under its undetected lanes.
     fn pass(
         &mut self,
         tape: &GateTape,
@@ -1064,7 +1225,7 @@ impl Probe {
         scratch.injector.load(tape, &self.copies[..k], PROBE_LANES)?;
         scratch.values.fill(PackedValue::ALL_X);
         scratch.state.fill(PackedValue::ALL_X);
-        let ShardScratch { injector, values, state, pins, stats } = scratch;
+        let ShardScratch { injector, values, state, saved, pins, stats } = scratch;
         stats.chunks += 1;
         stats.patches += injector.forced_gates.len() as u64;
         let mut lens = [0usize; PROBE_LANES];
@@ -1072,12 +1233,26 @@ impl Probe {
             *len = c.num_vectors();
         }
         let longest = lens.iter().copied().max().unwrap_or(0);
+        let walks = candidates[0].walks();
+        let repeats = if candidates[1..].iter().all(|c| c.walks() == walks) {
+            repeated_runs(&walks)
+        } else {
+            Vec::new()
+        };
+        let mut cursor = WalkCursor::new(&repeats);
         // Candidates still able to win: undetected so far, stream not
         // ended, and below the lowest detecting candidate `best`.
         let mut undecided = u64::first_n(k);
         let mut best = None;
         let mut t = 0;
         loop {
+            if t == cursor.next {
+                let live = undecided | (undecided << PROBE_LANES);
+                if let Some(end) = cursor.at(t, state, saved, live, usize::MAX, stats) {
+                    t = end;
+                    continue;
+                }
+            }
             // A stream that ended undetected is a "no".
             undecided.for_each_lane(|c| {
                 if lens[c] <= t {

@@ -30,6 +30,10 @@ pub trait LaneMask: Copy + PartialEq + Send + Sync + 'static {
     #[must_use]
     fn subtract(self, rhs: Self) -> Self;
 
+    /// Lanes set in either mask.
+    #[must_use]
+    fn union(self, rhs: Self) -> Self;
+
     /// Calls `f` with the index of every set lane, in ascending order.
     fn for_each_lane(self, f: impl FnMut(usize));
 }
@@ -56,6 +60,10 @@ impl LaneMask for u64 {
 
     fn subtract(self, rhs: Self) -> Self {
         self & !rhs
+    }
+
+    fn union(self, rhs: Self) -> Self {
+        self | rhs
     }
 
     fn for_each_lane(self, mut f: impl FnMut(usize)) {
@@ -99,6 +107,14 @@ impl<const N: usize> LaneMask for [u64; N] {
         let mut out = [0u64; N];
         for i in 0..N {
             out[i] = self[i] & !rhs[i];
+        }
+        out
+    }
+
+    fn union(self, rhs: Self) -> Self {
+        let mut out = [0u64; N];
+        for i in 0..N {
+            out[i] = self[i] | rhs[i];
         }
         out
     }
@@ -207,6 +223,11 @@ pub trait PackedWord: Copy + PartialEq + Send + Sync + 'static {
     /// Mask of lanes holding logic 0.
     #[must_use]
     fn zeros_mask(self) -> Self::Mask;
+
+    /// Mask of lanes whose value differs from `rhs`'s (`X` counts as a
+    /// value of its own).
+    #[must_use]
+    fn differs(self, rhs: Self) -> Self::Mask;
 }
 
 /// 64 three-valued logic values packed into two machine words.
@@ -393,6 +414,10 @@ impl PackedWord for PackedValue {
     fn zeros_mask(self) -> u64 {
         self.zeros
     }
+
+    fn differs(self, rhs: Self) -> u64 {
+        (self.ones ^ rhs.ones) | (self.zeros ^ rhs.zeros)
+    }
 }
 
 /// `64·N` three-valued logic values packed into two `[u64; N]` planes —
@@ -517,6 +542,10 @@ impl<const N: usize> PackedWord for PackedVec<N> {
 
     fn zeros_mask(self) -> [u64; N] {
         self.zeros
+    }
+
+    fn differs(self, rhs: Self) -> [u64; N] {
+        std::array::from_fn(|i| (self.ones[i] ^ rhs.ones[i]) | (self.zeros[i] ^ rhs.zeros[i]))
     }
 }
 
@@ -698,6 +727,28 @@ mod tests {
         assert!(<[u64; 4] as LaneMask>::EMPTY.is_empty());
         assert!(!m.is_empty());
         assert_eq!(m.intersect(<[u64; 4] as LaneMask>::first_n(1)), [1, 0, 0, 0]);
+        assert_eq!(<u64 as LaneMask>::first_n(2).union(0b1000), 0b1011);
+        assert_eq!([1u64, 0, 0, 2].union([4, 0, 8, 0]), [5, 0, 8, 2]);
+    }
+
+    #[test]
+    fn differs_marks_exactly_the_lanes_that_differ() {
+        fn check<W: PackedWord>() {
+            for (i, a) in ALL.into_iter().enumerate() {
+                for (j, b) in ALL.into_iter().enumerate() {
+                    let (mut x, mut y) = (W::ALL_X, W::ALL_X);
+                    let lane = W::LANES - 1 - 3 * i - j;
+                    x.set_lane(lane, a);
+                    y.set_lane(lane, b);
+                    let mut lanes = Vec::new();
+                    x.differs(y).for_each_lane(|l| lanes.push(l));
+                    assert_eq!(lanes, if a == b { vec![] } else { vec![lane] }, "{a} vs {b}");
+                }
+            }
+        }
+        check::<PackedValue>();
+        check::<PackedValue256>();
+        check::<PackedValue512>();
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! test 32 candidates per pass (faulty machines in the low lanes, each
 //! candidate's good machine 32 lanes up), so the cases cover the shapes
 //! Procedure 2 submits: growing windows of mixed length, equal-length
-//! omission candidates, more than one pass, no winner, and every kind of
-//! fault site.
+//! omission candidates (which fast-forward repeated memory walks when the
+//! expansion repeats them), more than one pass, no winner, and every kind
+//! of fault site.
 
 use std::sync::Arc;
 
@@ -115,6 +116,42 @@ fn omission_shaped_candidates_agree_with_the_scan() {
             candidates.iter().map(|c| expansion.stream(c)).collect();
         check(&tape, &sources(&streams), fault, "omission").unwrap();
     }
+}
+
+/// Expansions that repeat their walks (`n ≥ 2`): the streamed omission
+/// batches Procedure 2 submits report equal walks, so the packed probe
+/// fast-forwards repeated walks under the undecided lane pairs; window
+/// batches of mixed length do not. Both must stay the sequential scan,
+/// and the omission batches must really skip.
+#[test]
+fn repeated_walk_batches_agree_with_the_scan() {
+    let mut rng = StdRng::seed_from_u64(0x5c1b);
+    let registry = Arc::new(Registry::new());
+    let obs = Obs::with_registry(Arc::clone(&registry));
+    for name in ["s27", "a298"] {
+        let circuit = suite_circuit(name);
+        let tape = GateTape::compile(&circuit);
+        let faults = collapse(&circuit, &fault_universe(&circuit)).representatives().to_vec();
+        for n in [2, 8] {
+            let expansion = ExpansionConfig::new(n).unwrap();
+            for &fault in faults.iter().step_by(faults.len() / 6) {
+                let current = random_sequence(&circuit, rng.gen_range(2usize..10), &mut rng);
+                let omissions: Vec<ExpansionIter<'_>> =
+                    (0..current.len()).map(|u| expansion.stream(&current).without(u)).collect();
+                check(&tape, &sources(&omissions), fault, &format!("{name} n={n} omission"))
+                    .unwrap();
+                PackedBackend
+                    .first_detecting_tape_obs(&tape, &sources(&omissions), fault, &obs)
+                    .unwrap();
+                let end = rng.gen_range(0..current.len());
+                let windows: Vec<ExpansionIter<'_>> =
+                    (0..=end).map(|k| expansion.stream(&current).window(end - k, end)).collect();
+                check(&tape, &sources(&windows), fault, &format!("{name} n={n} window")).unwrap();
+            }
+        }
+    }
+    let snap = registry.snapshot();
+    assert!(snap.counter("sim.walks_skipped").unwrap_or(0) > 0, "omission probes must skip");
 }
 
 #[test]
