@@ -105,7 +105,9 @@ RUN OPTIONS:
 
 SERVE OPTIONS:
     --addr HOST:PORT    bind address (default 127.0.0.1:0 = free port)
-    --threads N         worker threads per campaign (default 0 = auto)
+    --threads N         worker threads shared by all campaigns in flight
+                        (default 0 = auto); a campaign of J jobs holds
+                        min(J, N) of them while it runs
     --queue N           engine job-queue depth (default 32)
     --max-pending N     queued campaigns before 429 (default 16)
     --cache-budget B    byte budget of the process-lifetime artifact

@@ -537,9 +537,10 @@ impl CampaignEngine {
 
 /// Resolves a requested thread count: 0 = one per available core (1 if
 /// the host cannot say). The single source of truth for every
-/// `available_parallelism` fallback in this module — the worker pool and
-/// the scheduler's backend cost weights must agree on what "auto" means.
-fn resolve_threads(requested: usize) -> usize {
+/// `available_parallelism` fallback in the crate — the worker pool, the
+/// scheduler's backend cost weights and `serve`'s process-wide worker
+/// budget must agree on what "auto" means.
+pub(crate) fn resolve_threads(requested: usize) -> usize {
     match requested {
         0 => std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
         n => n,

@@ -19,21 +19,32 @@
 //! * `GET /metrics` — the process-lifetime [`Registry`] rendered as
 //!   metrics JSON, self-validated before it leaves the process.
 //! * `GET /healthz` — liveness.
-//! * `POST /shutdown` — graceful drain: the in-flight campaign finishes,
-//!   queued campaigns are cancelled with their (empty, resumable)
-//!   journals left on disk, and the process exits cleanly.
+//! * `POST /shutdown` — graceful drain: every in-flight campaign
+//!   finishes, queued campaigns are cancelled with their (empty,
+//!   resumable) journals left on disk, and the process exits cleanly.
 //!
 //! Behind the socket sits one process-lifetime [`ArtifactCache`] shared
 //! by every campaign via [`CampaignEngine::shared_cache`]: cache keys
 //! are campaign-independent (circuit key, seed, `TgenConfig`), so the
 //! tape/collapse/`T0` artifacts the paper's flow precomputes are shared
-//! *across requests*, under the cache's own byte-budget eviction. Admission control bounds the pending-campaign
-//! queue (`429` on overflow) and serves clients round-robin — one
-//! campaign per client per turn — so a flood from one client cannot
-//! starve the rest. Campaigns execute one at a time on the worker pool
-//! (jobs within a campaign run concurrently), which keeps every
-//! campaign's summary bit-identical to an offline
-//! [`CampaignEngine::run`] of the same spec.
+//! *across requests*, under the cache's own byte-budget eviction.
+//! Admission control bounds the pending-campaign queue (`429` on
+//! overflow) and serves clients round-robin — one campaign per client
+//! per turn — so a flood from one client cannot starve the rest.
+//!
+//! Campaigns run concurrently under one process-wide budget of
+//! [`ServeConfig::threads`] engine workers. A campaign of `jobs` jobs
+//! holds `min(jobs, threads)` of them while it runs; the scheduler takes
+//! campaigns in admission order and waits, head of line, until the
+//! campaign at the front fits. So single-job campaigns from different
+//! clients run side by side, a campaign with at least `threads` jobs
+//! runs alone on every worker, exactly as an offline run would, and the
+//! workers in flight never exceed the budget. Concurrency does not change
+//! any result: jobs are deterministic, [`CampaignSummary::digest`] hashes
+//! no timing, and the cache's per-key slots build each artifact once
+//! however many campaigns ask for it at the same moment — so every
+//! served summary is bit-identical to an offline [`CampaignEngine::run`]
+//! of the same spec.
 //!
 //! Every campaign writes a fingerprint-stamped JSONL journal under
 //! [`ServeConfig::journal_dir`], created at submission time — so even a
@@ -43,7 +54,7 @@
 
 use crate::cache::{ArtifactCache, CachePolicy};
 use crate::campaign::Campaign;
-use crate::engine::CampaignEngine;
+use crate::engine::{resolve_threads, CampaignEngine};
 use crate::jsonl::record_row;
 use crate::report::{CampaignSummary, JobRecord, JsonlSink, ReportSink};
 use crate::BatchError;
@@ -81,7 +92,9 @@ const REQUEST_READ_TIMEOUT: Duration = Duration::from_secs(5);
 pub struct ServeConfig {
     /// Bind address (`host:port`; port 0 picks a free port).
     pub addr: String,
-    /// Worker threads per campaign (0 = one per available core).
+    /// Engine worker threads shared by all campaigns in flight (0 = one
+    /// per available core): the process-wide budget, of which a campaign
+    /// of `jobs` jobs holds `min(jobs, threads)` while it runs.
     pub threads: usize,
     /// Bounded job-queue depth of the engine (≥ 1).
     pub queue_depth: usize,
@@ -294,6 +307,70 @@ impl Admission {
     }
 }
 
+/// The process-wide budget of engine workers, lent to running campaigns
+/// as slots and returned when they end.
+struct WorkerBudget {
+    total: usize,
+    lent: Mutex<Lent>,
+    returned: Condvar,
+    running: GaugeHandle,
+}
+
+#[derive(Default)]
+struct Lent {
+    slots: usize,
+    campaigns: usize,
+    closed: bool,
+}
+
+/// Slots held by one running campaign; dropping it returns them, so a
+/// campaign thread that panics cannot shrink the budget.
+struct Lease<'b> {
+    budget: &'b WorkerBudget,
+    slots: usize,
+}
+
+impl WorkerBudget {
+    fn new(total: usize, running: GaugeHandle) -> Self {
+        WorkerBudget { total, lent: Mutex::default(), returned: Condvar::new(), running }
+    }
+
+    /// Blocks until the slots a campaign of `jobs` jobs runs on — one
+    /// per job, up to the whole budget — are free and lends them, or
+    /// returns `None` once the budget is [`close`](Self::close)d.
+    fn acquire(&self, jobs: usize) -> Option<Lease<'_>> {
+        let slots = jobs.clamp(1, self.total);
+        let mut lent = self.lent.lock().expect("budget lock");
+        while !lent.closed && lent.slots + slots > self.total {
+            lent = self.returned.wait(lent).expect("budget lock");
+        }
+        if lent.closed {
+            return None;
+        }
+        lent.slots += slots;
+        lent.campaigns += 1;
+        self.running.set(lent.campaigns as i64);
+        Some(Lease { budget: self, slots })
+    }
+
+    /// Fails every present and future [`acquire`](Self::acquire); leases
+    /// already out run to their end.
+    fn close(&self) {
+        self.lent.lock().expect("budget lock").closed = true;
+        self.returned.notify_all();
+    }
+}
+
+impl Drop for Lease<'_> {
+    fn drop(&mut self) {
+        let mut lent = self.budget.lent.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        lent.slots -= self.slots;
+        lent.campaigns -= 1;
+        self.budget.running.set(lent.campaigns as i64);
+        self.budget.returned.notify_all();
+    }
+}
+
 /// Everything the connection handlers and the scheduler share.
 struct Shared {
     config: ServeConfig,
@@ -304,6 +381,7 @@ struct Shared {
     admission: Mutex<Admission>,
     admitted: Condvar,
     campaigns: Mutex<HashMap<u64, Arc<CampaignState>>>,
+    budget: WorkerBudget,
     shutdown: AtomicBool,
     accepted: CounterHandle,
     rejected: CounterHandle,
@@ -340,6 +418,10 @@ impl CampaignServer {
             completed: obs.counter("serve.campaigns.completed"),
             requests: obs.counter("serve.requests"),
             pending_gauge: obs.gauge("serve.queue.pending"),
+            budget: WorkerBudget::new(
+                resolve_threads(config.threads),
+                obs.gauge("serve.campaigns.running"),
+            ),
             config,
             registry,
             obs,
@@ -366,9 +448,10 @@ impl CampaignServer {
         Arc::clone(&self.shared.registry)
     }
 
-    /// Serves until a `POST /shutdown` drains the queue: the scheduler
-    /// finishes the in-flight campaign, cancels queued ones (their
-    /// empty journals stay resumable) and the accept loop stops.
+    /// Serves until a `POST /shutdown` drains the queue: queued
+    /// campaigns are cancelled (their empty journals stay resumable), the
+    /// accept loop stops, and the call returns only once every in-flight
+    /// campaign has finished and journaled.
     ///
     /// # Errors
     ///
@@ -396,13 +479,16 @@ impl CampaignServer {
     }
 }
 
-/// The scheduler: pops admitted campaigns round-robin and runs them one
-/// at a time (jobs within a campaign still fan out over the worker
-/// pool). Sequential campaign execution keeps each summary bit-identical
-/// to an offline run of the same spec; the shared cache is what carries
-/// the cross-campaign speedup.
+/// The scheduler: pops admitted campaigns round-robin, waits until the
+/// worker budget can lend the one at the front its slots, and runs it on
+/// a thread of its own, so campaigns overlap while their workers together
+/// stay within [`ServeConfig::threads`]. A campaign's results do not
+/// depend on how many workers it gets or on what runs beside it, so every
+/// summary stays bit-identical to an offline run of the same spec. After
+/// shutdown it cancels what is still queued and returns once every
+/// running campaign has ended.
 fn scheduler_loop(shared: &Shared) {
-    loop {
+    std::thread::scope(|scope| loop {
         let (next, draining) = {
             let mut admission = shared.admission.lock().expect("admission lock");
             loop {
@@ -417,27 +503,34 @@ fn scheduler_loop(shared: &Shared) {
             }
         };
         let Some(id) = next else { return };
-        let state = shared.campaigns.lock().expect("campaigns lock").get(&id).cloned();
-        let Some(state) = state else { continue };
-        if draining {
-            // Shutdown arrived before this campaign started: cancel it,
-            // leaving its empty journal resumable.
-            let mut progress = state.progress.lock().expect("progress lock");
-            progress.error =
-                Some("cancelled by shutdown before starting (journal is resumable)".to_string());
-            progress.done = true;
-            state.progressed.notify_all();
+        let Some(state) = lookup(shared, id) else { continue };
+        let jobs = state.campaign.expand().map_or(1, |jobs| jobs.len());
+        // Shutdown may arrive before the campaign starts, or while it
+        // waits for slots: either way it is cancelled, leaving its empty
+        // journal resumable.
+        let lease = if draining { None } else { shared.budget.acquire(jobs) };
+        let Some(lease) = lease else {
+            finish(
+                &state,
+                Err("cancelled by shutdown before starting (journal is resumable)".to_string()),
+            );
             continue;
+        };
+        let runner = Arc::clone(&state);
+        let spawned = std::thread::Builder::new()
+            .name("campaign-run".to_string())
+            .spawn_scoped(scope, move || run_campaign(shared, &runner, lease));
+        if let Err(e) = spawned {
+            finish(&state, Err(format!("starting the campaign thread: {e}")));
         }
-        run_campaign(shared, &state);
-    }
+    });
 }
 
-/// Executes one campaign over the process-lifetime cache, journaling to
-/// disk and streaming rows to waiting clients.
-fn run_campaign(shared: &Shared, state: &Arc<CampaignState>) {
+/// Executes one campaign on its leased workers over the process-lifetime
+/// cache, journaling to disk and streaming rows to waiting clients.
+fn run_campaign(shared: &Shared, state: &Arc<CampaignState>, lease: Lease<'_>) {
     let engine = CampaignEngine::new()
-        .threads(shared.config.threads)
+        .threads(lease.slots)
         .queue_depth(shared.config.queue_depth)
         .keep_going(true)
         .obs(shared.obs.clone())
@@ -450,13 +543,21 @@ fn run_campaign(shared: &Shared, state: &Arc<CampaignState>) {
         let mut sinks: [&mut dyn ReportSink; 2] = [&mut journal, &mut stream];
         Ok(engine.run(&state.campaign, &mut sinks)?.summary)
     })();
+    // Return the slots before publishing the outcome: a client that has
+    // read the summary sees the campaign gone from `serve.campaigns.running`.
+    drop(lease);
+    if result.is_ok() {
+        shared.completed.inc();
+    }
+    finish(state, result.map_err(|e| e.to_string()));
+}
+
+/// Publishes a campaign's outcome and wakes its readers.
+fn finish(state: &CampaignState, outcome: Result<CampaignSummary, String>) {
     let mut progress = state.progress.lock().expect("progress lock");
-    match result {
-        Ok(summary) => {
-            progress.summary = Some(summary);
-            shared.completed.inc();
-        }
-        Err(e) => progress.error = Some(e.to_string()),
+    match outcome {
+        Ok(summary) => progress.summary = Some(summary),
+        Err(e) => progress.error = Some(e),
     }
     progress.done = true;
     state.progressed.notify_all();
@@ -747,6 +848,7 @@ fn initiate_shutdown(stream: &mut TcpStream, shared: &Shared) {
         admission.closed = true;
         shared.admitted.notify_all();
     }
+    shared.budget.close();
     // Wake the blocked accept loop so it observes the shutdown flag.
     if let Ok(local) = stream.local_addr() {
         let _ = TcpStream::connect(local);
@@ -834,5 +936,83 @@ fn serve_summary(stream: &mut TcpStream, shared: &Shared, id: u64) {
             "500 Internal Server Error",
             &error_body("campaign finished without a summary"),
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    fn budget(total: usize, registry: &Arc<Registry>) -> WorkerBudget {
+        let obs = Obs::with_registry(Arc::clone(registry));
+        WorkerBudget::new(total, obs.gauge("serve.campaigns.running"))
+    }
+
+    #[test]
+    fn a_campaign_needing_every_slot_waits_for_them_all() {
+        let registry = Arc::new(Registry::new());
+        let budget = budget(2, &registry);
+        let single = budget.acquire(1).expect("open budget");
+        assert_eq!(single.slots, 1);
+        std::thread::scope(|scope| {
+            let (tx, rx) = mpsc::channel();
+            let budget = &budget;
+            scope.spawn(move || {
+                let whole = budget.acquire(4).expect("open budget");
+                tx.send(whole.slots).expect("send");
+            });
+            let waited = rx.recv_timeout(Duration::from_millis(100));
+            assert!(waited.is_err(), "two slots lent while one of two is in use");
+            assert_eq!(registry.snapshot().gauge("serve.campaigns.running"), Some(1));
+            drop(single);
+            assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(2), "runs once both are free");
+        });
+        assert_eq!(registry.snapshot().gauge("serve.campaigns.running"), Some(0));
+    }
+
+    #[test]
+    fn slots_in_use_never_exceed_the_budget() {
+        let registry = Arc::new(Registry::new());
+        let budget = budget(3, &registry);
+        let peak = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for jobs in [0, 1, 2, 3, 5, 1, 2, 4] {
+                let (budget, peak) = (&budget, &peak);
+                scope.spawn(move || {
+                    for _ in 0..20 {
+                        let lease = budget.acquire(jobs).expect("open budget");
+                        assert_eq!(lease.slots, jobs.clamp(1, 3), "one slot per job, up to all");
+                        let lent = budget.lent.lock().expect("budget lock").slots;
+                        peak.fetch_max(lent as u64, Ordering::SeqCst);
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                });
+            }
+        });
+        let peak = peak.into_inner();
+        assert!((1..=3).contains(&peak), "{peak} slots lent from a budget of 3");
+        let lent = budget.lent.lock().expect("budget lock");
+        assert_eq!((lent.slots, lent.campaigns), (0, 0), "every lease returned its slots");
+        assert_eq!(registry.snapshot().gauge("serve.campaigns.running"), Some(0));
+    }
+
+    #[test]
+    fn closing_the_budget_fails_waiters_and_keeps_running_leases() {
+        let registry = Arc::new(Registry::new());
+        let budget = budget(1, &registry);
+        let running = budget.acquire(1).expect("open budget");
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| budget.acquire(1).map(|lease| lease.slots));
+            // Whether the waiter blocks before or after the close, it
+            // must get nothing.
+            std::thread::sleep(Duration::from_millis(50));
+            budget.close();
+            assert_eq!(waiter.join().expect("waiter"), None, "a waiting campaign is cancelled");
+        });
+        assert!(budget.acquire(1).is_none(), "nothing starts after close");
+        assert_eq!(registry.snapshot().gauge("serve.campaigns.running"), Some(1));
+        drop(running);
+        assert_eq!(registry.snapshot().gauge("serve.campaigns.running"), Some(0));
     }
 }

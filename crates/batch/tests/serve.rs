@@ -27,11 +27,32 @@ use bist_obs::{export, Registry};
 /// warm cache is observable across campaigns.
 const SPEC_A: &str = r#"{"circuits": ["s27", "a298"], "seeds": [1999], "ns": [1], "t0_cap": 12, "t0_budget": 0, "verify": false}"#;
 const SPEC_B: &str = r#"{"circuits": ["s27", "a344"], "seeds": [1999], "ns": [1], "t0_cap": 12, "t0_budget": 0, "verify": false}"#;
+/// A one-job campaign on `s27` that finishes in milliseconds.
+const SPEC_SMALL: &str = r#"{"circuits": ["s27"], "seeds": [1999], "ns": [1], "t0_cap": 12, "t0_budget": 0, "verify": false}"#;
+/// One-job campaigns that each run for seconds in a debug build (the
+/// paper's whole `n` sweep on a 512-vector `T0`): long enough to still be
+/// in flight while a test submits more work and shuts the service down.
+const SPEC_LONG_A: &str = r#"{"circuits": ["a526"], "seeds": [1], "t0_cap": 512, "t0_budget": 64}"#;
+const SPEC_LONG_B: &str = r#"{"circuits": ["a400"], "seeds": [1], "t0_cap": 512, "t0_budget": 64}"#;
 
 fn temp_journal_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("subseq-serve-e2e-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Polls until `ready` holds, failing the test after a minute.
+fn wait_until(what: &str, mut ready: impl FnMut() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while !ready() {
+        assert!(std::time::Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+}
+
+/// The `serve.campaigns.running` gauge: campaigns holding worker slots.
+fn running(registry: &Registry) -> Option<i64> {
+    registry.snapshot().gauge("serve.campaigns.running")
 }
 
 fn start(config: ServeConfig) -> (SocketAddr, Arc<Registry>, JoinHandle<()>) {
@@ -155,16 +176,20 @@ fn json_str(body: &str, key: &str) -> String {
         .to_string()
 }
 
-/// The tentpole acceptance test: two clients drive the real socket
-/// concurrently; each streamed campaign matches an offline
+/// The service's acceptance test: two clients drive the real socket
+/// concurrently and their campaigns share the worker budget; each
+/// streamed campaign matches an offline
 /// [`CampaignEngine::run`] of the identical spec bit-for-bit, the shared
 /// circuit is parsed/compiled/generated once *process-wide*, and
 /// `GET /metrics` survives the strict validator.
 #[test]
 fn concurrent_clients_match_offline_digests_and_share_one_cache() {
     let dir = temp_journal_dir("concurrent");
+    // Each campaign has two jobs and holds two workers, so a budget of
+    // four lets them overlap even on a 1-core host.
     let (addr, registry, server) = start(ServeConfig {
         journal_dir: dir.clone(),
+        threads: 4,
         cache_policy: CachePolicy::unbounded(),
         ..ServeConfig::default()
     });
@@ -244,6 +269,7 @@ fn concurrent_clients_match_offline_digests_and_share_one_cache() {
     assert_eq!(snap.counter("serve.campaigns.completed"), Some(2));
     assert_eq!(snap.counter("serve.campaigns.rejected").unwrap_or(0), 0);
     assert_eq!(snap.gauge("serve.queue.pending"), Some(0), "queue drained");
+    assert_eq!(snap.gauge("serve.campaigns.running"), Some(0), "both campaigns ended");
 
     // The warm /metrics render also survives the strict validator.
     let metrics = request(addr, "GET", "/metrics", &[], "");
@@ -263,6 +289,50 @@ fn concurrent_clients_match_offline_digests_and_share_one_cache() {
     assert_eq!(shutdown.status, 200);
     assert!(shutdown.body.contains("draining"));
     server.join().expect("server thread exits cleanly");
+    assert_eq!(running(&registry), Some(0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Campaigns share the worker budget instead of queueing behind one
+/// another: with two workers, a small campaign from one client completes
+/// while another client's long single-job campaign is still running on
+/// the other worker.
+#[test]
+fn a_small_campaign_completes_while_a_long_one_is_in_flight() {
+    let dir = temp_journal_dir("overlap");
+    let (addr, registry, server) =
+        start(ServeConfig { journal_dir: dir.clone(), threads: 2, ..ServeConfig::default() });
+
+    let long = request(addr, "POST", "/campaigns", &[("X-Client", "alice")], SPEC_LONG_A);
+    assert_eq!(long.status, 200, "{}", long.body);
+    let long_id = json_u64(&long.body, "id");
+    wait_until("the long campaign runs", || running(&registry) == Some(1));
+
+    let small = request(addr, "POST", "/campaigns", &[("X-Client", "bob")], SPEC_SMALL);
+    assert_eq!(small.status, 200, "{}", small.body);
+    let small_id = json_u64(&small.body, "id");
+    let summary = request(addr, "GET", &format!("/campaigns/{small_id}/summary"), &[], "");
+    assert_eq!(summary.status, 200, "{}", summary.body);
+
+    // The small campaign is done and has returned its slot; the long one
+    // still holds the other.
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("serve.campaigns.completed"), Some(1), "only the small one finished");
+    assert_eq!(snap.gauge("serve.campaigns.running"), Some(1), "the long one is in flight");
+
+    let offline = CampaignEngine::new()
+        .run(&campaign_from_spec(SPEC_SMALL).expect("spec"), &mut [])
+        .expect("offline run");
+    assert_eq!(json_str(&summary.body, "digest"), format!("{:016x}", offline.summary.digest()));
+
+    let long_summary = request(addr, "GET", &format!("/campaigns/{long_id}/summary"), &[], "");
+    assert_eq!(long_summary.status, 200, "{}", long_summary.body);
+    assert_eq!(json_u64(&long_summary.body, "jobs_ok"), 1);
+    assert_eq!(registry.snapshot().counter("serve.campaigns.completed"), Some(2));
+
+    assert_eq!(request(addr, "POST", "/shutdown", &[], "").status, 200);
+    server.join().expect("server thread exits cleanly");
+    assert_eq!(running(&registry), Some(0));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -341,7 +411,7 @@ fn unknown_circuits_are_rejected_at_submission() {
 #[test]
 fn graceful_drain_finishes_in_flight_work_and_leaves_resumable_journals() {
     let dir = temp_journal_dir("drain");
-    let (addr, _registry, server) =
+    let (addr, registry, server) =
         start(ServeConfig { journal_dir: dir.clone(), threads: 1, ..ServeConfig::default() });
 
     // Big enough that it is still mid-flight while the test queues a
@@ -391,6 +461,7 @@ fn graceful_drain_finishes_in_flight_work_and_leaves_resumable_journals() {
     let second_outcome = second_summary.join().expect("summary reader");
 
     server.join().expect("server thread exits cleanly");
+    assert_eq!(running(&registry), Some(0), "no campaign runs after drain");
 
     // Both journals are resumable: the finished one replays complete,
     // and the queued one is a valid journal in EITHER drain outcome —
@@ -414,6 +485,70 @@ fn graceful_drain_finishes_in_flight_work_and_leaves_resumable_journals() {
         .run_resumed(&campaign_from_spec(SPEC_B).expect("spec"), &mut [], second_log.records())
         .expect("queued campaign resumes offline from its journal");
     assert_eq!(resumed.summary.jobs_ok, 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Drain with campaigns overlapping: at two workers, two single-job
+/// campaigns are in flight and a third waits for a worker when the
+/// shutdown arrives. Both running campaigns finish and are fully
+/// journaled, the waiting one is cancelled with an empty journal that
+/// resumes offline, and the service returns only after all of it.
+#[test]
+fn drain_finishes_every_in_flight_campaign_and_cancels_the_queued_one() {
+    let dir = temp_journal_dir("drain-overlap");
+    let (addr, registry, server) =
+        start(ServeConfig { journal_dir: dir.clone(), threads: 2, ..ServeConfig::default() });
+
+    let submit = |client: &str, spec: &str| {
+        let response = request(addr, "POST", "/campaigns", &[("X-Client", client)], spec);
+        assert_eq!(response.status, 200, "{}", response.body);
+        (json_u64(&response.body, "id"), json_str(&response.body, "fingerprint"))
+    };
+    let in_flight = [submit("alice", SPEC_LONG_A), submit("bob", SPEC_LONG_B)];
+    wait_until("both campaigns run", || running(&registry) == Some(2));
+    let queued = submit("carol", SPEC_SMALL);
+
+    // Park a summary reader on each campaign; once the service has
+    // counted every request, each reader's handler is waiting on its
+    // campaign, not on the listener that shutdown stops.
+    let requests = |registry: &Registry| registry.snapshot().counter("serve.requests");
+    let before = requests(&registry).expect("requests counted");
+    let readers: Vec<_> = [in_flight[0].0, in_flight[1].0, queued.0]
+        .into_iter()
+        .map(|id| {
+            std::thread::spawn(move || {
+                request(addr, "GET", &format!("/campaigns/{id}/summary"), &[], "")
+            })
+        })
+        .collect();
+    wait_until("the summary readers are parked", || requests(&registry) == Some(before + 3));
+    assert_eq!(running(&registry), Some(2), "both still in flight at shutdown");
+
+    let shutdown = request(addr, "POST", "/shutdown", &[], "");
+    assert_eq!(shutdown.status, 200);
+    server.join().expect("server thread exits cleanly");
+    assert_eq!(running(&registry), Some(0), "run returned after every campaign ended");
+    assert_eq!(registry.snapshot().counter("serve.campaigns.completed"), Some(2));
+
+    let outcomes: Vec<_> = readers.into_iter().map(|r| r.join().expect("reader")).collect();
+    for ((id, fingerprint), outcome) in in_flight.iter().zip(&outcomes) {
+        assert_eq!(outcome.status, 200, "{}", outcome.body);
+        assert_eq!(json_u64(&outcome.body, "jobs_ok"), 1);
+        let log = ResumeLog::load(dir.join(format!("campaign-{id}.jsonl")), fingerprint)
+            .expect("finished journal loads");
+        assert_eq!(log.rows(), 1, "the in-flight campaign is fully journaled");
+        assert!(!log.truncated());
+    }
+    assert_eq!(outcomes[2].status, 500, "{}", outcomes[2].body);
+    assert!(outcomes[2].body.contains("cancelled by shutdown"), "{}", outcomes[2].body);
+    let (id, fingerprint) = &queued;
+    let log = ResumeLog::load(dir.join(format!("campaign-{id}.jsonl")), fingerprint)
+        .expect("cancelled journal loads");
+    assert_eq!(log.rows(), 0, "cancelled before any job ran");
+    let resumed = CampaignEngine::new()
+        .run_resumed(&campaign_from_spec(SPEC_SMALL).expect("spec"), &mut [], log.records())
+        .expect("the cancelled campaign resumes offline from its journal");
+    assert_eq!(resumed.summary.jobs_ok, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
