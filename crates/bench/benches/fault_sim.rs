@@ -8,7 +8,11 @@
 //! the node-graph → compiled-core trajectory. Groups covering the tape
 //! itself: `compile_tape/*` (one-off tape construction per circuit) and
 //! `detect/tape/*` (detection over a shared precompiled tape — the
-//! Session/campaign hot path).
+//! Session/campaign hot path). `detect/burst/*` times the shape of a
+//! rejected T0-generation burst — one 128-vector resumed pass over the
+//! whole collapsed list, capturing the state it leaves — on
+//! `PackedBackend` and on the one-thread 64-lane sharded engine, so the
+//! ledger separates the force-word kernel from the word width.
 //!
 //! Writes `BENCH_fault_sim.json` into the workspace root. Run with
 //! `--smoke` (as CI does) for a fast schema-checking pass, which writes
@@ -18,8 +22,8 @@ use bist_bench::timing::{self, Report};
 use subseq_bist::expand::expansion::{Expand, ExpansionConfig};
 use subseq_bist::netlist::{benchmarks, GateTape};
 use subseq_bist::sim::{
-    collapse, fault_universe, Fault, FaultSimulator, PackedBackend, ShardedBackend, SimBackend,
-    WordWidth,
+    collapse, fault_universe, Fault, FaultSimulator, MachineState, Obs, PackedBackend,
+    ShardedBackend, SimBackend, WordWidth,
 };
 use subseq_bist::tgen::Lfsr;
 
@@ -50,6 +54,28 @@ fn main() {
             scalar.detection_times(&seq, &faults).expect("ok")
         });
         report.run(format!("good_only/{name}"), || sim.good(&seq).expect("ok"));
+    }
+
+    // Rejected-burst shape: one resumed pass steps the whole collapsed
+    // list through 128 vectors and captures the state the survivors end in.
+    let sharded64 = ShardedBackend::new(1, WordWidth::W64).expect("threads >= 1");
+    let engines: [(&str, &dyn SimBackend); 2] =
+        [("packed64", &PackedBackend), ("sharded64_t1", &sharded64)];
+    for name in ["a298", "a526"] {
+        let entry =
+            benchmarks::suite().into_iter().find(|e| e.name == name).expect("circuit in suite");
+        let circuit = entry.build().expect("circuit builds");
+        let faults = collapse(&circuit, &fault_universe(&circuit)).representatives().to_vec();
+        let tape = GateTape::compile(&circuit);
+        let burst = Lfsr::new(128).sequence(circuit.num_inputs(), 128);
+        let reset = MachineState::reset();
+        for (engine_name, engine) in engines {
+            report.run(format!("detect/burst/{name}/{engine_name}"), || {
+                engine
+                    .resume_tape_obs(&tape, &reset, &burst, &faults, &[128], &Obs::noop())
+                    .expect("ok")
+            });
+        }
     }
 
     // Large analogs: packed vs the sharded sweep on an expanded stream —

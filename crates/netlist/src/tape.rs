@@ -33,8 +33,8 @@
 //! it; node indices on the tape are exactly [`NodeId::index`] values of
 //! that circuit, so fault sites and value tables keyed by `NodeId` work
 //! unchanged. [`GateTape::gate_pos`] maps a node index back to its tape
-//! position, which is how fault injectors translate per-node forces into
-//! per-tape-position patch points.
+//! position, and [`GateTape::runs`] that position to its run, which is how
+//! fault injectors find the runs a chunk's forces touch.
 
 use crate::{Circuit, GateKind, NodeId, NodeKind};
 

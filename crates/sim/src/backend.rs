@@ -9,9 +9,11 @@
 //! query an engine implements; every other query is provided on top of
 //! it. Three engines are provided:
 //!
-//! * [`PackedBackend`] — the single-threaded production engine: 63 faulty
-//!   machines per pass, one per [`PackedValue`] lane, with the good
-//!   machine fused into the last lane, fault dropping and early exit.
+//! * [`PackedBackend`] — the single-threaded production engine: one faulty
+//!   machine per lane, the good machine fused into the last lane, fault
+//!   dropping and early exit. A fault list that fits one 64-lane
+//!   [`PackedValue`] (63 faults) runs in that word; a longer one in
+//!   255-fault [`PackedValue256`] chunks.
 //! * [`ShardedBackend`] — the scaled engine: the fault list is split into
 //!   contiguous shards across OS threads (scoped threads, no runtime
 //!   dependencies), and each shard runs the same chunked pass at a
@@ -32,13 +34,18 @@
 //! tables from contiguous arrays — no `Node` dereferences, no per-gate
 //! heap hops. The tape's levelized, kind-sorted
 //! [`GateRun`](bist_netlist::GateRun)s let the
-//! sweep dispatch on the opcode once per run instead of once per gate,
-//! and the injector translates each chunk's forces into a sorted list of
-//! tape patch points, so the segments between them evaluate in tight
-//! loops with **zero** per-gate force checks or branches (forces on
-//! PI/DFF nodes stay as bitmap tests in the short source-driving loops).
-//! Each shard owns one reusable scratch block (value table, state, pin
-//! buffer, injector tables), so a chunked pass allocates nothing.
+//! sweep dispatch on the opcode once per run instead of once per gate.
+//! Faults are injected through force words, as in PROOFS (Niermann, Cheng
+//! and Patel, IEEE TCAD 11(2), 1992): a chunk's faults set lanes of one
+//! word per node output, fanin slot and flip-flop D pin, and
+//! [`PackedWord::force`] gives a lane set to 1 or 0 that value and leaves
+//! an `X` lane alone — so a word costs the same however many faults it
+//! carries. The primary-input, flip-flop and D-pin loops apply their
+//! words unconditionally; a run holding a forced gate applies pin and
+//! output words to every gate in it; every other run evaluates in a tight
+//! loop that reads no force at all. Each shard owns one reusable scratch
+//! block (force table, value table, state), so a chunked pass allocates
+//! nothing.
 //!
 //! All engines fuse the good machine into the fault passes: the packed
 //! engines reserve the top lane of every word for the fault-free machine
@@ -111,11 +118,6 @@ use bist_obs::{CancelKind, CancelToken, CounterHandle, HistogramHandle, Obs};
 use std::fmt;
 use std::time::Instant;
 
-/// `forced_gates` flag: some fanin pin of the gate carries a branch force.
-const IN_FORCE: u8 = 1;
-/// `forced_gates` flag: the gate's output carries a stem force.
-const OUT_FORCE: u8 = 2;
-
 /// A sequential stuck-at fault-simulation engine.
 ///
 /// Every engine implements one contract,
@@ -148,8 +150,8 @@ pub trait SimBackend: fmt::Debug + Send + Sync {
     /// stream leaves behind); see [`Resumed::states`]. Capturing costs
     /// O(faults × flip-flops) per capture time on top of the sweep.
     /// `obs` receives sweep telemetry (vectors simulated, chunk
-    /// early-exits, tape patches applied, per-shard busy time) and may
-    /// carry a cancel token; results never depend on it.
+    /// early-exits, runs evaluated under force words, per-shard busy
+    /// time) and may carry a cancel token; results never depend on it.
     ///
     /// # Errors
     ///
@@ -266,8 +268,8 @@ struct SweepStats {
     pub chunks: u64,
     /// Chunk passes that exited before exhausting the stream.
     pub early_exits: u64,
-    /// Injector patch points applied, summed over chunk passes.
-    pub patches: u64,
+    /// Gate runs evaluated under force words, summed over chunk passes.
+    pub forced_runs: u64,
     /// Repeated memory walks fast-forwarded, summed over chunk passes.
     pub walks_skipped: u64,
     /// Vectors those walks would have applied (not in `vectors`).
@@ -284,7 +286,7 @@ struct SweepObs {
     vectors: CounterHandle,
     chunks: CounterHandle,
     early_exits: CounterHandle,
-    patches: CounterHandle,
+    forced_runs: CounterHandle,
     walks_skipped: CounterHandle,
     vectors_skipped: CounterHandle,
     shard_busy: HistogramHandle,
@@ -298,7 +300,7 @@ impl SweepObs {
             vectors: obs.counter("sim.vectors"),
             chunks: obs.counter("sim.chunks"),
             early_exits: obs.counter("sim.chunk_early_exits"),
-            patches: obs.counter("sim.tape_patches"),
+            forced_runs: obs.counter("sim.forced_runs"),
             walks_skipped: obs.counter("sim.walks_skipped"),
             vectors_skipped: obs.counter("sim.vectors_skipped"),
             shard_busy: obs.histogram("sim.shard_busy_us"),
@@ -331,7 +333,7 @@ impl SweepObs {
         self.vectors.add(stats.vectors);
         self.chunks.add(stats.chunks);
         self.early_exits.add(stats.early_exits);
-        self.patches.add(stats.patches);
+        self.forced_runs.add(stats.forced_runs);
         self.walks_skipped.add(stats.walks_skipped);
         self.vectors_skipped.add(stats.vectors_skipped);
         self.shard_busy.record(busy_us);
@@ -347,87 +349,49 @@ fn elapsed_us(start: Instant) -> u64 {
 // Generic chunked engine (any PackedWord width, fused good machine)
 // ---------------------------------------------------------------------
 
-/// A per-node bit set over the value table — the injector's O(1) "does
-/// this node carry any force?" lookup, one bit per node instead of one
-/// `Vec` header dereference per gate.
-struct NodeBitmap {
-    words: Vec<u64>,
+/// A chunk's faults as force words (PROOFS-style lane masks), allocated
+/// once per shard and reloaded per chunk: one word per node output, then
+/// one per fanin slot of the tape, then one per flip-flop D pin. A fault in
+/// lane `l` sets lane `l` of its site's word to the stuck value; every
+/// other lane stays `X`, which [`PackedWord::force`] leaves alone — so a
+/// word costs the same however many faults it carries. Lane indices are
+/// validated against the word width at [`load`](ForceTable::load) time, so
+/// an oversized chunk surfaces a typed error instead of panicking inside
+/// `set_lane`.
+struct ForceTable<W: PackedWord> {
+    words: Vec<W>,
+    /// Offset of the fanin-slot words in `words`.
+    pins: usize,
+    /// Offset of the D-pin words in `words`.
+    d_pins: usize,
+    /// Indices of the words the current chunk set, cleared by the next
+    /// load.
+    touched: Vec<usize>,
+    /// Per [`GateRun`](bist_netlist::GateRun): does some gate of the run
+    /// carry a force this chunk?
+    forced: Vec<bool>,
+    /// Runs with `forced` set.
+    forced_runs: u64,
 }
 
-impl NodeBitmap {
-    fn new(num_nodes: usize) -> Self {
-        NodeBitmap { words: vec![0; num_nodes.div_ceil(64).max(1)] }
-    }
-
-    #[inline]
-    fn set(&mut self, i: usize) {
-        self.words[i >> 6] |= 1u64 << (i & 63);
-    }
-
-    #[inline]
-    fn unset(&mut self, i: usize) {
-        self.words[i >> 6] &= !(1u64 << (i & 63));
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> bool {
-        self.words[i >> 6] & (1u64 << (i & 63)) != 0
-    }
-}
-
-/// Sparse per-chunk fault injection tables, allocated once per shard and
-/// cleared between chunks. The touched-node bitmaps give the source
-/// (PI/DFF) loops single-bit force checks; `forced_gates` gives the
-/// combinational sweep its patch points as sorted tape positions, so the
-/// segments between them evaluate with **no** force checks at all. Lane
-/// indices are validated against the word width at
-/// [`load`](Injector::load) time, so an oversized chunk surfaces a typed
-/// error instead of panicking inside `set_lane`.
-struct Injector {
-    /// Nodes with output (stem) forces in the current chunk.
-    out_touched: Vec<usize>,
-    out_forces: Vec<Vec<(usize, Logic)>>,
-    out_bits: NodeBitmap,
-    /// Nodes with input (branch) forces in the current chunk.
-    in_touched: Vec<usize>,
-    in_forces: Vec<Vec<(u32, usize, Logic)>>,
-    in_bits: NodeBitmap,
-    /// Tape positions of gates needing the checked per-gate path this
-    /// chunk, sorted ascending, flagged [`IN_FORCE`] / [`OUT_FORCE`].
-    /// Forces on PI/DFF nodes are not gates and stay bitmap-only.
-    forced_gates: Vec<(u32, u8)>,
-}
-
-impl Injector {
-    fn new(num_nodes: usize) -> Self {
-        Injector {
-            out_touched: Vec::new(),
-            out_forces: vec![Vec::new(); num_nodes],
-            out_bits: NodeBitmap::new(num_nodes),
-            in_touched: Vec::new(),
-            in_forces: vec![Vec::new(); num_nodes],
-            in_bits: NodeBitmap::new(num_nodes),
-            forced_gates: Vec::new(),
+impl<W: PackedWord> ForceTable<W> {
+    fn new(tape: &GateTape) -> Self {
+        let pins = tape.num_nodes();
+        let d_pins = pins + tape.fanin().len();
+        ForceTable {
+            words: vec![W::ALL_X; d_pins + tape.num_dffs()],
+            pins,
+            d_pins,
+            touched: Vec::new(),
+            forced: vec![false; tape.runs().len()],
+            forced_runs: 0,
         }
     }
 
-    fn clear(&mut self) {
-        for &i in &self.out_touched {
-            self.out_forces[i].clear();
-            self.out_bits.unset(i);
-        }
-        for &i in &self.in_touched {
-            self.in_forces[i].clear();
-            self.in_bits.unset(i);
-        }
-        self.out_touched.clear();
-        self.in_touched.clear();
-        self.forced_gates.clear();
-    }
-
-    /// Loads one chunk of faults, one lane each. `fault_lanes` is the
-    /// engine's per-pass capacity (word width minus the good-machine
-    /// lane).
+    /// Loads one chunk of faults, one lane each, clearing every force of
+    /// the previous chunk. `fault_lanes` is the engine's per-pass capacity
+    /// (word width minus the good-machine lane). A branch fault on a pin
+    /// its node does not have forces nothing.
     fn load(
         &mut self,
         tape: &GateTape,
@@ -437,127 +401,125 @@ impl Injector {
         if chunk.len() > fault_lanes {
             return Err(SimError::LaneOutOfRange { lane: chunk.len() - 1, lanes: fault_lanes });
         }
-        self.clear();
+        for &i in &self.touched {
+            self.words[i] = W::ALL_X;
+        }
+        self.touched.clear();
+        self.forced.fill(false);
+        self.forced_runs = 0;
+        let starts = tape.fanin_start();
         for (lane, fault) in chunk.iter().enumerate() {
-            let forced = Logic::from_bool(fault.stuck);
-            match fault.site {
-                FaultSite::Output(node) => {
-                    let i = node.index();
-                    if self.out_forces[i].is_empty() {
-                        self.out_touched.push(i);
-                        self.out_bits.set(i);
-                        if let Some(pos) = tape.gate_pos(i) {
-                            self.forced_gates.push((pos as u32, OUT_FORCE));
-                        }
-                    }
-                    self.out_forces[i].push((lane, forced));
+            let node = fault.site.node().index();
+            let gate = tape.gate_pos(node);
+            let slot = match (fault.site, gate) {
+                (FaultSite::Output(_), _) => Some(node),
+                (FaultSite::Input { pin, .. }, Some(g)) => {
+                    let slot = starts[g] as usize + pin as usize;
+                    (slot < starts[g + 1] as usize).then_some(self.pins + slot)
                 }
-                FaultSite::Input { node, pin } => {
-                    let i = node.index();
-                    if self.in_forces[i].is_empty() {
-                        self.in_touched.push(i);
-                        self.in_bits.set(i);
-                        if let Some(pos) = tape.gate_pos(i) {
-                            self.forced_gates.push((pos as u32, IN_FORCE));
-                        }
-                    }
-                    self.in_forces[i].push((pin, lane, forced));
+                (FaultSite::Input { pin: 0, .. }, None) => {
+                    tape.dffs().iter().position(|&d| d as usize == node).map(|k| self.d_pins + k)
+                }
+                (FaultSite::Input { .. }, None) => None,
+            };
+            let Some(slot) = slot else { continue };
+            if self.words[slot] == W::ALL_X {
+                self.touched.push(slot);
+            }
+            self.words[slot].set_lane(lane, Logic::from_bool(fault.stuck));
+            if let Some(g) = gate {
+                let run = tape.runs().partition_point(|r| r.end as usize <= g);
+                if !self.forced[run] {
+                    self.forced[run] = true;
+                    self.forced_runs += 1;
                 }
             }
         }
-        self.forced_gates.sort_unstable_by_key(|&(pos, _)| pos);
-        self.forced_gates.dedup_by(|cur, kept| {
-            if cur.0 == kept.0 {
-                kept.1 |= cur.1;
-                true
-            } else {
-                false
-            }
-        });
-        // Engines merge patch points against the tape in one forward
-        // sweep — strict ascent (sorted + deduped) is load-bearing.
-        debug_assert!(
-            self.forced_gates.windows(2).all(|w| w[0].0 < w[1].0),
-            "injector patch points must be strictly ascending"
-        );
         Ok(())
     }
 
-    /// Single-bit test: does `node` carry a stem force this chunk?
+    /// The force word of flip-flop `k`'s D pin.
     #[inline]
-    fn output_forced(&self, node: usize) -> bool {
-        self.out_bits.get(node)
-    }
-
-    /// Single-bit test: does any fanin pin of `node` carry a branch force
-    /// this chunk?
-    #[inline]
-    fn input_forced(&self, node: usize) -> bool {
-        self.in_bits.get(node)
-    }
-
-    #[inline]
-    fn force_output<W: PackedWord>(&self, node: usize, mut value: W) -> W {
-        for &(lane, forced) in &self.out_forces[node] {
-            value.set_lane(lane, forced);
-        }
-        value
-    }
-
-    /// Value of `node`'s fanin `pin` as seen by the gate, with branch
-    /// forces applied.
-    #[inline]
-    fn forced_input<W: PackedWord>(&self, node: usize, pin: u32, mut value: W) -> W {
-        for &(p, lane, forced) in &self.in_forces[node] {
-            if p == pin {
-                value.set_lane(lane, forced);
-            }
-        }
-        value
+    fn d_pin(&self, k: usize) -> W {
+        self.words[self.d_pins + k]
     }
 }
 
-/// Two-operand packed gate evaluation — the fast path for the dominant
-/// `.bench` gate arity, with no iterator machinery. Agrees with
-/// [`eval_gate_fold`](crate::eval::eval_gate_fold) on every kind
-/// (including the arity-1 kinds, which a validated netlist never pairs
-/// with two fanins).
-#[inline]
-fn eval2<W: PackedWord>(kind: GateKind, a: W, b: W) -> W {
-    match kind {
-        GateKind::And => a.and(b),
-        GateKind::Nand => W::not(a.and(b)),
-        GateKind::Or => a.or(b),
-        GateKind::Nor => W::not(a.or(b)),
-        GateKind::Xor => a.xor(b),
-        GateKind::Xnor => W::not(a.xor(b)),
-        GateKind::Buf => a,
-        GateKind::Not => W::not(a),
+/// How the gates of a run read their fanin pins and drive their outputs:
+/// as they are ([`Unforced`]) or through a chunk's force words
+/// ([`ForceTable`]). The sweep picks one per run, and each is its own
+/// monomorphized loop.
+trait Forcing<W> {
+    /// Fanin slot `slot` (a position in [`GateTape::fanin`]) carrying `v`.
+    fn pin(&self, slot: usize, v: W) -> W;
+    /// Node `node` driving `v`.
+    fn out(&self, node: usize, v: W) -> W;
+}
+
+/// The runs that carry no force this chunk: the identity, so their loops
+/// compile to plain gate evaluation with no force words read.
+struct Unforced;
+
+impl<W> Forcing<W> for Unforced {
+    #[inline(always)]
+    fn pin(&self, _: usize, v: W) -> W {
+        v
+    }
+
+    #[inline(always)]
+    fn out(&self, _: usize, v: W) -> W {
+        v
     }
 }
 
-/// The branch-free two-input loop: `outs[i] = op(pairs[2i], pairs[2i+1])`.
-/// Monomorphized per `op`, so the gate function is inlined straight into
-/// the loop body — no per-gate dispatch of any kind.
-#[inline]
-fn eval2_run<W: PackedWord>(values: &mut [W], outs: &[u32], pairs: &[u32], op: impl Fn(W, W) -> W) {
-    for (&o, p) in outs.iter().zip(pairs.chunks_exact(2)) {
-        values[o as usize] = op(values[p[0] as usize], values[p[1] as usize]);
+impl<W: PackedWord> Forcing<W> for ForceTable<W> {
+    #[inline(always)]
+    fn pin(&self, slot: usize, v: W) -> W {
+        v.force(self.words[self.pins + slot])
+    }
+
+    #[inline(always)]
+    fn out(&self, node: usize, v: W) -> W {
+        v.force(self.words[node])
     }
 }
 
-/// Evaluates tape positions `[g0, g1)` — a slice of one homogeneous
-/// [`GateRun`] — with no force checks: the opcode and arity dispatch
-/// happen once here, then the whole segment runs in a tight loop. This
-/// is the engines' hot loop; everything it reads is a contiguous array.
+/// The two-input loop: `outs[i] = op(pairs[2i], pairs[2i+1])` through
+/// `forcing`, fanin slots counted from `s0`. Monomorphized per `op` and
+/// forcing, so the gate function is inlined straight into the loop body —
+/// no per-gate dispatch of any kind.
 #[inline]
-fn eval_segment<W: PackedWord>(
+fn eval2_run<W: PackedWord, F: Forcing<W>>(
+    values: &mut [W],
+    outs: &[u32],
+    pairs: &[u32],
+    s0: usize,
+    forcing: &F,
+    op: impl Fn(W, W) -> W,
+) {
+    for (i, (&o, p)) in outs.iter().zip(pairs.chunks_exact(2)).enumerate() {
+        let slot = s0 + 2 * i;
+        let a = forcing.pin(slot, values[p[0] as usize]);
+        let b = forcing.pin(slot + 1, values[p[1] as usize]);
+        values[o as usize] = forcing.out(o as usize, op(a, b));
+    }
+}
+
+/// Evaluates tape positions `[g0, g1)` — one homogeneous [`GateRun`] —
+/// through `forcing`: the opcode and arity dispatch happen once here,
+/// then the whole run evaluates in a tight loop. This is the engines' hot
+/// loop; everything it reads is a contiguous array.
+///
+/// [`GateRun`]: bist_netlist::GateRun
+#[inline]
+fn eval_segment<W: PackedWord, F: Forcing<W>>(
     tape: &GateTape,
     kind: GateKind,
     arity: RunArity,
     g0: usize,
     g1: usize,
     values: &mut [W],
+    forcing: &F,
 ) {
     let outs = &tape.gate_out()[g0..g1];
     let starts = tape.fanin_start();
@@ -565,17 +527,18 @@ fn eval_segment<W: PackedWord>(
     match arity {
         RunArity::Two => {
             let pairs = &tape.fanin()[s0..s0 + 2 * outs.len()];
+            let f = forcing;
             match kind {
-                GateKind::And => eval2_run(values, outs, pairs, super::packed::PackedWord::and),
-                GateKind::Nand => eval2_run(values, outs, pairs, |a, b| W::not(a.and(b))),
-                GateKind::Or => eval2_run(values, outs, pairs, super::packed::PackedWord::or),
-                GateKind::Nor => eval2_run(values, outs, pairs, |a, b| W::not(a.or(b))),
-                GateKind::Xor => eval2_run(values, outs, pairs, super::packed::PackedWord::xor),
-                GateKind::Xnor => eval2_run(values, outs, pairs, |a, b| W::not(a.xor(b))),
+                GateKind::And => eval2_run(values, outs, pairs, s0, f, PackedWord::and),
+                GateKind::Nand => eval2_run(values, outs, pairs, s0, f, |a, b| W::not(a.and(b))),
+                GateKind::Or => eval2_run(values, outs, pairs, s0, f, PackedWord::or),
+                GateKind::Nor => eval2_run(values, outs, pairs, s0, f, |a, b| W::not(a.or(b))),
+                GateKind::Xor => eval2_run(values, outs, pairs, s0, f, PackedWord::xor),
+                GateKind::Xnor => eval2_run(values, outs, pairs, s0, f, |a, b| W::not(a.xor(b))),
                 // A validated netlist never gives BUF/NOT two fanins;
                 // agree with `eval_gate_fold` (ignore the extra) anyway.
-                GateKind::Buf => eval2_run(values, outs, pairs, |a, _| a),
-                GateKind::Not => eval2_run(values, outs, pairs, |a, _| W::not(a)),
+                GateKind::Buf => eval2_run(values, outs, pairs, s0, f, |a, _| a),
+                GateKind::Not => eval2_run(values, outs, pairs, s0, f, |a, _| W::not(a)),
             }
         }
         RunArity::One => {
@@ -583,52 +546,50 @@ fn eval_segment<W: PackedWord>(
             // The arity-1 fold of every kind is either pass-through or
             // complement (`eval_gate_fold` with an empty rest).
             if kind.is_inverting() {
-                for (&o, &f) in outs.iter().zip(srcs) {
-                    values[o as usize] = W::not(values[f as usize]);
+                for (i, (&o, &f)) in outs.iter().zip(srcs).enumerate() {
+                    let v = W::not(forcing.pin(s0 + i, values[f as usize]));
+                    values[o as usize] = forcing.out(o as usize, v);
                 }
             } else {
-                for (&o, &f) in outs.iter().zip(srcs) {
-                    values[o as usize] = values[f as usize];
+                for (i, (&o, &f)) in outs.iter().zip(srcs).enumerate() {
+                    let v = forcing.pin(s0 + i, values[f as usize]);
+                    values[o as usize] = forcing.out(o as usize, v);
                 }
             }
         }
         RunArity::Many => {
             let fanin = tape.fanin();
             for g in g0..g1 {
-                let s = starts[g] as usize;
-                let e = starts[g + 1] as usize;
-                values[outs[g - g0] as usize] = crate::eval::eval_gate_fold(
-                    kind,
-                    values[fanin[s] as usize],
-                    fanin[s + 1..e].iter().map(|&f| values[f as usize]),
-                );
+                let (s, e) = (starts[g] as usize, starts[g + 1] as usize);
+                let pin = |slot: usize| forcing.pin(slot, values[fanin[slot] as usize]);
+                let v = crate::eval::eval_gate_fold(kind, pin(s), (s + 1..e).map(pin));
+                let o = outs[g - g0] as usize;
+                values[o] = forcing.out(o, v);
             }
         }
     }
 }
 
-/// One shard's reusable simulation state: injector tables, the packed
-/// value table, the flip-flop state, the forced-pin staging buffer and
-/// the shard's sweep tallies. Allocated once per shard and reused across
-/// every chunk it runs — a chunk pass performs no heap allocation.
+/// One shard's reusable simulation state: the force table, the packed
+/// value table, the flip-flop state and the shard's sweep tallies.
+/// Allocated once per shard and reused across every chunk it runs — a
+/// chunk pass performs no heap allocation.
 struct ShardScratch<W: PackedWord> {
-    injector: Injector,
+    forces: ForceTable<W>,
     values: Vec<W>,
     state: Vec<W>,
     /// The flip-flop state at the start of the current repeated walk.
     saved: Vec<W>,
-    pins: Vec<W>,
     stats: SweepStats,
 }
 
 impl<W: PackedWord> ShardScratch<W> {
     fn new(tape: &GateTape) -> Self {
         ShardScratch {
-            injector: Injector::new(tape.num_nodes()),
+            forces: ForceTable::new(tape),
             values: vec![W::ALL_X; tape.num_nodes()],
             state: vec![W::ALL_X; tape.num_dffs()],
             saved: vec![W::ALL_X; tape.num_dffs()],
-            pins: Vec::new(),
             stats: SweepStats::default(),
         }
     }
@@ -884,90 +845,43 @@ impl Captured {
 }
 
 /// One clock's combinational evaluation of every lane: drives primary
-/// input `i` with `input(i)` (with stem forces: a stuck PI is stuck every
-/// cycle), loads the present `state` and sweeps the tape run by run. The
-/// injector's sorted forced-gate list splits each run into segments that
-/// evaluate with zero per-gate force checks; only the patch points take
-/// the checked path. Every packed pass steps through this one sweep.
+/// input `i` with `input(i)` and loads the present `state`, both through
+/// their output force words (a stuck PI is stuck every cycle), then sweeps
+/// the tape run by run. A run holding a forced gate applies pin and
+/// output force words to every gate in it; every other run evaluates with
+/// no force at all. Every packed pass steps through this one sweep.
 #[inline]
 fn evaluate<W: PackedWord>(
     tape: &GateTape,
-    injector: &Injector,
+    forces: &ForceTable<W>,
     state: &[W],
     values: &mut [W],
-    pins: &mut Vec<W>,
     input: impl Fn(usize) -> W,
 ) {
     for (i, &pi) in tape.inputs().iter().enumerate() {
         let pi = pi as usize;
-        let v = input(i);
-        values[pi] = if injector.output_forced(pi) { injector.force_output(pi, v) } else { v };
+        values[pi] = forces.out(pi, input(i));
     }
-    for (k, &dff) in tape.dffs().iter().enumerate() {
+    for (&dff, &v) in tape.dffs().iter().zip(state) {
         let dff = dff as usize;
-        let v = state[k];
-        values[dff] = if injector.output_forced(dff) { injector.force_output(dff, v) } else { v };
+        values[dff] = forces.out(dff, v);
     }
-    let gate_out = tape.gate_out();
-    let starts = tape.fanin_start();
-    let fanin = tape.fanin();
-    let forced = &injector.forced_gates;
-    let mut fi = 0usize;
-    for run in tape.runs() {
-        let (mut g, end) = (run.start as usize, run.end as usize);
-        while g < end {
-            while fi < forced.len() && (forced[fi].0 as usize) < g {
-                fi += 1;
-            }
-            let stop = match forced.get(fi) {
-                Some(&(pos, _)) => (pos as usize).min(end),
-                None => end,
-            };
-            if g < stop {
-                eval_segment(tape, run.kind, run.arity, g, stop, values);
-                g = stop;
-            }
-            if g < end {
-                let Some(&(pos, flags)) = forced.get(fi) else { unreachable!() };
-                debug_assert_eq!(pos as usize, g);
-                let out = gate_out[g] as usize;
-                let s = starts[g] as usize;
-                let e = starts[g + 1] as usize;
-                let v = if flags & IN_FORCE != 0 {
-                    pins.clear();
-                    for (p, &f) in fanin[s..e].iter().enumerate() {
-                        pins.push(injector.forced_input(out, p as u32, values[f as usize]));
-                    }
-                    crate::eval::eval_gate(run.kind, pins)
-                } else if e - s == 2 {
-                    eval2(run.kind, values[fanin[s] as usize], values[fanin[s + 1] as usize])
-                } else {
-                    crate::eval::eval_gate_fold(
-                        run.kind,
-                        values[fanin[s] as usize],
-                        fanin[s + 1..e].iter().map(|&f| values[f as usize]),
-                    )
-                };
-                values[out] =
-                    if flags & OUT_FORCE != 0 { injector.force_output(out, v) } else { v };
-                g += 1;
-                fi += 1;
-            }
+    for (run, &forced) in tape.runs().iter().zip(&forces.forced) {
+        let (g0, g1) = (run.start as usize, run.end as usize);
+        if forced {
+            eval_segment(tape, run.kind, run.arity, g0, g1, values, forces);
+        } else {
+            eval_segment(tape, run.kind, run.arity, g0, g1, values, &Unforced);
         }
     }
 }
 
 /// Clocks the flip-flops: latches the next state from the evaluated
-/// `values`, with D-pin branch forces applied.
+/// `values` through the D-pin force words.
 #[inline]
-fn latch<W: PackedWord>(tape: &GateTape, injector: &Injector, values: &[W], state: &mut [W]) {
-    for (k, (&dff, &src)) in tape.dffs().iter().zip(tape.dff_src()).enumerate() {
-        let di = dff as usize;
-        let mut v = values[src as usize];
-        if injector.input_forced(di) {
-            v = injector.forced_input(di, 0, v);
-        }
-        state[k] = v;
+fn latch<W: PackedWord>(tape: &GateTape, forces: &ForceTable<W>, values: &[W], state: &mut [W]) {
+    for (k, (s, &src)) in state.iter_mut().zip(tape.dff_src()).enumerate() {
+        *s = values[src as usize].force(forces.d_pin(k));
     }
 }
 
@@ -975,7 +889,7 @@ fn latch<W: PackedWord>(tape: &GateTape, injector: &Injector, values: &[W], stat
 /// the low lanes and the fault-free machine fused into the top lane,
 /// every lane starting from the flip-flop values the caller loaded into
 /// `scratch.state`. The good machine sees
-/// no forces (the injector never loads its lane), so each output word
+/// no forces (no force word sets its lane), so each output word
 /// carries the reference value and all faulty values of that output in
 /// the same pass — no precollected PO trace. The walk stops at the vector
 /// that detects the chunk's last undetected fault, and jumps to the end of
@@ -991,11 +905,11 @@ fn run_chunk<W: PackedWord>(
     scratch: &mut ShardScratch<W>,
 ) -> Result<(), SimError> {
     let good_lane = W::LANES - 1;
-    scratch.injector.load(tape, chunk, good_lane)?;
+    scratch.forces.load(tape, chunk, good_lane)?;
     scratch.values.fill(W::ALL_X);
-    let ShardScratch { injector, values, state, saved, pins, stats } = scratch;
+    let ShardScratch { forces, values, state, saved, stats } = scratch;
     stats.chunks += 1;
-    stats.patches += injector.forced_gates.len() as u64;
+    stats.forced_runs += forces.forced_runs;
     let mut vectors = 0u64;
     let mut early_exit = false;
 
@@ -1016,9 +930,7 @@ fn run_chunk<W: PackedWord>(
         let mut resume = None;
         source.visit_from(from, &mut |t, vector| {
             vectors += 1;
-            evaluate(tape, injector, state, values, pins, |i| {
-                W::splat(Logic::from_bool(vector.get(i)))
-            });
+            evaluate(tape, forces, state, values, |i| W::splat(Logic::from_bool(vector.get(i))));
             // Compare the faulty lanes against the fused good lane.
             for &o in tape.outputs() {
                 let w = values[o as usize];
@@ -1039,7 +951,7 @@ fn run_chunk<W: PackedWord>(
                 early_exit = true;
                 return false;
             }
-            latch(tape, injector, values, state);
+            latch(tape, forces, values, state);
             let now = t + 1;
             if plan.capture.get(next_capture) == Some(&(base + now)) {
                 captured.record(next_capture, chunk, state, undetected);
@@ -1197,7 +1109,7 @@ fn first_detecting_packed(
 }
 
 /// Reusable buffers of a candidate-parallel probe: the fault copies the
-/// injector loads into the low lanes, the per-lane primary-input words
+/// force table loads into the low lanes, the per-lane primary-input words
 /// and one vector buffer the candidates write into — so a clock
 /// allocates nothing.
 struct Probe {
@@ -1222,12 +1134,12 @@ impl Probe {
         if k == 0 {
             return Ok(None);
         }
-        scratch.injector.load(tape, &self.copies[..k], PROBE_LANES)?;
+        scratch.forces.load(tape, &self.copies[..k], PROBE_LANES)?;
         scratch.values.fill(PackedValue::ALL_X);
         scratch.state.fill(PackedValue::ALL_X);
-        let ShardScratch { injector, values, state, saved, pins, stats } = scratch;
+        let ShardScratch { forces, values, state, saved, stats } = scratch;
         stats.chunks += 1;
-        stats.patches += injector.forced_gates.len() as u64;
+        stats.forced_runs += forces.forced_runs;
         let mut lens = [0usize; PROBE_LANES];
         for (len, c) in lens.iter_mut().zip(candidates) {
             *len = c.num_vectors();
@@ -1276,7 +1188,7 @@ impl Probe {
                 }
             });
             let inputs = &self.inputs;
-            evaluate(tape, injector, state, values, pins, |i| inputs[i]);
+            evaluate(tape, forces, state, values, |i| inputs[i]);
             stats.vectors += 1;
             // Lane pair compare: faulty lane `c` against good lane `c + 32`.
             let mut diff = 0u64;
@@ -1290,19 +1202,25 @@ impl Probe {
                 best = Some(lowest);
                 undecided &= u64::first_n(lowest);
             }
-            latch(tape, injector, values, state);
+            latch(tape, forces, values, state);
             t += 1;
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Packed engine (63 faulty machines + fused good machine per pass)
+// Packed engine (one word for short fault lists, 256-lane words otherwise)
 // ---------------------------------------------------------------------
 
-/// The single-threaded production engine: faults are simulated 63 at a
-/// time, each low lane of a [`PackedValue`] carrying one faulty machine
-/// and the top lane the fused fault-free machine.
+/// The single-threaded production engine. A fault list that fits one
+/// 64-lane [`PackedValue`] — 63 faults — runs in that one word; a longer
+/// list runs in 255-fault [`PackedValue256`] chunks. Either way each low
+/// lane carries one faulty machine and the top lane the fused fault-free
+/// machine. Faults are injected through force words, so a word costs the
+/// same however many faults it carries, and the wider word cuts the words
+/// stepped per vector. The width follows the list's length, not an
+/// option; results are per fault and do not depend on it. The engine
+/// keeps its report name `packed64`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PackedBackend;
 
@@ -1320,7 +1238,11 @@ impl SimBackend for PackedBackend {
         capture: &[usize],
         obs: &Obs,
     ) -> Result<Resumed, SimError> {
-        resume_interleaved::<PackedValue>(tape, from, source, faults, capture, 1, obs)
+        if faults.len() < PackedValue::LANES {
+            resume_interleaved::<PackedValue>(tape, from, source, faults, capture, 1, obs)
+        } else {
+            resume_interleaved::<PackedValue256>(tape, from, source, faults, capture, 1, obs)
+        }
     }
 
     fn first_detecting_tape_obs(
@@ -1339,6 +1261,10 @@ impl SimBackend for PackedBackend {
 // ---------------------------------------------------------------------
 
 /// The packed word width a [`ShardedBackend`] simulates with.
+/// ([`PackedBackend`] picks 64 or 256 lanes by the length of its fault
+/// list.) A word costs the same however many of its lanes carry faults,
+/// but a wider word is a wider value table: 512 lanes ran T0 generation
+/// slower than 256 on a 2-core AVX-512 host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WordWidth {
     /// 64 lanes ([`PackedValue`]): 63 faults + good machine per pass.
@@ -1682,69 +1608,43 @@ mod tests {
         let c = benchmarks::s27();
         let faults = fault_universe(&c);
         let tape = GateTape::compile(&c);
-        let mut injector = Injector::new(c.num_nodes());
+        let mut forces = ForceTable::<PackedValue>::new(&tape);
         // 52 faults into a 4-lane budget: typed error, no panic.
-        let err = injector.load(&tape, &faults, 4);
+        let err = forces.load(&tape, &faults, 4);
         assert_eq!(err, Err(SimError::LaneOutOfRange { lane: faults.len() - 1, lanes: 4 }));
         // Within budget loads fine.
-        assert_eq!(injector.load(&tape, &faults[..4], 4), Ok(()));
+        assert_eq!(forces.load(&tape, &faults[..4], 4), Ok(()));
     }
 
     #[test]
-    fn injector_bitmaps_track_touched_nodes() {
+    fn reloading_a_chunk_clears_every_previous_force() {
         let c = benchmarks::s27();
         let tape = GateTape::compile(&c);
         let faults = fault_universe(&c);
-        let mut injector = Injector::new(c.num_nodes());
-        injector.load(&tape, &faults[..4], 63).unwrap();
-        let stems: Vec<usize> = faults[..4]
+        let (a, b) = (&faults[..], &faults[20..30]);
+        let mut reloaded = ForceTable::<PackedValue>::new(&tape);
+        reloaded.load(&tape, a, 63).unwrap();
+        let after_a = (reloaded.words.clone(), reloaded.forced.clone());
+        reloaded.load(&tape, b, 63).unwrap();
+        let mut fresh = ForceTable::<PackedValue>::new(&tape);
+        fresh.load(&tape, b, 63).unwrap();
+        assert_ne!(after_a, (fresh.words.clone(), fresh.forced.clone()), "chunk A must differ");
+        assert_eq!(reloaded.words, fresh.words);
+        assert_eq!(reloaded.forced, fresh.forced);
+        assert_eq!(reloaded.forced_runs, fresh.forced_runs);
+        // The forced runs are exactly the runs of B's gate sites.
+        let mut runs: Vec<usize> = b
             .iter()
-            .filter_map(|f| match f.site {
-                FaultSite::Output(n) => Some(n.index()),
-                FaultSite::Input { .. } => None,
+            .filter_map(|f| tape.gate_pos(f.site.node().index()))
+            .map(|g| {
+                tape.runs().iter().position(|r| (r.start..r.end).contains(&(g as u32))).unwrap()
             })
             .collect();
-        for &s in &stems {
-            assert!(injector.output_forced(s));
-        }
-        // Loading a disjoint chunk clears the previous bits.
-        injector.load(&tape, &faults[40..44], 63).unwrap();
-        let now: Vec<usize> = (0..c.num_nodes()).filter(|&i| injector.output_forced(i)).collect();
-        assert!(stems.iter().all(|s| !now.contains(s)
-            || faults[40..44]
-                .iter()
-                .any(|f| matches!(f.site, FaultSite::Output(n) if n.index() == *s))));
-    }
-
-    #[test]
-    fn forced_gates_are_sorted_patch_points_with_merged_flags() {
-        let c = benchmarks::s27();
-        let tape = GateTape::compile(&c);
-        let faults = fault_universe(&c);
-        let mut injector = Injector::new(c.num_nodes());
-        injector.load(&tape, &faults[..32], 63).unwrap();
-        // Sorted, strictly increasing tape positions.
-        let positions: Vec<u32> = injector.forced_gates.iter().map(|&(p, _)| p).collect();
-        assert!(positions.windows(2).all(|w| w[0] < w[1]), "{positions:?}");
-        // Every forced gate position carries the flags its node's forces
-        // imply, and every gate-site force appears.
-        for &(pos, flags) in &injector.forced_gates {
-            let node = tape.gate_out()[pos as usize] as usize;
-            assert_eq!(flags & OUT_FORCE != 0, injector.output_forced(node));
-            assert_eq!(flags & IN_FORCE != 0, injector.input_forced(node));
-        }
-        let gate_sites =
-            faults[..32].iter().filter(|f| tape.gate_pos(f.site.node().index()).is_some()).count();
-        assert!(gate_sites > 0, "sample must exercise gate sites");
-        for f in &faults[..32] {
-            if let Some(pos) = tape.gate_pos(f.site.node().index()) {
-                assert!(positions.contains(&(pos as u32)), "{f} missing from patch list");
-            }
-        }
-        // PI/DFF forces are not gates and never enter the patch list.
-        for &(pos, _) in &injector.forced_gates {
-            assert!(tape.gate_pos(tape.gate_out()[pos as usize] as usize).is_some());
-        }
+        runs.sort_unstable();
+        runs.dedup();
+        let forced: Vec<usize> = (0..tape.runs().len()).filter(|&r| fresh.forced[r]).collect();
+        assert_eq!(forced, runs);
+        assert_eq!(fresh.forced_runs, runs.len() as u64);
     }
 
     #[test]
@@ -1770,24 +1670,6 @@ mod tests {
         assert_eq!(WordWidth::from_lanes(256), Some(WordWidth::W256));
         assert_eq!(WordWidth::from_lanes(128), None);
         assert_eq!(WordWidth::W512.lanes(), 512);
-    }
-
-    #[test]
-    fn eval2_agrees_with_the_fold_on_all_kinds() {
-        use crate::eval::eval_gate_fold;
-        use Logic::{One, Zero, X};
-        for kind in GateKind::ALL {
-            for a in [Zero, One, X] {
-                for b in [Zero, One, X] {
-                    let (pa, pb) = (PackedValue::splat(a), PackedValue::splat(b));
-                    assert_eq!(
-                        eval2(kind, pa, pb).lane(11),
-                        eval_gate_fold(kind, pa, [pb].into_iter()).lane(11),
-                        "{kind:?} {a} {b}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

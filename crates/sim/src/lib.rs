@@ -13,9 +13,10 @@
 //!   works with.
 //! * [`simulate_good`] — fault-free simulation from the all-unknown state.
 //! * [`FaultSimulator`] — the sequential fault simulator facade over a
-//!   pluggable [`SimBackend`]: the default [`PackedBackend`] runs 63
-//!   faulty machines per pass plus the fused good machine in the top
-//!   lane; [`ShardedBackend`] splits the fault list across OS threads at
+//!   pluggable [`SimBackend`]: the default [`PackedBackend`] runs one
+//!   faulty machine per lane plus the fused good machine in the top lane,
+//!   in one 64-lane word for up to 63 faults and in 256-lane words for
+//!   longer lists; [`ShardedBackend`] splits the fault list across OS threads at
 //!   a configurable [`WordWidth`] (64/256/512 lanes); the
 //!   [`ScalarBackend`] reference engine steps one good/faulty pair of the
 //!   crate's scalar machine (the one behind [`SteppedSim`],

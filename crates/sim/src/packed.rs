@@ -228,6 +228,12 @@ pub trait PackedWord: Copy + PartialEq + Send + Sync + 'static {
     /// value of its own).
     #[must_use]
     fn differs(self, rhs: Self) -> Self::Mask;
+
+    /// Applies a force word: every lane where `mask` holds 1 or 0 takes
+    /// that value, every lane where `mask` is `X` keeps `self`'s. This is
+    /// how the engines inject a chunk's stuck-at faults, one lane each.
+    #[must_use]
+    fn force(self, mask: Self) -> Self;
 }
 
 /// 64 three-valued logic values packed into two machine words.
@@ -418,6 +424,13 @@ impl PackedWord for PackedValue {
     fn differs(self, rhs: Self) -> u64 {
         (self.ones ^ rhs.ones) | (self.zeros ^ rhs.zeros)
     }
+
+    fn force(self, mask: Self) -> Self {
+        PackedValue {
+            ones: (self.ones & !mask.zeros) | mask.ones,
+            zeros: (self.zeros & !mask.ones) | mask.zeros,
+        }
+    }
 }
 
 /// `64·N` three-valued logic values packed into two `[u64; N]` planes —
@@ -546,6 +559,15 @@ impl<const N: usize> PackedWord for PackedVec<N> {
 
     fn differs(self, rhs: Self) -> [u64; N] {
         std::array::from_fn(|i| (self.ones[i] ^ rhs.ones[i]) | (self.zeros[i] ^ rhs.zeros[i]))
+    }
+
+    fn force(self, mask: Self) -> Self {
+        let (mut ones, mut zeros) = ([0u64; N], [0u64; N]);
+        for i in 0..N {
+            ones[i] = (self.ones[i] & !mask.zeros[i]) | mask.ones[i];
+            zeros[i] = (self.zeros[i] & !mask.ones[i]) | mask.zeros[i];
+        }
+        PackedVec { ones, zeros }
     }
 }
 
@@ -743,6 +765,26 @@ mod tests {
                     let mut lanes = Vec::new();
                     x.differs(y).for_each_lane(|l| lanes.push(l));
                     assert_eq!(lanes, if a == b { vec![] } else { vec![lane] }, "{a} vs {b}");
+                }
+            }
+        }
+        check::<PackedValue>();
+        check::<PackedValue256>();
+        check::<PackedValue512>();
+    }
+
+    #[test]
+    fn force_sets_the_binary_lanes_of_the_mask_and_keeps_the_rest() {
+        fn check<W: PackedWord>() {
+            for (i, v) in ALL.into_iter().enumerate() {
+                for (j, m) in ALL.into_iter().enumerate() {
+                    let lane = W::LANES - 1 - 3 * i - j;
+                    let (mut value, mut mask) = (W::splat(v), W::ALL_X);
+                    mask.set_lane(lane, m);
+                    let forced = value.force(mask);
+                    assert_eq!(forced.lane(lane), if m == X { v } else { m }, "{v} forced by {m}");
+                    value.set_lane(lane, forced.lane(lane));
+                    assert!(forced == value, "other lanes keep {v}");
                 }
             }
         }

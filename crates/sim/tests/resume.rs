@@ -149,20 +149,22 @@ fn resume_matches_the_whole_pass_over_several_chunks() {
 
 #[test]
 fn resume_after_a_prefix_where_whole_chunks_stopped_early() {
-    let circuit = suite_circuit("a298");
+    let circuit = suite_circuit("a382");
     let tape = GateTape::compile(&circuit);
     let mut rng = StdRng::seed_from_u64(77);
     let seq = random_sequence(&circuit, 48, &mut rng);
     let prefix = seq.subsequence(0, 23);
     let universe = collapse(&circuit, &fault_universe(&circuit)).representatives().to_vec();
     // Faults the prefix detects first, so the leading chunks exhaust and
-    // stop before the prefix ends.
+    // stop before the prefix ends. The list is longer than one 64-lane
+    // word, so `PackedBackend` packs it into 255-fault words: the block
+    // must fill a whole one.
     let times = PackedBackend.detection_times_tape(&tape, &prefix, &universe).unwrap();
     let detected_first = |early: bool| {
         universe.iter().zip(&times).filter(move |(_, t)| t.is_some() == early).map(|(&f, _)| f)
     };
     let mut faults: Vec<Fault> = detected_first(true).collect();
-    assert!(faults.len() >= 63, "need a whole chunk of prefix-detected faults");
+    assert!(faults.len() >= 255, "need a whole 255-fault word of prefix-detected faults");
     faults.extend(detected_first(false));
     let registry = Arc::new(Registry::new());
     let obs = Obs::with_registry(Arc::clone(&registry));
@@ -173,24 +175,32 @@ fn resume_after_a_prefix_where_whole_chunks_stopped_early() {
     check_resume(&tape, &seq, &[24], &faults, &mut rng);
 }
 
+/// Over the whole collapsed list and over its first 63, 64, 255, 256 and
+/// 257 faults — the lengths at which `PackedBackend` switches from one
+/// 64-lane word to 255-fault words and at which its chunks roll over.
 #[test]
 fn captures_along_one_walk_match_separate_walks() {
     let circuit = suite_circuit("a382");
     let tape = GateTape::compile(&circuit);
     let mut rng = StdRng::seed_from_u64(3);
     let seq = random_sequence(&circuit, 30, &mut rng);
-    let faults = collapse(&circuit, &fault_universe(&circuit)).representatives().to_vec();
+    let collapsed = collapse(&circuit, &fault_universe(&circuit)).representatives().to_vec();
+    assert!(collapsed.len() > 257, "a382 must span two 255-fault words");
     let obs = Obs::noop();
     let at = [5, 12, 30];
     let reset = MachineState::reset();
-    let scalar = ScalarBackend.resume_tape_obs(&tape, &reset, &seq, &faults, &at, &obs).unwrap();
-    for engine in packed_engines() {
-        let all = engine.resume_tape_obs(&tape, &reset, &seq, &faults, &at, &obs).unwrap();
-        assert_eq!(all, scalar, "{}", engine.name());
-        for (k, &t) in at.iter().enumerate() {
-            let head = seq.subsequence(0, t - 1);
-            let one = engine.resume_tape_obs(&tape, &reset, &head, &faults, &[t], &obs).unwrap();
-            assert_eq!(all.states[k], one.states[0], "{} capture at {t}", engine.name());
+    for len in [63, 64, 255, 256, 257, collapsed.len()] {
+        let faults = &collapsed[..len];
+        let scalar = ScalarBackend.resume_tape_obs(&tape, &reset, &seq, faults, &at, &obs).unwrap();
+        for engine in packed_engines() {
+            let name = engine.name();
+            let all = engine.resume_tape_obs(&tape, &reset, &seq, faults, &at, &obs).unwrap();
+            assert_eq!(all, scalar, "{name}, {len} faults");
+            for (k, &t) in at.iter().enumerate() {
+                let head = seq.subsequence(0, t - 1);
+                let one = engine.resume_tape_obs(&tape, &reset, &head, faults, &[t], &obs).unwrap();
+                assert_eq!(all.states[k], one.states[0], "{name}, {len} faults, capture at {t}");
+            }
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Static analysis for the `subseq-bist` pipeline.
 //!
 //! Three generations of hot-path machinery (packed-word lanes, compiled
-//! gate tapes, patch-point injection) rest on
+//! gate tapes, force-word injection) rest on
 //! structural invariants that until now were only exercised
 //! *dynamically*, by differential tests. This crate checks them
 //! statically — without simulating a single vector:

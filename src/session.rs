@@ -46,8 +46,9 @@ use std::time::Instant;
 /// dramatically slower on large fault lists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// 63 faulty machines + the fused good machine per pass (the default
-    /// single-threaded production engine).
+    /// The default single-threaded production engine: one faulty machine
+    /// per lane plus the fused good machine, in one 64-lane word when the
+    /// fault list has at most 63 faults and in 256-lane words otherwise.
     #[default]
     Packed,
     /// One faulty machine at a time (reference engine).
@@ -1174,7 +1175,12 @@ mod tests {
         assert!(0 < passes && passes <= probes as u64, "{passes} passes, {probes} probes");
         // The engines saw real work through the threaded sink.
         assert!(snap.counter("sim.vectors").unwrap() > 0);
-        assert!(snap.counter("sim.chunks").unwrap() > 0);
+        let chunks = snap.counter("sim.chunks").unwrap();
+        assert!(chunks > 0);
+        // Chunks force their gate sites' runs, at most every run each.
+        let runs = GateTape::compile(&benchmarks::s27()).runs().len();
+        let forced_runs = snap.counter("sim.forced_runs").unwrap();
+        assert!(0 < forced_runs && forced_runs <= chunks * runs as u64, "{forced_runs} runs");
         // Tracing captured the same spans as events.
         let events = registry.trace_events();
         assert!(events.iter().any(|e| e.span == "session.fault_sim_us" && e.labels == "s27"));
