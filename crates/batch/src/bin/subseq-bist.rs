@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! subseq-bist run [--smoke] [--circuits s27,a298 | --upto N | --quick | --full]
-//!                 [--backends packed,scalar,sharded[:T[:W]]] [--seeds 1999,2000]
+//!                 [--backends packed,scalar,sharded[:T]] [--seeds 1999,2000]
 //!                 [--ns 2,4,8,16] [--no-postprocess] [--no-verify]
 //!                 [--threads N] [--queue N] [--keep-going] [--jsonl PATH]
 //!                 [--resume PATH] [--deadline MS] [--retries N]
@@ -69,8 +69,8 @@ RUN OPTIONS:
     --upto N            every suite circuit with at most N gates
     --quick             alias for --upto 300
     --full              the whole suite including the largest analog
-    --backends LIST     comma-separated: packed, scalar, sharded[:T[:W]]
-                        (T threads, 0 = auto; W lanes 64/256/512; default packed)
+    --backends LIST     comma-separated: packed, scalar, sharded[:T]
+                        (T threads, 0 = auto; default packed)
     --seeds LIST        comma-separated u64 seeds (default 1999)
     --ns LIST           repetition counts to sweep (default 2,4,8,16)
     --no-postprocess    skip the paper's §3.2 static compaction of S
@@ -263,7 +263,7 @@ fn run(args: &[String]) -> Result<(), BatchError> {
             ns = Some(vec![1, 2]);
         }
         if backends.is_none() {
-            backends = Some(vec![Backend::Packed, Backend::Sharded { threads: 0, width: 256 }]);
+            backends = Some(vec![Backend::Packed, Backend::Sharded { threads: 0 }]);
         }
         println!("(smoke mode: tiny campaign, timings are not meaningful)");
     }

@@ -364,12 +364,14 @@ pub fn backend_label(backend: Backend) -> String {
     match backend {
         Backend::Packed => "packed".to_string(),
         Backend::Scalar => "scalar".to_string(),
-        Backend::Sharded { threads, width } => format!("sharded:{threads}:{width}"),
+        Backend::Sharded { threads } => format!("sharded:{threads}"),
     }
 }
 
 /// Parses the CLI's backend syntax: `packed`, `scalar`, or
-/// `sharded[:threads[:width]]` (`threads` 0 = auto, default width 256).
+/// `sharded[:threads]` (`threads` 0 = auto, the default). The word width
+/// follows the fault list, so the retired `sharded:threads:width` form is
+/// refused rather than read without its width.
 ///
 /// # Errors
 ///
@@ -378,21 +380,21 @@ pub fn parse_backend(token: &str) -> Result<Backend, BatchError> {
     match token {
         "packed" => Ok(Backend::Packed),
         "scalar" => Ok(Backend::Scalar),
-        t if t == "sharded" || t.starts_with("sharded:") => {
-            let mut parts = t.splitn(3, ':').skip(1);
-            let parse = |part: Option<&str>, what: &str, default: usize| match part {
-                None => Ok(default),
-                Some(p) => p.parse::<usize>().map_err(|_| {
-                    BatchError::Config(format!("bad {what} `{p}` in backend `{token}`"))
-                }),
-            };
-            let threads = parse(parts.next(), "thread count", 0)?;
-            let width = parse(parts.next(), "width", 256)?;
-            Ok(Backend::Sharded { threads, width })
-        }
-        other => Err(BatchError::Config(format!(
-            "unknown backend `{other}` (expected packed, scalar or sharded[:threads[:width]])"
-        ))),
+        "sharded" => Ok(Backend::Sharded { threads: 0 }),
+        other => match other.strip_prefix("sharded:") {
+            Some(threads) if threads.contains(':') => Err(BatchError::Config(format!(
+                "backend `{token}` sets a word width, which is no longer an option: the width \
+                 follows the fault list (use sharded[:threads])"
+            ))),
+            Some(threads) => {
+                threads.parse().map(|threads| Backend::Sharded { threads }).map_err(|_| {
+                    BatchError::Config(format!("bad thread count `{threads}` in backend `{token}`"))
+                })
+            }
+            None => Err(BatchError::Config(format!(
+                "unknown backend `{other}` (expected packed, scalar or sharded[:threads])"
+            ))),
+        },
     }
 }
 
@@ -439,14 +441,21 @@ mod tests {
         for backend in [
             Backend::Packed,
             Backend::Scalar,
-            Backend::Sharded { threads: 0, width: 256 },
-            Backend::Sharded { threads: 4, width: 512 },
+            Backend::Sharded { threads: 0 },
+            Backend::Sharded { threads: 4 },
         ] {
             assert_eq!(parse_backend(&backend_label(backend)).unwrap(), backend);
         }
-        assert_eq!(parse_backend("sharded").unwrap(), Backend::Sharded { threads: 0, width: 256 });
+        assert_eq!(parse_backend("sharded").unwrap(), Backend::Sharded { threads: 0 });
+        assert_eq!(parse_backend("sharded:4").unwrap(), Backend::Sharded { threads: 4 });
         assert!(parse_backend("vectorized").is_err());
-        assert!(parse_backend("sharded:x:256").is_err());
+        assert!(parse_backend("sharded:x").is_err());
+        // The retired width form names its token instead of dropping the
+        // width.
+        match parse_backend("sharded:0:256") {
+            Err(BatchError::Config(message)) => assert!(message.contains("`sharded:0:256`")),
+            other => panic!("the width form must be refused, got {other:?}"),
+        }
     }
 
     #[test]

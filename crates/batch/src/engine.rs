@@ -573,19 +573,14 @@ fn estimate_gates(spec: &CircuitSpec) -> f64 {
 }
 
 /// Relative per-gate cost weight of a backend, normalized to the packed
-/// 64-lane engine. The dominant term is stream passes per fault: the
-/// scalar engine runs one fault per pass where packed64 runs 63; a
-/// sharded engine at width `w` and `t` threads advances `(w - 1) · t`
-/// faults per wall-clock pass.
+/// engine. The dominant term is stream passes per fault: the scalar
+/// engine runs one fault per pass where packed64 runs 63; the sharded
+/// engine runs packed64's pass split across `t` threads.
 fn backend_weight(backend: Backend) -> f64 {
     match backend {
         Backend::Packed => 1.0,
         Backend::Scalar => 63.0,
-        Backend::Sharded { threads, width } => {
-            let threads = resolve_threads(threads) as f64;
-            let lanes = width.saturating_sub(1).max(1) as f64;
-            63.0 / (lanes * threads)
-        }
+        Backend::Sharded { threads } => 1.0 / resolve_threads(threads) as f64,
     }
 }
 
@@ -867,14 +862,10 @@ mod tests {
     fn plan_orders_jobs_by_decreasing_cost() {
         // a5378 (5378 gates) must outrank s27 (10 gates); within a
         // circuit, the scalar engine outranks packed which outranks a
-        // wide sharded engine.
+        // two-thread sharded engine.
         let campaign = Campaign::new()
             .suite_circuits(["s27", "a5378"])
-            .backends([
-                Backend::Sharded { threads: 1, width: 512 },
-                Backend::Packed,
-                Backend::Scalar,
-            ])
+            .backends([Backend::Sharded { threads: 2 }, Backend::Packed, Backend::Scalar])
             .ns(vec![1])
             .tgen(tiny_tgen());
         let plan = CampaignEngine::new().plan(&campaign).unwrap();
@@ -882,9 +873,9 @@ mod tests {
         // Most expensive first: the big analog under the scalar engine.
         assert_eq!(plan[0].circuit.key(), "a5378", "{plan:?}");
         assert_eq!(plan[0].backend_label(), "scalar");
-        // Cheapest last: s27 on the widest sharded engine.
+        // Cheapest last: s27 on the sharded engine.
         assert_eq!(plan[5].circuit.key(), "s27", "{plan:?}");
-        assert_eq!(plan[5].backend_label(), "sharded:1:512");
+        assert_eq!(plan[5].backend_label(), "sharded:2");
         // Within each circuit: scalar, then packed, then sharded.
         for key in ["a5378", "s27"] {
             let labels: Vec<String> = plan
@@ -892,7 +883,7 @@ mod tests {
                 .filter(|j| j.circuit.key() == key)
                 .map(JobSpec::backend_label)
                 .collect();
-            assert_eq!(labels, ["scalar", "packed", "sharded:1:512"], "{plan:?}");
+            assert_eq!(labels, ["scalar", "packed", "sharded:2"], "{plan:?}");
         }
         // Matrix ids are untouched by scheduling.
         let mut ids: Vec<usize> = plan.iter().map(|j| j.id).collect();
@@ -952,15 +943,16 @@ mod tests {
     #[test]
     fn backend_weights_rank_sensibly() {
         assert!(backend_weight(Backend::Scalar) > backend_weight(Backend::Packed));
-        assert!(
-            backend_weight(Backend::Packed)
-                > backend_weight(Backend::Sharded { threads: 1, width: 256 })
+        // One thread runs packed's pass.
+        assert_eq!(
+            backend_weight(Backend::Packed),
+            backend_weight(Backend::Sharded { threads: 1 })
         );
         assert!(
-            backend_weight(Backend::Sharded { threads: 1, width: 256 })
-                > backend_weight(Backend::Sharded { threads: 4, width: 256 })
+            backend_weight(Backend::Sharded { threads: 1 })
+                > backend_weight(Backend::Sharded { threads: 4 })
         );
-        assert!(backend_weight(Backend::Sharded { threads: 0, width: 64 }) > 0.0);
+        assert!(backend_weight(Backend::Sharded { threads: 0 }) > 0.0);
         // Unknown suite names and missing files fall back to a positive
         // default instead of panicking.
         assert!(estimate_gates(&CircuitSpec::Suite("nope".into())) > 0.0);
@@ -993,10 +985,10 @@ mod tests {
         assert!(resolve_threads(0) >= 1, "auto resolves to at least one core");
         assert_eq!(resolve_threads(3), 3, "explicit counts pass through");
         // The scheduler's sharded-backend weight uses the same fallback,
-        // so "auto" cost estimates agree with the pool's "auto" width.
+        // so "auto" cost estimates agree with the pool's "auto" size.
         let auto = resolve_threads(0) as f64;
-        let weight = backend_weight(Backend::Sharded { threads: 0, width: 64 });
-        assert!((weight - 63.0 / (63.0 * auto)).abs() < 1e-12);
+        let weight = backend_weight(Backend::Sharded { threads: 0 });
+        assert!((weight - 1.0 / auto).abs() < 1e-12);
     }
 
     #[test]

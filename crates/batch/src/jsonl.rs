@@ -332,7 +332,7 @@ mod tests {
         JobRecord {
             job: 3,
             circuit: "s27".to_string(),
-            backend: "sharded:0:256".to_string(),
+            backend: "sharded:0".to_string(),
             scheme: "default".to_string(),
             seed: 1999,
             status: JobStatus::Ok,
@@ -340,7 +340,7 @@ mod tests {
             queue_seconds: 0.05,
             exec_seconds: 0.2,
             metrics: Some(JobMetrics {
-                engine: "sharded256".to_string(),
+                engine: "sharded".to_string(),
                 faults_total: 32,
                 faults_detected: 32,
                 t0_len: 10,
@@ -414,7 +414,7 @@ mod tests {
             ("\"t0_len\": 10", "\"t0_len\": -1"),
             ("\"loaded_fraction\": 0.5", "\"loaded_fraction\": \"0.5\""),
             ("\"verified\": true", "\"verified\": 1"),
-            ("\"engine\": \"sharded256\"", "\"engine\": 7"),
+            ("\"engine\": \"sharded\"", "\"engine\": 7"),
             ("\"seed\": 1999", "\"seed\": 1.5"),
             ("\"circuit\": \"s27\"", "\"circuit\": null"),
         ] {
@@ -511,7 +511,7 @@ mod tests {
         assert_eq!(parsed.fingerprint.as_deref(), Some("abc123"));
         assert_eq!(parsed.record.job, 3);
         // An ok row without its metrics is rejected.
-        assert!(parse_record(&line.replace(", \"engine\": \"sharded256\"", ""))
+        assert!(parse_record(&line.replace(", \"engine\": \"sharded\"", ""))
             .unwrap_err()
             .contains("engine"));
         // Torn rows fail to parse.

@@ -26,7 +26,7 @@
 //!
 //! let campaign = Campaign::new()
 //!     .suite_circuits(["s27"])
-//!     .backends([Backend::Packed, Backend::Sharded { threads: 0, width: 256 }])
+//!     .backends([Backend::Packed, Backend::Sharded { threads: 0 }])
 //!     .ns(vec![1, 2])
 //!     .tgen(TgenConfig::new().max_length(32))
 //!     .seeds([1999]);

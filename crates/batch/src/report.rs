@@ -33,7 +33,7 @@ impl JobStatus {
 /// [`SessionReport`](subseq_bist::SessionReport)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobMetrics {
-    /// Name the simulation engine reported (e.g. `"sharded256"`).
+    /// Name the simulation engine reported (e.g. `"sharded"`).
     pub engine: String,
     /// Size of the collapsed fault universe.
     pub faults_total: usize,
@@ -726,7 +726,7 @@ mod tests {
 
     #[test]
     fn journal_rows_round_trip_through_parse_record() {
-        for record in [ok_record(3, "s27", "sharded:0:256", 0.25), failed_record(7)] {
+        for record in [ok_record(3, "s27", "sharded:0", 0.25), failed_record(7)] {
             let line = record_to_json(&record);
             let parsed = parse_record(&line).unwrap();
             assert_eq!(format!("{:?}", parsed.record), format!("{record:?}"));

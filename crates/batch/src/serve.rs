@@ -182,7 +182,7 @@ pub fn campaign_from_spec(body: &str) -> Result<Campaign, BatchError> {
             ns = Some(vec![1, 2]);
         }
         if backend_tokens.is_none() {
-            backend_tokens = Some(vec!["packed".to_string(), "sharded:0:256".to_string()]);
+            backend_tokens = Some(vec!["packed".to_string(), "sharded:0".to_string()]);
         }
     }
     let t0_cap = t0_cap.unwrap_or(if smoke { 48 } else { 1024 });

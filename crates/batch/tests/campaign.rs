@@ -26,7 +26,7 @@ fn tiny_tgen() -> TgenConfig {
 fn campaign_over(names: &[&'static str]) -> Campaign {
     Campaign::new()
         .suite_circuits(names.iter().copied())
-        .backends([Backend::Packed, Backend::Sharded { threads: 0, width: 256 }])
+        .backends([Backend::Packed, Backend::Sharded { threads: 0 }])
         .seeds([1999])
         .ns(vec![1])
         .tgen(tiny_tgen())
@@ -186,7 +186,7 @@ fn campaign_jsonl_stream_is_schema_valid() {
 fn summary_rolls_up_both_axes() {
     let campaign = Campaign::new()
         .suite_circuits(["s27", "a298", "a344"])
-        .backends([Backend::Packed, Backend::Sharded { threads: 0, width: 256 }])
+        .backends([Backend::Packed, Backend::Sharded { threads: 0 }])
         .ns(vec![1])
         .tgen(tiny_tgen())
         .verify(false);
@@ -195,7 +195,7 @@ fn summary_rolls_up_both_axes() {
     assert_eq!(outcome.summary.backends.len(), 2);
     let rendered = outcome.summary.to_string();
     assert!(rendered.contains("a298"), "{rendered}");
-    assert!(rendered.contains("sharded:0:256"), "{rendered}");
+    assert!(rendered.contains("sharded:0"), "{rendered}");
     assert!(outcome.summary.wall_seconds > 0.0);
     // Every circuit line saw both backends.
     assert!(outcome.summary.circuits.iter().all(|l| l.jobs == 2));

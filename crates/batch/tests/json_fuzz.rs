@@ -107,7 +107,7 @@ fn record(job: usize, status: JobStatus, label: &str) -> JobRecord {
     JobRecord {
         job,
         circuit: label.to_string(),
-        backend: "sharded:0:256".to_string(),
+        backend: "sharded:0".to_string(),
         scheme: "default".to_string(),
         seed: u64::MAX,
         status,
@@ -115,7 +115,7 @@ fn record(job: usize, status: JobStatus, label: &str) -> JobRecord {
         queue_seconds: 0.05,
         exec_seconds: 0.2,
         metrics: (status == JobStatus::Ok).then(|| JobMetrics {
-            engine: "sharded256".to_string(),
+            engine: "sharded".to_string(),
             faults_total: 32,
             faults_detected: 31,
             t0_len: 12,
@@ -182,7 +182,7 @@ fn journal_prefixes_load_as_torn_tails(torn_rows: &[JobRecord], tag: &str) {
 const SPECS: [&str; 3] = [
     r#"{"smoke": true}"#,
     r#"{"circuits": ["s27", "a298"], "seeds": [1999], "ns": [1], "t0_cap": 12, "t0_budget": 0, "verify": false}"#,
-    r#"{"upto": 300, "backends": ["packed", "sharded:0:256"], "seeds": [1, 18446744073709551615], "ns": [1, 2], "postprocess": false, "verify": true, "smoke": false}"#,
+    r#"{"upto": 300, "backends": ["packed", "sharded:0"], "seeds": [1, 18446744073709551615], "ns": [1, 2], "postprocess": false, "verify": true, "smoke": false}"#,
 ];
 
 /// Fragments that stress the grammar when spliced into a spec.

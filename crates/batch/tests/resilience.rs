@@ -28,7 +28,7 @@ fn tiny_tgen() -> TgenConfig {
 fn campaign_over(names: &[&'static str]) -> Campaign {
     Campaign::new()
         .suite_circuits(names.iter().copied())
-        .backends([Backend::Packed, Backend::Sharded { threads: 0, width: 256 }])
+        .backends([Backend::Packed, Backend::Sharded { threads: 0 }])
         .seeds([1999])
         .ns(vec![1])
         .tgen(tiny_tgen())
@@ -341,6 +341,41 @@ fn journal_stamped_by_an_older_fingerprint_is_refused() {
     // refusal above is the fingerprint's doing alone.
     let log = ResumeLog::load(&path, OLD_FINGERPRINT).unwrap();
     assert_eq!(log.records().len(), 1);
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A journal of a campaign over the packed engine and the sharded engine
+/// at a set word width, written before the width option was retired, must
+/// not resume under the `[packed, sharded:0]` campaign that replaced it:
+/// the rows are sound, but the configuration they ran under is gone.
+#[test]
+fn journal_of_a_retired_sharded_width_is_refused() {
+    // `campaign_over(&["s27"]).fingerprint()` while its second backend
+    // still set a 256-lane width.
+    const WIDTH_FINGERPRINT: &str = "47af4ab7792c66a8";
+    let fingerprint = campaign_over(&["s27"]).fingerprint();
+    assert_ne!(fingerprint, WIDTH_FINGERPRINT);
+    // The campaign's first job, on the packed engine.
+    let row = format!(
+        "{{\"job\": 0, \"circuit\": \"s27\", \"backend\": \"packed\", \"scheme\": \"default\", \
+         \"seed\": 1999, \"status\": \"ok\", \"seconds\": 0.002076, \"queue_seconds\": 0.000066, \
+         \"exec_seconds\": 0.002010, \"engine\": \"packed64\", \"faults_total\": 32, \
+         \"faults_detected\": 21, \"t0_len\": 12, \"n\": 1, \"set_count\": 2, \"total_len\": 3, \
+         \"max_len\": 2, \"applied_test_len\": 24, \"loaded_fraction\": 0.25, \
+         \"scheme_data_bits\": 8, \"monolithic_data_bits\": 48, \"gates_removed\": 0, \
+         \"verified\": null, \"fp\": \"{WIDTH_FINGERPRINT}\"}}\n"
+    );
+    let dir = std::env::temp_dir().join("bist_batch_resilience_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("retired_width.jsonl");
+    std::fs::write(&path, &row).unwrap();
+    match ResumeLog::load(&path, &fingerprint) {
+        Err(BatchError::Config(message)) => {
+            assert!(message.contains(WIDTH_FINGERPRINT), "{message}");
+            assert!(message.contains("different campaign configuration"), "{message}");
+        }
+        other => panic!("a retired-width journal must be a config error, got {other:?}"),
+    }
     std::fs::remove_file(&path).unwrap();
 }
 

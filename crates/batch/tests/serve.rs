@@ -404,6 +404,25 @@ fn unknown_circuits_are_rejected_at_submission() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The retired `sharded:threads:width` backend form is answered `400`
+/// naming the token, not run with its width silently dropped.
+#[test]
+fn retired_sharded_width_syntax_is_rejected_at_submission() {
+    let dir = temp_journal_dir("sharded-width");
+    let (addr, registry, server) =
+        start(ServeConfig { journal_dir: dir.clone(), ..ServeConfig::default() });
+    let body = r#"{"circuits": ["s27"], "backends": ["sharded:0:256"]}"#;
+    let response = request(addr, "POST", "/campaigns", &[], body);
+    assert_eq!(response.status, 400, "{}", response.body);
+    assert!(response.body.contains("`sharded:0:256`"), "{}", response.body);
+    assert_eq!(registry.snapshot().counter("serve.campaigns.accepted").unwrap_or(0), 0);
+
+    let shutdown = request(addr, "POST", "/shutdown", &[], "");
+    assert_eq!(shutdown.status, 200);
+    server.join().expect("server thread exits cleanly");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Graceful drain: shutdown while a campaign is mid-flight finishes that
 /// campaign (every row streamed and journaled), cancels the queued one,
 /// and leaves BOTH journals resumable — the cancelled campaign's empty

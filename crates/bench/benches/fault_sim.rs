@@ -1,7 +1,7 @@
 //! Fault-simulation benchmarks: the engine ladder from one-fault-at-a-time
-//! scalar simulation up to the thread-sharded 256/512-lane wide-word
-//! engine, on small circuits and on the `a5378`/`a35932` analogs where
-//! throughput on the expanded vector stream is the binding constraint.
+//! scalar simulation up to the thread-sharded packed engine, on small
+//! circuits and on the `a5378`/`a35932` analogs where throughput on the
+//! expanded vector stream is the binding constraint.
 //!
 //! Every engine executes the compiled gate tape; the historic row names
 //! (`packed64/*`, `sharded/*`) are kept so `BENCH_fault_sim.json` tracks
@@ -11,8 +11,7 @@
 //! Session/campaign hot path). `detect/burst/*` times the shape of a
 //! rejected T0-generation burst — one 128-vector resumed pass over the
 //! whole collapsed list, capturing the state it leaves — on
-//! `PackedBackend` and on the one-thread 64-lane sharded engine, so the
-//! ledger separates the force-word kernel from the word width.
+//! `PackedBackend`.
 //!
 //! Writes `BENCH_fault_sim.json` into the workspace root. Run with
 //! `--smoke` (as CI does) for a fast schema-checking pass, which writes
@@ -23,13 +22,13 @@ use subseq_bist::expand::expansion::{Expand, ExpansionConfig};
 use subseq_bist::netlist::{benchmarks, GateTape};
 use subseq_bist::sim::{
     collapse, fault_universe, Fault, FaultSimulator, MachineState, Obs, PackedBackend,
-    ShardedBackend, SimBackend, WordWidth,
+    ShardedBackend, SimBackend,
 };
 use subseq_bist::tgen::Lfsr;
 
-/// The sharded-engine sweep: a progression of thread counts and word
-/// widths over the same fault list.
-const SWEEP: [(usize, usize); 6] = [(1, 64), (2, 64), (4, 64), (1, 256), (4, 256), (4, 512)];
+/// The sharded-engine sweep: a progression of thread counts over the same
+/// fault list.
+const SWEEP: [usize; 3] = [1, 2, 4];
 
 fn main() {
     timing::init_cli();
@@ -58,9 +57,6 @@ fn main() {
 
     // Rejected-burst shape: one resumed pass steps the whole collapsed
     // list through 128 vectors and captures the state the survivors end in.
-    let sharded64 = ShardedBackend::new(1, WordWidth::W64).expect("threads >= 1");
-    let engines: [(&str, &dyn SimBackend); 2] =
-        [("packed64", &PackedBackend), ("sharded64_t1", &sharded64)];
     for name in ["a298", "a526"] {
         let entry =
             benchmarks::suite().into_iter().find(|e| e.name == name).expect("circuit in suite");
@@ -69,13 +65,11 @@ fn main() {
         let tape = GateTape::compile(&circuit);
         let burst = Lfsr::new(128).sequence(circuit.num_inputs(), 128);
         let reset = MachineState::reset();
-        for (engine_name, engine) in engines {
-            report.run(format!("detect/burst/{name}/{engine_name}"), || {
-                engine
-                    .resume_tape_obs(&tape, &reset, &burst, &faults, &[128], &Obs::noop())
-                    .expect("ok")
-            });
-        }
+        report.run(format!("detect/burst/{name}/packed64"), || {
+            PackedBackend
+                .resume_tape_obs(&tape, &reset, &burst, &faults, &[128], &Obs::noop())
+                .expect("ok")
+        });
     }
 
     // Large analogs: packed vs the sharded sweep on an expanded stream —
@@ -112,11 +106,9 @@ fn main() {
             })
             .median_ns;
         let mut best = f64::INFINITY;
-        for (threads, width) in SWEEP {
-            let engine =
-                ShardedBackend::new(threads, WordWidth::from_lanes(width).expect("valid width"))
-                    .expect("threads >= 1");
-            let m = report.run(format!("sharded/{name}/w{width}_t{threads}"), || {
+        for threads in SWEEP {
+            let engine = ShardedBackend::new(threads).expect("threads >= 1");
+            let m = report.run(format!("sharded/{name}/t{threads}"), || {
                 engine.detection_times_tape(&tape, &stream, &faults).expect("ok")
             });
             best = best.min(m.median_ns);

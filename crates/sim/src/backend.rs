@@ -11,16 +11,10 @@
 //!
 //! * [`PackedBackend`] — the single-threaded production engine: one faulty
 //!   machine per lane, the good machine fused into the last lane, fault
-//!   dropping and early exit. A fault list that fits one 64-lane
-//!   [`PackedValue`] (63 faults) runs in that word; a longer one in
-//!   255-fault [`PackedValue256`] chunks.
+//!   dropping and early exit.
 //! * [`ShardedBackend`] — the scaled engine: the fault list is split into
 //!   contiguous shards across OS threads (scoped threads, no runtime
-//!   dependencies), and each shard runs the same chunked pass at a
-//!   configurable [`WordWidth`] — 64, 256 or 512 machines per word. Every
-//!   width shares one interleaved value table (one [`PackedWord`] per
-//!   node) whose `[u64; N]` plane loops autovectorize, so one pass can
-//!   advance 255 or 511 faulty machines.
+//!   dependencies), and each shard runs the same chunked pass.
 //! * [`ScalarBackend`] — a deliberately simple reference: one faulty
 //!   machine at a time over the scalar [`Logic`](crate::Logic) algebra,
 //!   stepped in lockstep with its own fault-free machine — both the
@@ -28,6 +22,13 @@
 //!   It is the differential oracle of the packed engines for every query,
 //!   resume included. (The even simpler node-graph oracle that bypasses
 //!   the tape entirely lives in [`crate::reference`].)
+//!
+//! The two packed engines run one pass, and its word width follows the
+//! fault list, not an option: a list that fits one 64-lane
+//! [`PackedValue`] (63 faults) runs in that word, a longer one in
+//! 255-fault [`PackedValue256`] chunks, however many threads share it.
+//! Both widths share one interleaved value table (one [`PackedWord`] per
+//! node) whose `[u64; N]` plane loops autovectorize.
 //!
 //! Every engine *executes the tape*, never the node graph: the inner loop
 //! reads byte opcodes, CSR fanin indices and pre-resolved PI/DFF/PO
@@ -109,8 +110,7 @@ use crate::good::validate;
 use crate::packed::{LaneMask, PackedWord};
 use crate::stepped::Machine;
 use crate::{
-    Fault, FaultSite, Logic, MachineState, PackedValue, PackedValue256, PackedValue512, Resumed,
-    SimError,
+    Fault, FaultSite, Logic, MachineState, PackedValue, PackedValue256, Resumed, SimError,
 };
 use bist_expand::{TestVector, VectorSource, Walks};
 use bist_netlist::{Circuit, GateKind, GateTape, RunArity};
@@ -1052,6 +1052,28 @@ fn resume_interleaved<W: PackedWord>(
     Ok(Resumed { times, states })
 }
 
+/// Every packed pass, at the crate's one word-width rule: 64 lanes for a
+/// list of up to 63 faults, 256 otherwise, chosen from the length of the
+/// whole list whatever `threads` splits it into. Faults are injected
+/// through force words, so a 256-lane word costs about what a 64-lane one
+/// does and cuts the words stepped per vector; results are per fault and
+/// do not depend on the width.
+fn resume_packed(
+    tape: &GateTape,
+    from: &MachineState,
+    source: &dyn VectorSource,
+    faults: &[Fault],
+    capture: &[usize],
+    threads: usize,
+    obs: &Obs,
+) -> Result<Resumed, SimError> {
+    if faults.len() < PackedValue::LANES {
+        resume_interleaved::<PackedValue>(tape, from, source, faults, capture, threads, obs)
+    } else {
+        resume_interleaved::<PackedValue256>(tape, from, source, faults, capture, threads, obs)
+    }
+}
+
 // ---------------------------------------------------------------------
 // Candidate-parallel probes (one fault, up to 32 streams per pass)
 // ---------------------------------------------------------------------
@@ -1209,18 +1231,14 @@ impl Probe {
 }
 
 // ---------------------------------------------------------------------
-// Packed engine (one word for short fault lists, 256-lane words otherwise)
+// Packed engines (one word for short fault lists, 256-lane words otherwise)
 // ---------------------------------------------------------------------
 
-/// The single-threaded production engine. A fault list that fits one
-/// 64-lane [`PackedValue`] — 63 faults — runs in that one word; a longer
-/// list runs in 255-fault [`PackedValue256`] chunks. Either way each low
-/// lane carries one faulty machine and the top lane the fused fault-free
-/// machine. Faults are injected through force words, so a word costs the
-/// same however many faults it carries, and the wider word cuts the words
-/// stepped per vector. The width follows the list's length, not an
-/// option; results are per fault and do not depend on it. The engine
-/// keeps its report name `packed64`.
+/// The single-threaded production engine: one faulty machine per low lane
+/// and the fused fault-free machine in the top lane, in one 64-lane word
+/// for up to 63 faults and in 256-lane words otherwise (see
+/// [`ShardedBackend`] for the same pass across threads). The engine keeps
+/// its report name `packed64`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PackedBackend;
 
@@ -1238,11 +1256,7 @@ impl SimBackend for PackedBackend {
         capture: &[usize],
         obs: &Obs,
     ) -> Result<Resumed, SimError> {
-        if faults.len() < PackedValue::LANES {
-            resume_interleaved::<PackedValue>(tape, from, source, faults, capture, 1, obs)
-        } else {
-            resume_interleaved::<PackedValue256>(tape, from, source, faults, capture, 1, obs)
-        }
+        resume_packed(tape, from, source, faults, capture, 1, obs)
     }
 
     fn first_detecting_tape_obs(
@@ -1256,70 +1270,28 @@ impl SimBackend for PackedBackend {
     }
 }
 
-// ---------------------------------------------------------------------
-// Sharded wide-word engine
-// ---------------------------------------------------------------------
-
-/// The packed word width a [`ShardedBackend`] simulates with.
-/// ([`PackedBackend`] picks 64 or 256 lanes by the length of its fault
-/// list.) A word costs the same however many of its lanes carry faults,
-/// but a wider word is a wider value table: 512 lanes ran T0 generation
-/// slower than 256 on a 2-core AVX-512 host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum WordWidth {
-    /// 64 lanes ([`PackedValue`]): 63 faults + good machine per pass.
-    W64,
-    /// 256 lanes ([`PackedValue256`]): 255 faults + good machine per pass.
-    #[default]
-    W256,
-    /// 512 lanes ([`PackedValue512`]): 511 faults + good machine per pass.
-    W512,
-}
-
-impl WordWidth {
-    /// Number of lanes of this width.
-    #[must_use]
-    pub fn lanes(self) -> usize {
-        match self {
-            WordWidth::W64 => 64,
-            WordWidth::W256 => 256,
-            WordWidth::W512 => 512,
-        }
-    }
-
-    /// The width with exactly `lanes` lanes, if one exists.
-    #[must_use]
-    pub fn from_lanes(lanes: usize) -> Option<Self> {
-        match lanes {
-            64 => Some(WordWidth::W64),
-            256 => Some(WordWidth::W256),
-            512 => Some(WordWidth::W512),
-            _ => None,
-        }
-    }
-}
-
-/// The scaled engine: fault-list sharding across OS threads × wide-word
-/// lane packing, behind the same [`SimBackend`] trait.
+/// The scaled engine: [`PackedBackend`]'s pass with the fault list split
+/// across OS threads, behind the same [`SimBackend`] trait.
 ///
-/// Each thread owns a contiguous shard of the collapsed fault list and
-/// runs the chunked fused-good-machine pass at the configured
-/// [`WordWidth`]. Threads share nothing but the compiled tape and the
-/// replayable stream, so results are deterministic and bit-identical to
-/// [`ScalarBackend`] at any `threads`/`width` combination.
+/// Each thread owns a contiguous shard of the collapsed fault list, rounded
+/// to whole words, and runs the chunked fused-good-machine pass at the
+/// width [`PackedBackend`] picks for the whole list. Threads share nothing
+/// but the compiled tape and the replayable stream, so results are
+/// deterministic and bit-identical to [`ScalarBackend`] at any thread
+/// count.
 ///
 /// # Example
 ///
 /// ```
 /// use bist_expand::TestSequence;
 /// use bist_netlist::benchmarks;
-/// use bist_sim::{collapse, fault_universe, ShardedBackend, SimBackend, WordWidth};
+/// use bist_sim::{collapse, fault_universe, ShardedBackend, SimBackend};
 ///
 /// let c = benchmarks::s27();
 /// let faults = collapse(&c, &fault_universe(&c)).representatives().to_vec();
 /// let t0: TestSequence =
 ///     "0111 1001 0111 1001 0100 1011 1001 0000 0000 1011".parse()?;
-/// let engine = ShardedBackend::new(2, WordWidth::W256)?;
+/// let engine = ShardedBackend::new(2)?;
 /// let times = engine.detection_times(&c, &t0, &faults)?;
 /// assert_eq!(times.iter().filter(|t| t.is_some()).count(), 32);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -1327,29 +1299,26 @@ impl WordWidth {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardedBackend {
     threads: usize,
-    width: WordWidth,
 }
 
 impl ShardedBackend {
-    /// Creates an engine with `threads` worker threads at `width` lanes
-    /// per word.
+    /// Creates an engine with `threads` worker threads.
     ///
     /// # Errors
     ///
     /// [`SimError::ZeroThreads`] if `threads == 0`.
-    pub fn new(threads: usize, width: WordWidth) -> Result<Self, SimError> {
+    pub fn new(threads: usize) -> Result<Self, SimError> {
         if threads == 0 {
             return Err(SimError::ZeroThreads);
         }
-        Ok(ShardedBackend { threads, width })
+        Ok(ShardedBackend { threads })
     }
 
-    /// An engine sized to the host: one thread per available core at the
-    /// default 256-lane width.
+    /// An engine sized to the host: one thread per available core.
     #[must_use]
     pub fn auto() -> Self {
         let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        ShardedBackend { threads, width: WordWidth::default() }
+        ShardedBackend { threads }
     }
 
     /// Number of worker threads.
@@ -1357,27 +1326,11 @@ impl ShardedBackend {
     pub fn threads(&self) -> usize {
         self.threads
     }
-
-    /// The configured word width.
-    #[must_use]
-    pub fn width(&self) -> WordWidth {
-        self.width
-    }
-}
-
-impl Default for ShardedBackend {
-    fn default() -> Self {
-        ShardedBackend::auto()
-    }
 }
 
 impl SimBackend for ShardedBackend {
     fn name(&self) -> &'static str {
-        match self.width {
-            WordWidth::W64 => "sharded64",
-            WordWidth::W256 => "sharded256",
-            WordWidth::W512 => "sharded512",
-        }
+        "sharded"
     }
 
     fn resume_tape_obs(
@@ -1391,23 +1344,12 @@ impl SimBackend for ShardedBackend {
     ) -> Result<Resumed, SimError> {
         // threads >= 1 is a construction invariant of every constructor.
         debug_assert!(self.threads >= 1);
-        let threads = self.threads;
-        match self.width {
-            WordWidth::W64 => {
-                resume_interleaved::<PackedValue>(tape, from, source, faults, capture, threads, obs)
-            }
-            WordWidth::W256 => resume_interleaved::<PackedValue256>(
-                tape, from, source, faults, capture, threads, obs,
-            ),
-            WordWidth::W512 => resume_interleaved::<PackedValue512>(
-                tape, from, source, faults, capture, threads, obs,
-            ),
-        }
+        resume_packed(tape, from, source, faults, capture, self.threads, obs)
     }
 
     /// Candidate-parallel probes run at 64 lanes on the calling thread,
-    /// whatever the configured width and thread count: one pass holds 32
-    /// candidates, and wider batches rarely end sooner.
+    /// whatever the thread count: one pass holds 32 candidates, and wider
+    /// batches rarely end sooner.
     fn first_detecting_tape_obs(
         &self,
         tape: &GateTape,
@@ -1505,9 +1447,8 @@ mod tests {
         vec![
             Box::new(PackedBackend),
             Box::new(ScalarBackend),
-            Box::new(ShardedBackend::new(1, WordWidth::W64).unwrap()),
-            Box::new(ShardedBackend::new(2, WordWidth::W256).unwrap()),
-            Box::new(ShardedBackend::new(4, WordWidth::W512).unwrap()),
+            Box::new(ShardedBackend::new(2).unwrap()),
+            Box::new(ShardedBackend::new(4).unwrap()),
         ]
     }
 
@@ -1600,7 +1541,7 @@ mod tests {
 
     #[test]
     fn sharded_zero_threads_is_a_typed_error() {
-        assert_eq!(ShardedBackend::new(0, WordWidth::W256), Err(SimError::ZeroThreads));
+        assert_eq!(ShardedBackend::new(0), Err(SimError::ZeroThreads));
     }
 
     #[test]
@@ -1653,31 +1594,25 @@ mod tests {
         let faults = collapse(&c, &fault_universe(&c)).representatives().to_vec();
         let t0 = table2_t0();
         let reference = ScalarBackend.detection_times(&c, &t0, &faults).unwrap();
-        // 32 faults, 8 threads, 511 faults/chunk: everything lands in one
+        // 32 faults, 8 threads, 63 faults/chunk: everything lands in one
         // shard; the engine must degrade gracefully.
-        let engine = ShardedBackend::new(8, WordWidth::W512).unwrap();
+        let engine = ShardedBackend::new(8).unwrap();
         assert_eq!(engine.detection_times(&c, &t0, &faults).unwrap(), reference);
     }
 
     #[test]
     fn sharded_accessors_and_auto() {
-        let e = ShardedBackend::new(3, WordWidth::W64).unwrap();
+        let e = ShardedBackend::new(3).unwrap();
         assert_eq!(e.threads(), 3);
-        assert_eq!(e.width(), WordWidth::W64);
-        assert_eq!(e.name(), "sharded64");
+        assert_eq!(e.name(), "sharded");
         assert!(ShardedBackend::auto().threads() >= 1);
-        assert_eq!(ShardedBackend::default().width(), WordWidth::W256);
-        assert_eq!(WordWidth::from_lanes(256), Some(WordWidth::W256));
-        assert_eq!(WordWidth::from_lanes(128), None);
-        assert_eq!(WordWidth::W512.lanes(), 512);
     }
 
     #[test]
     fn names_differ() {
+        let sharded = ShardedBackend::auto();
         assert_ne!(PackedBackend.name(), ScalarBackend.name());
-        assert_ne!(
-            ShardedBackend::new(1, WordWidth::W64).unwrap().name(),
-            ShardedBackend::new(1, WordWidth::W256).unwrap().name()
-        );
+        assert_ne!(PackedBackend.name(), sharded.name());
+        assert_ne!(ScalarBackend.name(), sharded.name());
     }
 }

@@ -7,7 +7,7 @@ use std::ops::Not;
 /// Evaluates a gate over packed fanin values (all lanes at once).
 ///
 /// Generic over any [`PackedWord`] width — the same code evaluates 64
-/// machines per [`PackedValue`](crate::PackedValue) or 256/512 per
+/// machines per [`PackedValue`](crate::PackedValue) or `64·N` per
 /// [`PackedVec`](crate::PackedVec).
 ///
 /// # Panics

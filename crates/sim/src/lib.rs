@@ -5,7 +5,7 @@
 //!
 //! * [`Logic`] — scalar `0/1/X` values with the standard pessimistic
 //!   three-valued algebra, and the [`PackedWord`] family — 64
-//!   ([`PackedValue`]), 256 or 512 ([`PackedVec`], autovectorizing
+//!   ([`PackedValue`]) or `64·N` ([`PackedVec`], autovectorizing
 //!   `[u64; N]` planes) such values packed for bit-parallel evaluation.
 //! * [`fault_universe`] / [`collapse`] — the single stuck-at fault model
 //!   (stem + fanout-branch faults) with classic gate-local equivalence
@@ -16,8 +16,8 @@
 //!   pluggable [`SimBackend`]: the default [`PackedBackend`] runs one
 //!   faulty machine per lane plus the fused good machine in the top lane,
 //!   in one 64-lane word for up to 63 faults and in 256-lane words for
-//!   longer lists; [`ShardedBackend`] splits the fault list across OS threads at
-//!   a configurable [`WordWidth`] (64/256/512 lanes); the
+//!   longer lists; [`ShardedBackend`] splits the same pass across OS
+//!   threads, the word width following the whole list's length; the
 //!   [`ScalarBackend`] reference engine steps one good/faulty pair of the
 //!   crate's scalar machine (the one behind [`SteppedSim`],
 //!   [`simulate_good`] and [`simulate_faulty`]) at a time, as the
@@ -77,9 +77,7 @@ mod state;
 mod stepped;
 pub mod transition;
 
-pub use backend::{
-    PackedBackend, ScalarBackend, ShardedBackend, SimBackend, WordWidth, PROBE_LANES,
-};
+pub use backend::{PackedBackend, ScalarBackend, ShardedBackend, SimBackend, PROBE_LANES};
 /// Re-exported from `bist-expand`: the replayable vector-stream trait the
 /// backends consume.
 pub use bist_expand::VectorSource;
@@ -95,7 +93,7 @@ pub use eval::{eval_gate, eval_gate_scalar};
 pub use fault::{fault_universe, sort_faults_by_site, Fault, FaultSite};
 pub use good::{simulate_faulty, simulate_good, GoodTrace};
 pub use logic::Logic;
-pub use packed::{LaneMask, PackedValue, PackedValue256, PackedValue512, PackedVec, PackedWord};
+pub use packed::{LaneMask, PackedValue, PackedValue256, PackedVec, PackedWord};
 pub use simulator::FaultSimulator;
 pub use state::{MachineState, Resumed};
 pub use stepped::SteppedSim;

@@ -135,9 +135,8 @@ impl<const N: usize> LaneMask for [u64; N] {
 ///
 /// Lane `i` carries one machine's value of a signal. [`PackedValue`]
 /// provides 64 lanes in two `u64` planes; [`PackedVec<N>`] provides
-/// `64·N` lanes (256 and 512 via the [`PackedValue256`] /
-/// [`PackedValue512`] aliases) in `[u64; N]` planes whose element-wise
-/// loops autovectorize to AVX2/AVX-512 on capable hosts.
+/// `64·N` lanes (256 via the [`PackedValue256`] alias) in `[u64; N]`
+/// planes whose element-wise loops autovectorize on capable hosts.
 ///
 /// The algebra must agree with the scalar [`Logic`] algebra in every lane
 /// (property-tested for each implementation).
@@ -437,9 +436,8 @@ impl PackedWord for PackedValue {
 /// the wide-word generalization of [`PackedValue`].
 ///
 /// The element-wise plane loops compile to straight-line SIMD (AVX2 at
-/// `N = 4`, AVX-512 at `N = 8` with `target-cpu=native`), so one gate
-/// evaluation advances 256 or 512 faulty machines. Use the
-/// [`PackedValue256`] / [`PackedValue512`] aliases.
+/// `N = 4`), so one gate evaluation advances 256 faulty machines. The
+/// engines use the [`PackedValue256`] alias.
 ///
 /// # Example
 ///
@@ -462,9 +460,6 @@ pub struct PackedVec<const N: usize> {
 
 /// 256-lane packed word (`[u64; 4]` planes).
 pub type PackedValue256 = PackedVec<4>;
-
-/// 512-lane packed word (`[u64; 8]` planes).
-pub type PackedValue512 = PackedVec<8>;
 
 impl<const N: usize> PackedVec<N> {
     /// True if no lane has both plane bits set.
@@ -715,7 +710,6 @@ mod tests {
         }
         check::<PackedValue>();
         check::<PackedValue256>();
-        check::<PackedValue512>();
     }
 
     #[test]
@@ -770,7 +764,6 @@ mod tests {
         }
         check::<PackedValue>();
         check::<PackedValue256>();
-        check::<PackedValue512>();
     }
 
     #[test]
@@ -790,21 +783,20 @@ mod tests {
         }
         check::<PackedValue>();
         check::<PackedValue256>();
-        check::<PackedValue512>();
     }
 
     #[test]
     fn wide_splat_and_set_round_trip() {
         for v in ALL {
-            let w = PackedValue512::splat(v);
+            let w = PackedValue256::splat(v);
             assert!(w.is_valid());
-            for lane in [0, 64, 200, 511] {
+            for lane in [0, 64, 200, 255] {
                 assert_eq!(w.lane(lane), v);
             }
         }
-        let mut w = PackedValue512::default();
-        w.set_lane(300, One);
-        w.set_lane(300, X);
-        assert_eq!(w.lane(300), X);
+        let mut w = PackedValue256::default();
+        w.set_lane(130, One);
+        w.set_lane(130, X);
+        assert_eq!(w.lane(130), X);
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! [`FaultSimulator`] binds a circuit — compiled once into its
 //! [`GateTape`] instruction form — to a [`SimBackend`] engine. The
-//! default engine simulates faults 63 at a time (one faulty machine per
-//! low [`PackedValue`](crate::PackedValue) lane, with the fault-free
-//! machine fused into the top lane); [`FaultSimulator::sharded`] selects
-//! the thread-sharded wide-word engine, and the scalar reference engine,
-//! the differential oracle for every query, via
+//! default engine runs one faulty machine per low lane of a packed word,
+//! 64 lanes wide for up to 63 faults and 256 otherwise, with the
+//! fault-free machine fused into the top lane; [`FaultSimulator::sharded`]
+//! selects the same pass split across threads, and the scalar reference
+//! engine, the differential oracle for every query, via
 //! [`FaultSimulator::scalar`]. A fault is *detected* at time unit
 //! `u` if some primary output has a binary value in the fault-free circuit
 //! and the complementary binary value in the faulty circuit at time `u` —
@@ -32,7 +32,7 @@
 //! change. Every query above is that pass started from
 //! [`MachineState::reset`].
 
-use crate::backend::{PackedBackend, ScalarBackend, ShardedBackend, SimBackend, WordWidth};
+use crate::backend::{PackedBackend, ScalarBackend, ShardedBackend, SimBackend};
 use crate::good::GoodTrace;
 use crate::{Fault, MachineState, Resumed, SimError};
 use bist_expand::{TestSequence, VectorSource};
@@ -85,17 +85,13 @@ impl<'c> FaultSimulator<'c> {
         FaultSimulator::with_backend(circuit, Arc::new(ScalarBackend))
     }
 
-    /// Creates a simulator using the thread-sharded wide-word engine.
+    /// Creates a simulator using the thread-sharded packed engine.
     ///
     /// # Errors
     ///
     /// [`SimError::ZeroThreads`] if `threads == 0`.
-    pub fn sharded(
-        circuit: &'c Circuit,
-        threads: usize,
-        width: WordWidth,
-    ) -> Result<Self, SimError> {
-        Ok(FaultSimulator::with_backend(circuit, Arc::new(ShardedBackend::new(threads, width)?)))
+    pub fn sharded(circuit: &'c Circuit, threads: usize) -> Result<Self, SimError> {
+        Ok(FaultSimulator::with_backend(circuit, Arc::new(ShardedBackend::new(threads)?)))
     }
 
     /// Creates a simulator with an explicit engine, compiling the
@@ -494,17 +490,11 @@ mod tests {
         let faults = collapse(&c, &fault_universe(&c)).representatives().to_vec();
         let t0 = table2_t0();
         let packed = FaultSimulator::new(&c).detection_times(&t0, &faults).unwrap();
-        for width in [WordWidth::W64, WordWidth::W256, WordWidth::W512] {
-            for threads in [1, 2, 4] {
-                let sim = FaultSimulator::sharded(&c, threads, width).unwrap();
-                assert_eq!(
-                    sim.detection_times(&t0, &faults).unwrap(),
-                    packed,
-                    "threads={threads} width={width:?}"
-                );
-            }
+        for threads in [1, 2, 4] {
+            let sim = FaultSimulator::sharded(&c, threads).unwrap();
+            assert_eq!(sim.detection_times(&t0, &faults).unwrap(), packed, "threads={threads}");
         }
-        assert!(FaultSimulator::sharded(&c, 0, WordWidth::W64).is_err());
+        assert!(FaultSimulator::sharded(&c, 0).is_err());
     }
 
     #[test]

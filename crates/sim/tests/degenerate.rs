@@ -12,7 +12,7 @@ use bist_expand::TestSequence;
 use bist_netlist::{CircuitBuilder, GateTape, NodeId};
 use bist_sim::{
     collapse, fault_universe, reference, simulate_faulty, simulate_good, Fault, FaultSimulator,
-    Logic, MachineState, Obs, SimBackend, SimError, SteppedSim,
+    Logic, MachineState, Obs, SimError, SteppedSim,
 };
 
 mod common;
@@ -25,10 +25,6 @@ fn zero_gate_circuit() -> bist_netlist::Circuit {
     b.add_output("a");
     b.add_output("q");
     b.finish().expect("zero-gate circuit is valid")
-}
-
-fn all_engines() -> Vec<Box<dyn SimBackend>> {
-    common::engine_grid(&[2])
 }
 
 #[test]
@@ -86,7 +82,7 @@ fn zero_gate_detection_times_are_exact_on_every_engine() {
     let expect = vec![Some(0), Some(1), Some(1), Some(2)];
     let oracle = reference::detection_times(&c, &seq, &faults).unwrap();
     assert_eq!(oracle, expect);
-    for engine in all_engines() {
+    for engine in common::engine_grid() {
         let times = engine.detection_times_tape(&tape, &seq, &faults).unwrap();
         assert_eq!(times, expect, "{}", engine.name());
     }
@@ -125,7 +121,7 @@ fn po_fed_directly_from_pi_next_to_gates() {
     let faults = collapse(&c, &fault_universe(&c)).representatives().to_vec();
     let seq: TestSequence = "11 01 10 00 11 10".parse().unwrap();
     let oracle = reference::detection_times(&c, &seq, &faults).unwrap();
-    for engine in all_engines() {
+    for engine in common::engine_grid() {
         let times = engine.detection_times_tape(&tape, &seq, &faults).unwrap();
         assert_eq!(times, oracle, "{}", engine.name());
     }
@@ -150,7 +146,7 @@ fn fault_sites_past_the_circuit_are_a_typed_error_everywhere() {
         // Rejected before any pass runs, wherever the fault sits in the list.
         let faults = [valid, fault];
         assert_eq!(reference::detection_times(&c, &t0, &faults), Err(want.clone()), "oracle");
-        for engine in all_engines() {
+        for engine in common::engine_grid() {
             let name = engine.name();
             assert_eq!(
                 engine.detection_times_tape(&tape, &t0, &faults),

@@ -1,8 +1,8 @@
 //! Seeded differential suite over the full benchmark suite: the seed's
 //! node-graph scalar oracle ([`bist_sim::reference`], which never touches
 //! the compiled tape) vs every tape-executing engine — the scalar tape
-//! engine, the packed engine and the sharded engine at widths 64/256/512
-//! and 1/2/4 threads — on all 13 suite circuits.
+//! engine, the packed engine and the sharded engine on 2 and 4 threads —
+//! on all 13 suite circuits.
 //!
 //! Equality is asserted on *detection times*, not just detected /
 //! undetected — the paper's selection procedures key off `udet(f)`, so a
@@ -19,7 +19,7 @@
 use bist_expand::expansion::{Expand, ExpansionConfig};
 use bist_expand::{TestSequence, TestVector, VectorSource};
 use bist_netlist::{benchmarks, Circuit, GateTape};
-use bist_sim::{collapse, fault_universe, reference, Fault, SimBackend};
+use bist_sim::{collapse, fault_universe, reference, Fault};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -42,12 +42,6 @@ fn random_sequence(circuit: &Circuit, len: usize, rng: &mut StdRng) -> TestSeque
 }
 
 mod common;
-
-/// Every tape-executing engine: the scalar tape engine, packed64 and the
-/// full sharded width × thread grid.
-fn tape_engines() -> Vec<Box<dyn SimBackend>> {
-    common::engine_grid(&[1, 2, 4])
-}
 
 /// Fault-sample and sequence sizes per circuit, scaled down as the
 /// scalar oracle gets more expensive.
@@ -74,7 +68,7 @@ fn all_tape_engines_match_the_node_graph_oracle_on_every_suite_circuit() {
 
         let oracle =
             reference::detection_times(&circuit, &seq, &faults).expect("node-graph oracle runs");
-        for engine in tape_engines() {
+        for engine in common::engine_grid() {
             // Both entry points: on-the-fly compilation and the shared
             // precompiled tape must agree with the seed oracle.
             let times = engine.detection_times(&circuit, &seq, &faults).expect("engine runs");
@@ -101,7 +95,7 @@ fn engines_agree_on_expanded_streams() {
             let stream = cfg.stream(&s);
             let oracle =
                 reference::detection_times(&circuit, &stream, &faults).expect("oracle runs");
-            for engine in tape_engines() {
+            for engine in common::engine_grid() {
                 let times =
                     engine.detection_times_tape(&tape, &stream, &faults).expect("engine runs");
                 assert_eq!(times, oracle, "{} on {} n={n}", engine.name(), entry.name);
@@ -125,7 +119,7 @@ fn duplicate_faults_get_identical_times_across_chunk_boundaries() {
     tripled.extend(base.iter().copied());
     tripled.extend(base.iter().copied());
     let seq = random_sequence(&circuit, 12, &mut rng);
-    for engine in tape_engines() {
+    for engine in common::engine_grid() {
         let times = engine.detection_times_tape(&tape, &seq, &tripled).expect("runs");
         for i in 0..base.len() {
             assert_eq!(times[i], times[i + base.len()], "{} copy 1", engine.name());
@@ -147,7 +141,7 @@ fn site_sorted_and_seed_ordered_fault_lists_agree_everywhere() {
     let mut derived = site_ordered.clone();
     derived.sort();
     let seq = random_sequence(&circuit, 10, &mut rng);
-    for engine in tape_engines() {
+    for engine in common::engine_grid() {
         let a = engine.detection_times_tape(&tape, &seq, &site_ordered).expect("runs");
         let b = engine.detection_times_tape(&tape, &seq, &derived).expect("runs");
         let by_fault: std::collections::HashMap<Fault, Option<usize>> =

@@ -62,7 +62,7 @@ fn check(
     fault: Fault,
     what: &str,
 ) -> Result<Option<usize>, SimError> {
-    let grid = common::engine_grid(&[1, 2]);
+    let grid = common::engine_grid();
     let want = sequential(&*grid[0], tape, candidates, fault);
     for engine in &grid {
         let got = engine.first_detecting_tape_obs(tape, candidates, fault, &Obs::noop());

@@ -6,9 +6,9 @@
 //! zero-gate netlists with POs wired straight to PIs/DFFs, single gates
 //! of every opcode, deep chains, extreme fanout/fanin, and general
 //! random levelized circuits — each simulated under random stimulus by
-//! **every** engine (scalar tape, packed64, sharded × widths 64/256/512
-//! × threads 1/2/4) and compared bit-for-bit
-//! against the node-graph oracle in [`bist_sim::reference`].
+//! **every** engine (scalar tape, packed64, sharded on 2 and 4 threads)
+//! and compared bit-for-bit against the node-graph oracle in
+//! [`bist_sim::reference`].
 //!
 //! Each corpus circuit also gets a seeded resume case: every engine
 //! resumes from a random prefix and must reproduce the oracle's times for
@@ -48,15 +48,10 @@ use rand::{Rng, SeedableRng};
 
 mod common;
 
-/// Every tape-executing engine.
-fn engine_grid() -> Vec<Box<dyn SimBackend>> {
-    common::engine_grid(&[1, 2, 4])
-}
-
 /// Runs the corpus of `seeds`: every engine's detection times must equal
 /// the node-graph oracle's on every circuit.
 fn run_corpus(seeds: std::ops::Range<u64>, max_faults: usize, max_seq_len: usize) {
-    let grid = engine_grid();
+    let grid = common::engine_grid();
     for seed in seeds {
         let circuit = fuzz_circuit(seed);
         let tape = GateTape::compile(&circuit);
@@ -212,7 +207,7 @@ fn dead_cone_faults_match_the_oracle_and_stay_undetected() {
     let dead = ["d1", "d2"].map(|n| circuit.find(n).unwrap());
     let seq: TestSequence = "00 01 10 11 11 00".parse().unwrap();
     let oracle = reference::detection_times(&circuit, &seq, &faults).unwrap();
-    for engine in &engine_grid() {
+    for engine in &common::engine_grid() {
         let times = engine.detection_times_tape(&tape, &seq, &faults).unwrap();
         assert_eq!(times, oracle, "{}", engine.name());
     }
@@ -240,7 +235,7 @@ fn always_x_cone_faults_match_the_oracle() {
     assert!(faults.iter().any(|f| matches!(f.site, FaultSite::Output(n) if n == g)));
     let seq: TestSequence = "0 1 0 1 1 0 0 1".parse().unwrap();
     let oracle = reference::detection_times(&circuit, &seq, &faults).unwrap();
-    for engine in &engine_grid() {
+    for engine in &common::engine_grid() {
         let times = engine.detection_times_tape(&tape, &seq, &faults).unwrap();
         assert_eq!(times, oracle, "{}", engine.name());
     }
@@ -407,11 +402,10 @@ fn run_walk_sweep(
     circuits: impl IntoIterator<Item = (u64, Circuit)>,
     max_faults: usize,
     max_loaded: usize,
-    threads: &[usize],
 ) {
     let registry = Arc::new(Registry::new());
     let obs = Obs::with_registry(Arc::clone(&registry));
-    let grid = common::engine_grid(threads);
+    let grid = common::engine_grid();
     for (seed, circuit) in circuits {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x3a1c_f00d);
         check_walks(&circuit, &grid, &obs, max_faults, max_loaded, &mut rng);
@@ -442,7 +436,7 @@ fn check_late_detection(circuit: &Circuit, fault: Fault, loaded: &str, want: usi
     assert_eq!(oracle, [Some(want)], "{name}: oracle");
     let oracle_twice = reference::detection_times(circuit, &stream, &[fault]).unwrap();
     let omissions = [&single as &dyn VectorSource, &expansion.stream(&twice).without(1)];
-    for engine in &engine_grid() {
+    for engine in &common::engine_grid() {
         for (source, want) in [(&stream as &dyn VectorSource, &oracle_twice), (&single, &oracle)] {
             let times = engine.detection_times_tape(&tape, source, &[fault]).unwrap();
             assert_eq!(&times, want, "{} on {name}", engine.name());
@@ -496,7 +490,7 @@ fn a_walk_repeats_only_when_every_tracked_machine_repeats() {
 #[test]
 fn walk_fast_forward_fast_subset() {
     let circuits = (0..3).map(|seed| (seed, fuzz_circuit(seed)));
-    run_walk_sweep(circuits.chain([(1999, benchmarks::s27())]), 8, 3, &[1, 2]);
+    run_walk_sweep(circuits.chain([(1999, benchmarks::s27())]), 8, 3);
 }
 
 /// The full walk sweep: 32 fuzz circuits, s27 and a298 at larger fault
@@ -510,5 +504,5 @@ fn walk_fast_forward_fast_subset() {
 fn walk_fast_forward_full_sweep() {
     let circuits = (0..32).map(|seed| (seed, fuzz_circuit(seed)));
     let suite = [(1999, benchmarks::s27()), (2027, suite_circuit("a298"))];
-    run_walk_sweep(circuits.chain(suite), 48, 6, &[1, 2, 4]);
+    run_walk_sweep(circuits.chain(suite), 48, 6);
 }

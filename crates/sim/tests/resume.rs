@@ -6,11 +6,10 @@
 //! "shifted by `|P|`" is built in), and must leave the same state behind.
 //! Checked on the scalar reference engine, whose every `Resumed` —
 //! captured machine states compared with `==` — every other engine of the
-//! shared test grid (packed64 and the sharded engine at 64, 256 and 512
-//! lanes with one and two threads) must reproduce, over fault lists
-//! spanning several chunks, re-ordered subsets (so faults land in other
-//! lanes than the ones they were captured from) and prefixes in which
-//! whole chunks stopped early.
+//! shared test grid (packed64 and the sharded engine on two and four
+//! threads) must reproduce, over fault lists spanning several chunks,
+//! re-ordered subsets (so faults land in other lanes than the ones they
+//! were captured from) and prefixes in which whole chunks stopped early.
 
 use std::sync::Arc;
 
@@ -19,7 +18,7 @@ use bist_netlist::{benchmarks, Circuit, GateTape};
 use bist_obs::Registry;
 use bist_sim::{
     collapse, fault_universe, Fault, MachineState, Obs, PackedBackend, Resumed, ScalarBackend,
-    SimBackend, SimError,
+    ShardedBackend, SimBackend, SimError,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -31,7 +30,7 @@ mod common;
 /// packed and sharded engines.
 fn packed_engines() -> Vec<Box<dyn SimBackend>> {
     let scalar = ScalarBackend.name();
-    common::engine_grid(&[1, 2]).into_iter().filter(|e| e.name() != scalar).collect()
+    common::engine_grid().into_iter().filter(|e| e.name() != scalar).collect()
 }
 
 fn suite_circuit(name: &str) -> Circuit {
@@ -205,6 +204,29 @@ fn captures_along_one_walk_match_separate_walks() {
     }
 }
 
+/// 257 faults on two threads: the list is one 255-fault word too long, so
+/// the sharded engine splits it into two shards, and both shards must
+/// report what `PackedBackend`'s single pass reports.
+#[test]
+fn a_list_one_word_too_long_splits_across_two_threads() {
+    let circuit = suite_circuit("a382");
+    let tape = GateTape::compile(&circuit);
+    let mut rng = StdRng::seed_from_u64(257);
+    let seq = random_sequence(&circuit, 30, &mut rng);
+    let collapsed = collapse(&circuit, &fault_universe(&circuit));
+    let faults = &collapsed.representatives()[..257];
+    let (reset, at) = (MachineState::reset(), [5, 12, 30]);
+    let registry = Arc::new(Registry::new());
+    let obs = Obs::with_registry(Arc::clone(&registry));
+    let sharded = ShardedBackend::new(2).unwrap();
+    let split = sharded.resume_tape_obs(&tape, &reset, &seq, faults, &at, &obs).unwrap();
+    let shards = registry.snapshot().histogram("sim.shard_busy_us").map(|h| h.count);
+    assert_eq!(shards, Some(2), "257 faults on two threads run as two shards");
+    let whole = PackedBackend.resume_tape_obs(&tape, &reset, &seq, faults, &at, &obs).unwrap();
+    assert_eq!(split.times, whole.times);
+    assert_eq!(split.states, whole.states);
+}
+
 #[test]
 fn resume_errors_are_typed() {
     let circuit = benchmarks::s27();
@@ -213,7 +235,7 @@ fn resume_errors_are_typed() {
     let prefix: TestSequence = "0111 1001".parse().unwrap();
     let obs = Obs::noop();
     let reset = MachineState::reset();
-    for engine in common::engine_grid(&[1, 2]) {
+    for engine in common::engine_grid() {
         let walked = engine.resume_tape_obs(&tape, &reset, &prefix, &faults, &[2], &obs).unwrap();
         let state = walked.states[0].clone().unwrap();
         let pending: Vec<Fault> = faults

@@ -13,7 +13,7 @@ use subseq_bist::Backend;
 fn main() -> Result<(), BatchError> {
     let campaign = Campaign::new()
         .suite_circuits(["s27", "a298", "a344"])
-        .backends([Backend::Packed, Backend::Sharded { threads: 0, width: 256 }])
+        .backends([Backend::Packed, Backend::Sharded { threads: 0 }])
         .seeds([1999])
         .tgen(TgenConfig::new().max_length(256).compaction_budget(100));
     let outcome = CampaignEngine::new().run(&campaign, &mut [])?;

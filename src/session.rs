@@ -32,7 +32,6 @@ use bist_netlist::{benchmarks, Circuit, GateTape};
 use bist_obs::Obs;
 use bist_sim::{
     collapse, fault_universe, Fault, FaultCoverage, FaultSimulator, ShardedBackend, SimBackend,
-    WordWidth,
 };
 use bist_tgen::{generate_t0_with_artifacts, GeneratedTest, TgenConfig};
 use std::path::PathBuf;
@@ -53,21 +52,18 @@ pub enum Backend {
     Packed,
     /// One faulty machine at a time (reference engine).
     Scalar,
-    /// Fault-list sharding across OS threads × wide-word lane packing.
+    /// `Packed`'s pass with the fault list sharded across OS threads; the
+    /// word width follows the fault list, as for `Packed`.
     ///
-    /// `width` is the packed word width in lanes — 64, 256 or 512; any
-    /// other value is rejected at [`SessionBuilder::build`] with a typed
-    /// configuration error. `threads == 0` means "auto": it resolves to
-    /// [`std::thread::available_parallelism`] at build time, so portable
-    /// configurations (batch campaign specs in particular) can say "use
-    /// all cores" without probing the host. The raw
-    /// [`ShardedBackend::new`] boundary keeps its typed `ZeroThreads`
-    /// error — only the Session level interprets 0.
+    /// `threads == 0` means "auto": it resolves to
+    /// [`ShardedBackend::auto`] at build time, so portable configurations
+    /// (batch campaign specs in particular) can say "use all cores"
+    /// without probing the host. The raw [`ShardedBackend::new`] boundary
+    /// keeps its typed `ZeroThreads` error — only the Session level
+    /// interprets 0.
     Sharded {
         /// Number of worker threads (0 = one per available core).
         threads: usize,
-        /// Packed word width in lanes (64, 256 or 512).
-        width: usize,
     },
 }
 
@@ -76,18 +72,8 @@ impl Backend {
         match self {
             Backend::Packed => Ok(Arc::new(bist_sim::PackedBackend)),
             Backend::Scalar => Ok(Arc::new(bist_sim::ScalarBackend)),
-            Backend::Sharded { threads, width } => {
-                let width = WordWidth::from_lanes(width).ok_or_else(|| {
-                    BistError::Config(format!(
-                        "sharded backend width must be 64, 256 or 512 lanes, got {width}"
-                    ))
-                })?;
-                let threads = match threads {
-                    0 => std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
-                    n => n,
-                };
-                Ok(Arc::new(ShardedBackend::new(threads, width)?))
-            }
+            Backend::Sharded { threads: 0 } => Ok(Arc::new(ShardedBackend::auto())),
+            Backend::Sharded { threads } => Ok(Arc::new(ShardedBackend::new(threads)?)),
         }
     }
 }
@@ -342,9 +328,7 @@ impl SessionBuilder {
         self
     }
 
-    /// Selects one of the built-in fault-simulation engines. Invalid
-    /// configurations (e.g. `Backend::Sharded` with zero threads or an
-    /// unsupported width) surface as typed errors at
+    /// Selects one of the built-in fault-simulation engines, resolved at
     /// [`build`](Self::build) time.
     #[must_use]
     pub fn backend(mut self, backend: Backend) -> Self {
@@ -940,24 +924,12 @@ mod tests {
             Session::builder().s27().t0(t0.clone()).ns(vec![1]).backend(backend).run().unwrap()
         };
         let packed = run(Backend::Packed);
-        for (threads, width, name) in
-            [(1, 64, "sharded64"), (2, 256, "sharded256"), (4, 512, "sharded512")]
-        {
-            let sharded = run(Backend::Sharded { threads, width });
-            assert_eq!(sharded.backend_name(), name);
+        for threads in [1, 2, 4] {
+            let sharded = run(Backend::Sharded { threads });
+            assert_eq!(sharded.backend_name(), "sharded");
             assert_eq!(packed.coverage().times(), sharded.coverage().times());
             assert_eq!(packed.best().after.total_len, sharded.best().after.total_len);
             assert_eq!(sharded.verified(), Some(true));
-        }
-    }
-
-    #[test]
-    fn sharded_misconfiguration_is_a_typed_error_not_a_panic() {
-        let bad_width =
-            Session::builder().s27().backend(Backend::Sharded { threads: 4, width: 100 }).build();
-        match bad_width {
-            Err(BistError::Config(msg)) => assert!(msg.contains("100"), "{msg}"),
-            other => panic!("expected Config error, got {other:?}"),
         }
     }
 
@@ -969,15 +941,12 @@ mod tests {
             .s27()
             .seed(5)
             .ns(vec![1])
-            .backend(Backend::Sharded { threads: 0, width: 256 })
+            .backend(Backend::Sharded { threads: 0 })
             .run()
             .unwrap();
-        assert_eq!(report.backend_name(), "sharded256");
+        assert_eq!(report.backend_name(), "sharded");
         assert_eq!(report.verified(), Some(true));
-        assert_eq!(
-            bist_sim::ShardedBackend::new(0, bist_sim::WordWidth::W256),
-            Err(bist_sim::SimError::ZeroThreads)
-        );
+        assert_eq!(ShardedBackend::new(0), Err(bist_sim::SimError::ZeroThreads));
     }
 
     #[test]
