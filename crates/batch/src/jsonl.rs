@@ -159,7 +159,8 @@ fn str_field<'a>(row: &'a Json, key: &str) -> Result<&'a str, String> {
 }
 
 /// Validates one lint diagnostic JSONL row: well-formed JSON object, the
-/// [`LINT_KEYS`], an `L`-prefixed code and a known severity.
+/// keys `circuit`, `code`, `severity`, `message` and `nets`, an
+/// `L`-prefixed code and a known severity.
 ///
 /// # Errors
 ///

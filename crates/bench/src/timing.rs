@@ -165,9 +165,10 @@ impl Report {
         format!("BENCH_{}{mode}.json", self.name)
     }
 
-    /// Writes [`file_name`](Self::file_name) into the workspace root of
-    /// the running bench (two levels above the `CARGO_MANIFEST_DIR` that
-    /// cargo sets for the bench process), after validating the document
+    /// Writes `BENCH_<name>.json` (`BENCH_<name>.smoke.json` in a smoke
+    /// run) into the workspace root of the running bench (two levels
+    /// above the `CARGO_MANIFEST_DIR` that cargo sets for the bench
+    /// process), after validating the document
     /// against the report schema — a schema regression fails the bench
     /// run (and CI, which runs every bench in smoke mode) instead of
     /// silently corrupting the trajectory files.

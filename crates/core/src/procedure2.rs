@@ -15,7 +15,10 @@
 //! Both steps are scans for the first detecting candidate, so they hand
 //! their candidates to [`FaultSimulator::first_detecting`] 32 at a time
 //! — one 64-lane pass on the packed engines instead of 32 one-fault
-//! passes — and keep the scan's order, its winner and its counts.
+//! passes — and keep the scan's order, its winner and its counts. In that
+//! pass every candidate steps its own stream and skips its own repeated
+//! memory walks, so the growing windows of step 1, whose lengths all
+//! differ, fast-forward as the equal-length omissions of step 2 do.
 
 use bist_expand::expansion::Expand;
 use bist_expand::{ExpansionIter, TestSequence, VectorSource};
@@ -127,7 +130,7 @@ pub fn find_subsequence(
                 batch.iter().map(|&u| expansion.stream(&current).without(u)).collect();
             if let Some(i) = first_detecting(sim, &candidates, fault, &mut stats.omit_simulations)?
             {
-                current = current.without(batch[i]);
+                current.remove(batch[i]);
                 stats.omitted += 1;
                 continue 'scan;
             }

@@ -4,8 +4,10 @@
 //! walk returns the machines they still track to the state the walk began
 //! in, and count what they skipped as `sim.walks_skipped` /
 //! `sim.vectors_skipped` (never as `sim.vectors`). On a298 at `n = 8` the
-//! drop pass and Procedure 2's omission probes both skip; a pass over a
-//! stored `T0`, which declares no repeated walks, skips nothing.
+//! drop pass and Procedure 2's omission and growth probes all skip (every
+//! candidate of a probe skips its own walks, whatever their lengths); a
+//! pass over a stored `T0`, which declares no repeated walks, skips
+//! nothing.
 
 use std::sync::Arc;
 
@@ -14,7 +16,7 @@ use bist_expand::expansion::{Expand, ExpansionConfig};
 use bist_expand::VectorSource;
 use bist_netlist::benchmarks;
 use bist_obs::{Obs, Registry};
-use bist_sim::{collapse, fault_universe, Fault, FaultSimulator};
+use bist_sim::{collapse, fault_universe, Fault, FaultSimulator, PROBE_LANES};
 use bist_tgen::{generate_t0_with_faults, TgenConfig};
 
 /// `(walks_skipped, vectors_skipped, vectors)` recorded by `registry`.
@@ -68,6 +70,24 @@ fn drop_passes_and_omission_probes_skip_and_stored_sequences_do_not() {
     assert_eq!(found, scan);
     let (walks, vectors_skipped, _) = skips(&registry);
     assert!(walks > 0 && vectors_skipped > 0, "omission call: {walks} walks, {vectors_skipped}");
+
+    // A Procedure 2 growth call: the windows T0[udet - k, udet] of the
+    // target whose window grew longest, mixed lengths in one batch.
+    let sel = selection.sequences.iter().max_by_key(|s| s.window.1 - s.window.0).unwrap();
+    let (ustart, udet) = sel.window;
+    let (sim, registry) = observed(&circuit);
+    let windows: Vec<_> = (0..PROBE_LANES.min(udet + 1))
+        .map(|k| expansion.stream(&t0.sequence).window(udet - k, udet))
+        .collect();
+    let sources: Vec<&dyn VectorSource> = windows.iter().map(|w| w as &dyn VectorSource).collect();
+    let found = sim.first_detecting(&sources, sel.target).unwrap();
+    let scalar = FaultSimulator::scalar(&circuit);
+    let scan = sources.iter().position(|c| scalar.detects_stream(*c, sel.target).unwrap());
+    assert_eq!(found, scan);
+    assert!(udet - ustart < PROBE_LANES, "the winner lies in the first batch");
+    assert_eq!(found, Some(udet - ustart));
+    let (walks, vectors_skipped, _) = skips(&registry);
+    assert!(walks > 0 && vectors_skipped > 0, "growth call: {walks} walks, {vectors_skipped}");
 
     // A stored sequence declares one walk: nothing to skip.
     let (sim, registry) = observed(&circuit);

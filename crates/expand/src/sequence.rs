@@ -119,6 +119,16 @@ impl TestSequence {
         TestSequence { vectors, width: self.width }
     }
 
+    /// Removes and returns the vector at `index`, in place:
+    /// [`without`](Self::without) with no copy of the other vectors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= len()`.
+    pub fn remove(&mut self, index: usize) -> TestVector {
+        self.vectors.remove(index)
+    }
+
     /// Concatenation `self · other`.
     ///
     /// # Errors
@@ -328,6 +338,16 @@ mod tests {
         let s = seq("000 001 010");
         assert_eq!(s.without(1).to_string(), "000 010");
         assert_eq!(s.len(), 3, "original untouched");
+    }
+
+    #[test]
+    fn remove_in_place_equals_without() {
+        let s = seq("000 001 010 011");
+        for u in 0..s.len() {
+            let mut removed = s.clone();
+            assert_eq!(removed.remove(u), s[u]);
+            assert_eq!(removed, s.without(u), "u={u}");
+        }
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! that apply the same vectors on every repetition. An expansion reports
 //! its eight phases (`n` walks of `|S|` vectors each); a simulator that
 //! sees a walk end in the state it began in may resume the stream at the
-//! end of that run ([`VectorSource::visit_from`]), since the remaining
-//! walks can only replay it.
+//! end of that run ([`VectorSource::vector_into`] reads any time), since
+//! the remaining walks can only replay it.
 
 use crate::expansion::Phase;
 use crate::{TestSequence, TestVector};
@@ -41,14 +41,14 @@ pub struct Walks {
 ///
 /// The stream's [`walks`] cut it into consecutive runs of repeated walks;
 /// simulators rely on every walk of a run applying identical vectors and
-/// jump over the rest of a run with [`visit_from`] once a walk returns
-/// to the state it began in. The provided defaults describe the stream as
-/// one walk of one repetition, so a source that repeats nothing overrides
-/// neither.
+/// jump over the rest of a run once a walk returns to the state it began
+/// in, reading each vector by time with [`vector_into`], which must agree
+/// with [`visit`]. The provided default describes the stream as one walk
+/// of one repetition, so a source that repeats nothing keeps it.
 ///
 /// [`visit`]: VectorSource::visit
 /// [`walks`]: VectorSource::walks
-/// [`visit_from`]: VectorSource::visit_from
+/// [`vector_into`]: VectorSource::vector_into
 pub trait VectorSource: Sync {
     /// The vector width (number of primary inputs driven).
     fn width(&self) -> usize;
@@ -67,14 +67,6 @@ pub trait VectorSource: Sync {
     /// of a pass has been detected).
     fn visit(&self, visitor: &mut dyn FnMut(usize, &TestVector) -> bool);
 
-    /// [`visit`](Self::visit) from time unit `from` on: exactly the
-    /// vectors `visit` passes at times `from..`, with their times (none
-    /// when `from >= num_vectors()`). The default walks the stream from
-    /// the start and hides the vectors before `from`.
-    fn visit_from(&self, from: usize, visitor: &mut dyn FnMut(usize, &TestVector) -> bool) {
-        self.visit(&mut |t, v| t < from || visitor(t, v));
-    }
-
     /// The stream cut into runs of repeated walks, in application order:
     /// run `i` is `walks()[i].reps` walks of `walks()[i].len` vectors
     /// each, every walk applying the same vectors, and the runs cover the
@@ -84,9 +76,10 @@ pub trait VectorSource: Sync {
         vec![Walks { len: self.num_vectors(), reps: 1 }]
     }
 
-    /// Writes the vector of time unit `t` into `out`, reusing its
-    /// allocation: random access for simulators that step several streams
-    /// in lockstep, one vector of each per clock.
+    /// Writes the vector of time unit `t` into `out` — the vector
+    /// [`visit`](Self::visit) passes at `t` — reusing its allocation:
+    /// random access for simulators that step streams on their own
+    /// clocks, one vector of each per clock.
     ///
     /// # Panics
     ///
@@ -268,31 +261,24 @@ impl VectorSource for ExpansionIter<'_> {
     }
 
     fn visit(&self, visitor: &mut dyn FnMut(usize, &TestVector) -> bool) {
-        // Always the entire expansion, whatever the iterator cursor.
-        self.visit_from(0, visitor);
-    }
-
-    fn visit_from(&self, from: usize, visitor: &mut dyn FnMut(usize, &TestVector) -> bool) {
-        // One reused buffer carries every transformed vector.
+        // Always the entire expansion, whatever the iterator cursor; one
+        // reused buffer carries every transformed vector.
         let walk = self.loaded_len();
         if walk == 0 {
             return;
         }
         let mut out = TestVector::zeros(self.width);
-        let mut start = 0;
+        let mut t = 0;
         for phase in &self.phases {
-            let end = start + phase.reps * walk;
-            let mut t = from.max(start);
-            let mut pos = (t - start) % walk;
-            while t < end {
-                phase.transform_into(self.word(phase, pos), &mut out);
-                if !visitor(t, &out) {
-                    return;
+            for _ in 0..phase.reps {
+                for pos in 0..walk {
+                    phase.transform_into(self.word(phase, pos), &mut out);
+                    if !visitor(t, &out) {
+                        return;
+                    }
+                    t += 1;
                 }
-                t += 1;
-                pos = if pos + 1 == walk { 0 } else { pos + 1 };
             }
-            start = end;
         }
     }
 

@@ -136,10 +136,10 @@ fn custom_recipes_stream_like_they_expand() {
     }
 }
 
-/// The contract simulators fast-forward by, on one source: `visit_from(t)`
-/// yields exactly the suffix of `visit` from `t` (times included) for
-/// every `t`, the declared walks cover the stream, and every repetition of
-/// a walk yields the vectors of the run's first walk.
+/// The contract simulators fast-forward by, on one source: `vector_into(t)`
+/// is `visit`'s vector at `t` for every `t`, so a simulator may resume the
+/// stream anywhere; the declared walks cover the stream, and every
+/// repetition of a walk yields the vectors of the run's first walk.
 fn check_stream_contract(source: &dyn VectorSource, what: &str) {
     let mut all = Vec::new();
     source.visit(&mut |t, v| {
@@ -148,23 +148,11 @@ fn check_stream_contract(source: &dyn VectorSource, what: &str) {
         true
     });
     assert_eq!(all.len(), source.num_vectors(), "{what}: visit length");
-    for from in 0..=all.len() + 1 {
-        let mut next = from;
-        source.visit_from(from, &mut |t, v| {
-            assert_eq!(t, next, "{what}: visit_from({from}) times");
-            assert_eq!(v, &all[t], "{what}: visit_from({from}) at {t}");
-            next += 1;
-            true
-        });
-        assert_eq!(next, all.len().max(from), "{what}: visit_from({from}) stops at the end");
+    let mut out = TestVector::zeros(1);
+    for (t, v) in all.iter().enumerate() {
+        source.vector_into(t, &mut out);
+        assert_eq!(&out, v, "{what}: vector_into({t})");
     }
-    // Stopping early stops the resumed walk too.
-    let mut seen = 0;
-    source.visit_from(all.len() / 2, &mut |_, _| {
-        seen += 1;
-        false
-    });
-    assert_eq!(seen, usize::from(all.len() / 2 < all.len()), "{what}: early stop");
 
     let walks = source.walks();
     assert_eq!(walks.iter().map(|w| w.len * w.reps).sum::<usize>(), all.len(), "{what}: walks");
@@ -215,13 +203,10 @@ fn streams_resume_anywhere_and_repeat_their_walks() {
         assert_eq!(walks.len(), 8, "eight phases");
         assert!(walks.iter().all(|w| w.len == s.len() && w.reps == n));
         let all = stream.materialize();
-        for from in [0, 1, s.len(), n * s.len() + 1, all.len() - 1] {
-            let mut tail = Vec::new();
-            stream.visit_from(from, &mut |_, v| {
-                tail.push(v.clone());
-                true
-            });
-            assert_eq!(tail, all.vectors()[from..], "n={n} from {from}");
+        let mut out = TestVector::zeros(1);
+        for t in [0, 1, s.len(), n * s.len() + 1, all.len() - 1] {
+            stream.vector_into(t, &mut out);
+            assert_eq!(out, all[t], "n={n} at {t}");
         }
     }
 }

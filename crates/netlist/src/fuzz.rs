@@ -255,7 +255,7 @@ const DIRTY_CLASSES: [&str; 7] = ["L001", "L002", "L003", "L004", "L005", "L006"
 ///
 /// A small clean circuit from [`GeneratorSpec`] is rendered to text and
 /// then vandalized. Seeds cycle through the defect classes: `seed % 9`
-/// selects one of the seven error-class defects ([`DIRTY_CLASSES`]), a
+/// selects one of the seven error-class defects (`L001`–`L007`), a
 /// warnings-only netlist (dangling gate, unused input, always-X cone,
 /// duplicate-cone pair), or a compound
 /// netlist with several error defects at once — so any contiguous run of

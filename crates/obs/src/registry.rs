@@ -22,7 +22,7 @@ struct Shard {
 /// A thread-safe registry of named metrics plus an optional trace-event
 /// buffer.
 ///
-/// Metric names are sharded across [`SHARDS`] `Mutex<BTreeMap>`s;
+/// Metric names are sharded across eight `Mutex<BTreeMap>`s;
 /// [`snapshot`](Registry::snapshot) merges the shards into one
 /// stable-sorted view, so exports are deterministic regardless of
 /// registration order or shard assignment.

@@ -16,7 +16,7 @@
 //!   contiguous shards across OS threads (scoped threads, no runtime
 //!   dependencies), and each shard runs the same chunked pass.
 //! * [`ScalarBackend`] — a deliberately simple reference: one faulty
-//!   machine at a time over the scalar [`Logic`](crate::Logic) algebra,
+//!   machine at a time over the scalar [`Logic`] algebra,
 //!   stepped in lockstep with its own fault-free machine — both the
 //!   crate's one scalar machine (see [`SteppedSim`](crate::SteppedSim)).
 //!   It is the differential oracle of the packed engines for every query,
@@ -72,34 +72,30 @@
 //! shared by both engine families, checks the stream, the fault sites,
 //! the state and the capture times before any machine steps.
 //!
-//! The packed stepping loop also fast-forwards repeated memory walks. A
-//! stream declares its [`Walks`]: `Sexp` is eight phases, each walking
-//! the loaded memory `n` times with the same vectors. At the start of
-//! each walk that has a successor in its phase, a chunk keeps its
-//! flip-flop words; at the walk's end it compares them under the good
-//! lane and every undetected lane. Equal means each machine the chunk
-//! still tracks is back where the walk began, so — three-valued
-//! simulation being deterministic, `X` included — the phase's remaining
-//! walks replay this one and detect nothing: the chunk resumes the stream
-//! at the phase end ([`VectorSource::visit_from`]). A skip never crosses
-//! a requested capture time; a capture at the phase end reads the state
-//! the chunk holds, which the skipped walks would have returned to. The
-//! skipped walks and vectors are counted as `sim.walks_skipped` /
-//! `sim.vectors_skipped`, apart from the simulated `sim.vectors`. The
-//! scalar engine never skips, so it stays the oracle of the rule.
+//! The packed engines have one stepping loop, over *lane groups*: some
+//! faulty lanes and the good lane they are compared against, driven by
+//! their own stream on their own clock. A chunk of faults is one group.
+//! Each group fast-forwards its repeated memory walks. A stream declares
+//! its [`Walks`]: `Sexp` is eight phases, each walking the loaded memory
+//! `n` times with the same vectors. At the start of each walk that has a
+//! successor in its phase, a group keeps its flip-flop words; at the
+//! walk's end it compares them under its good lane and every undetected
+//! lane. Equal means each machine it still tracks is back where the walk
+//! began, so — three-valued simulation being deterministic, `X` included
+//! — the remaining walks replay this one and detect nothing: the group
+//! jumps to the phase end. A skip never crosses a requested capture time;
+//! a capture at the phase end reads the state the group holds. Skipped
+//! walks and vectors count per group as `sim.walks_skipped` /
+//! `sim.vectors_skipped`, apart from the simulated clocks, `sim.vectors`.
+//! The scalar engine never skips, so it stays the oracle of the rule.
 //!
-//! Procedure 2 asks a different question — which of several candidate
-//! streams is the first to detect *one* fault —
-//! [`SimBackend::first_detecting_tape_obs`]. Its default is the
-//! sequential scan of single-fault passes; the packed engines instead
-//! run 32 candidates per 64-lane pass, candidate `c`'s faulty machine in
-//! lane `c` and its good machine in lane `c + 32`, each pair driven by
-//! its own candidate's vectors, and compare the halves lane pair by lane
-//! pair. The pass steps through the same per-vector sweep as every
-//! other packed pass. When every candidate of a pass declares the same
-//! walks — Procedure 2's omission batches do — it applies the same
-//! fast-forward under the undecided lane pairs; batches of mixed
-//! structure (growing windows) walk every vector.
+//! Procedure 2 asks which of several candidate streams first detects
+//! *one* fault — [`SimBackend::first_detecting_tape_obs`]. The default is
+//! the sequential scan; the packed engines run 32 candidates per 64-lane
+//! pass of the same loop, candidate `c` a group with its faulty machine in
+//! lane `c` and its good machine in lane `c + 32`. A detection closes
+//! every later group, so the pass decides the first detecting candidate,
+//! and omission batches and growing windows both skip repeated walks.
 //!
 //! Every engine validates its inputs at the boundary — width mismatches,
 //! empty streams, faults on nodes the tape does not have and oversized
@@ -266,7 +262,7 @@ struct SweepStats {
     pub vectors: u64,
     /// Chunk passes run.
     pub chunks: u64,
-    /// Chunk passes that exited before exhausting the stream.
+    /// Chunk passes that ended at a detection that left no verdict open.
     pub early_exits: u64,
     /// Gate runs evaluated under force words, summed over chunk passes.
     pub forced_runs: u64,
@@ -571,15 +567,19 @@ fn eval_segment<W: PackedWord, F: Forcing<W>>(
 }
 
 /// One shard's reusable simulation state: the force table, the packed
-/// value table, the flip-flop state and the shard's sweep tallies.
-/// Allocated once per shard and reused across every chunk it runs — a
-/// chunk pass performs no heap allocation.
+/// value table, the flip-flop state, the primary-input words and the
+/// shard's sweep tallies. Allocated once per shard and reused across every
+/// chunk it runs — a chunk pass performs no heap allocation.
 struct ShardScratch<W: PackedWord> {
     forces: ForceTable<W>,
     values: Vec<W>,
     state: Vec<W>,
-    /// The flip-flop state at the start of the current repeated walk.
+    /// Each group's flip-flops at the start of its current repeated walk.
     saved: Vec<W>,
+    /// This clock's primary-input words, each live group's vector in its lanes.
+    inputs: Vec<W>,
+    /// The buffer a group reads its current vector into.
+    vector: TestVector,
     stats: SweepStats,
 }
 
@@ -590,6 +590,8 @@ impl<W: PackedWord> ShardScratch<W> {
             values: vec![W::ALL_X; tape.num_nodes()],
             state: vec![W::ALL_X; tape.num_dffs()],
             saved: vec![W::ALL_X; tape.num_dffs()],
+            inputs: vec![W::ALL_X; tape.num_inputs()],
+            vector: TestVector::zeros(tape.num_inputs().max(1)),
             stats: SweepStats::default(),
         }
     }
@@ -622,14 +624,14 @@ fn repeated_runs(walks: &[Walks]) -> Vec<RepeatedRun> {
     runs
 }
 
-/// A packed pass's position in its stream's repeated runs — the one skip
+/// A lane group's position in its stream's repeated runs — the one skip
 /// rule of every packed pass. At the start of each walk that has a
-/// successor in its run, the pass keeps its flip-flop words; at the
-/// walk's end it compares them under the live lanes (the good machines
-/// and every machine whose verdict is still open). Equal means every live
+/// successor in its run, the group keeps its flip-flop words; at the
+/// walk's end it compares them under its live lanes (its good machine and
+/// every machine whose verdict is still open). Equal means every live
 /// machine is back where the walk began: three-valued simulation is
 /// deterministic, `X` included, so the remaining walks of the run replay
-/// this one, detect nothing and end in this state. The pass then resumes
+/// this one, detect nothing and end in this state. The group then resumes
 /// at the end of the run.
 struct WalkCursor<'r> {
     runs: &'r [RepeatedRun],
@@ -654,11 +656,11 @@ impl<'r> WalkCursor<'r> {
     }
 
     /// Acts on the walk boundary at stream time `now == self.next`, the
-    /// machines holding `state`: keeps it in `saved` where a walk with a
-    /// successor begins, and returns the end of the run when the walk
-    /// that just ended repeats on the `live` lanes and the run ends no
-    /// later than `limit` (a pass never skips across a time it must
-    /// observe).
+    /// machines holding `state`: keeps the `live` lanes of it in `saved`
+    /// where a walk with a successor begins, and returns the end of the
+    /// run when the walk that just ended repeats on the `live` lanes and
+    /// the run ends no later than `limit` (a pass never skips across a
+    /// time it must observe).
     fn at<W: PackedWord>(
         &mut self,
         now: usize,
@@ -683,7 +685,7 @@ impl<'r> WalkCursor<'r> {
             return Some(end);
         }
         if walked + 1 < reps {
-            saved.copy_from_slice(state);
+            saved.iter_mut().zip(state).for_each(|(k, &s)| *k = k.select(s, live));
             self.next = now + len;
         } else {
             self.enter(self.run + 1);
@@ -703,7 +705,8 @@ struct PassPlan<'a> {
     /// Capture times since reset, strictly ascending, all after
     /// `from.time()`.
     capture: &'a [usize],
-    /// The stream's repeated walks, which the packed engines fast-forward.
+    /// The stream's repeated walks, which each chunk's lane group
+    /// fast-forwards.
     repeats: Vec<RepeatedRun>,
 }
 
@@ -885,96 +888,142 @@ fn latch<W: PackedWord>(tape: &GateTape, forces: &ForceTable<W>, values: &[W], s
     }
 }
 
-/// One pass over the stream with up to `W::LANES - 1` faulty machines in
-/// the low lanes and the fault-free machine fused into the top lane,
-/// every lane starting from the flip-flop values the caller loaded into
-/// `scratch.state`. The good machine sees
-/// no forces (no force word sets its lane), so each output word
-/// carries the reference value and all faulty values of that output in
-/// the same pass — no precollected PO trace. The walk stops at the vector
-/// that detects the chunk's last undetected fault, and jumps to the end of
-/// a run of repeated walks once a walk returns the good machine and every
-/// undetected machine to the state it began in (see [`WalkCursor`]).
+/// Lanes that step their own stream on their own clock: some faulty
+/// lanes and the good lane they are compared against, driven by `source`
+/// from stream time `t`, with their own [`WalkCursor`]. A chunk of faults
+/// is one group; a candidate probe is one group per candidate.
+struct LaneGroup<'a, W: PackedWord> {
+    source: &'a dyn VectorSource,
+    /// The stream's length and the stream time of the group's next vector.
+    len: usize,
+    t: usize,
+    /// The good lane, as an index and as a mask.
+    good: usize,
+    good_mask: W::Mask,
+    /// The faulty lanes whose verdict is still open.
+    open: W::Mask,
+    walks: WalkCursor<'a>,
+}
+
+impl<'a, W: PackedWord> LaneGroup<'a, W> {
+    fn new(
+        source: &'a dyn VectorSource,
+        faulty: W::Mask,
+        good: usize,
+        repeats: &'a [RepeatedRun],
+    ) -> Self {
+        LaneGroup {
+            source,
+            len: source.num_vectors(),
+            t: 0,
+            good,
+            good_mask: W::Mask::first_n(good + 1).subtract(W::Mask::first_n(good)),
+            open: faulty,
+            walks: WalkCursor::new(repeats),
+        }
+    }
+
+    /// The machines the group still tracks: its good one and the open
+    /// faulty ones.
+    fn tracked(&self) -> W::Mask {
+        self.good_mask.union(self.open)
+    }
+}
+
+/// The packed stepping loop of every pass, a chunk of faults or a probe:
+/// steps `groups` from the state and force words loaded into `scratch`.
+/// Each clock, every live group drives its lanes with the vector at its
+/// own stream time, one sweep evaluates every lane, and each group
+/// compares its open faulty lanes against its own good lane (which no
+/// force sets, so no fault-free PO trace is precollected). A detection at
+/// time `t` sets `times[lane]` and closes the lane and every later group:
+/// candidate groups yield the first that detects, and one group is
+/// untouched by the rule. A group stops once its verdicts are in or its
+/// stream ends, and skips repeated walks (see [`WalkCursor`]); the pass
+/// stops when every group has. At the plan's capture times it snapshots
+/// the open faults of `chunk`, the faults of a one-group pass.
 fn run_chunk<W: PackedWord>(
     tape: &GateTape,
-    source: &dyn VectorSource,
     plan: &PassPlan<'_>,
+    groups: &mut [LaneGroup<'_, W>],
     chunk: &[Fault],
     times: &mut [Option<usize>],
     captured: &mut Captured,
     scratch: &mut ShardScratch<W>,
-) -> Result<(), SimError> {
-    let good_lane = W::LANES - 1;
-    scratch.forces.load(tape, chunk, good_lane)?;
+) {
     scratch.values.fill(W::ALL_X);
-    let ShardScratch { forces, values, state, saved, stats } = scratch;
+    let ShardScratch { forces, values, state, saved, inputs, vector, stats } = scratch;
     stats.chunks += 1;
     stats.forced_runs += forces.forced_runs;
-    let mut vectors = 0u64;
-    let mut early_exit = false;
-
-    let mut undetected = W::Mask::first_n(chunk.len());
-    let good = W::Mask::first_n(W::LANES).subtract(W::Mask::first_n(good_lane));
-    let base = plan.from.time();
+    let (base, capture) = (plan.from.time(), plan.capture);
     let mut next_capture = 0usize;
-    let mut walks = WalkCursor::new(&plan.repeats);
-    // A skip never crosses the next capture time (stream-relative).
-    let limit = |next: usize| plan.capture.get(next).map_or(usize::MAX, |&c| c - base);
-
-    let mut from = 0;
     loop {
-        if walks.next == from {
-            // A run begins where the pass (re)starts: keep its state.
-            walks.at(from, state, saved, good.union(undetected), limit(next_capture), stats);
+        inputs.fill(W::ALL_X);
+        for g in groups.iter_mut().filter(|g| !g.open.is_empty()) {
+            loop {
+                if capture.get(next_capture) == Some(&(base + g.t)) {
+                    captured.record(next_capture, chunk, state, g.open);
+                    next_capture += 1;
+                }
+                if g.t != g.walks.next {
+                    break;
+                }
+                // A skip never crosses the next capture time.
+                let limit = capture.get(next_capture).map_or(usize::MAX, |&c| c - base);
+                match g.walks.at(g.t, state, saved, g.tracked(), limit, stats) {
+                    Some(end) => g.t = end,
+                    None => break,
+                }
+            }
+            if g.t == g.len {
+                // The stream ended: the open verdicts are "undetected".
+                g.open = W::Mask::EMPTY;
+                continue;
+            }
+            g.source.vector_into(g.t, vector);
+            let tracked = g.tracked();
+            for (i, w) in inputs.iter_mut().enumerate() {
+                *w = w.select(W::splat(Logic::from_bool(vector.get(i))), tracked);
+            }
         }
-        let mut resume = None;
-        source.visit_from(from, &mut |t, vector| {
-            vectors += 1;
-            evaluate(tape, forces, state, values, |i| W::splat(Logic::from_bool(vector.get(i))));
-            // Compare the faulty lanes against the fused good lane.
+        if groups.iter().all(|g| g.open.is_empty()) {
+            break;
+        }
+        evaluate(tape, forces, state, values, |i| inputs[i]);
+        stats.vectors += 1;
+        // Each group's open lanes against its good lane; a detection closes
+        // its lanes and every later group.
+        let mut decided = false;
+        for g in groups.iter_mut().filter(|g| !g.open.is_empty()) {
+            if decided {
+                g.open = W::Mask::EMPTY;
+                continue;
+            }
             for &o in tape.outputs() {
                 let w = values[o as usize];
-                let diff = match w.lane(good_lane) {
+                let diff = match w.lane(g.good) {
                     Logic::One => w.zeros_mask(),
                     Logic::Zero => w.ones_mask(),
                     Logic::X => continue,
                 };
-                let newly = diff.intersect(undetected);
+                let newly = diff.intersect(g.open);
                 if !newly.is_empty() {
-                    newly.for_each_lane(|lane| times[lane] = Some(base + t));
-                    undetected = undetected.subtract(newly);
+                    newly.for_each_lane(|lane| times[lane] = Some(base + g.t));
+                    g.open = g.open.subtract(newly);
+                    decided = true;
                 }
             }
-            // Chunk early-exit: every fault has its first detection; the
-            // rest of the stream cannot change any result.
-            if undetected.is_empty() {
-                early_exit = true;
-                return false;
-            }
-            latch(tape, forces, values, state);
-            let now = t + 1;
-            if plan.capture.get(next_capture) == Some(&(base + now)) {
-                captured.record(next_capture, chunk, state, undetected);
-                next_capture += 1;
-            }
-            if now == walks.next {
-                let live = good.union(undetected);
-                resume = walks.at(now, state, saved, live, limit(next_capture), stats);
-                return resume.is_none();
-            }
-            true
-        });
-        let Some(end) = resume else { break };
-        // The live machines hold at `end` the state they hold now.
-        if plan.capture.get(next_capture) == Some(&(base + end)) {
-            captured.record(next_capture, chunk, state, undetected);
-            next_capture += 1;
         }
-        from = end;
+        // Early exit: every verdict is in, so no vector can change them.
+        if groups.iter().all(|g| g.open.is_empty()) {
+            stats.early_exits += 1;
+            break;
+        }
+        latch(tape, forces, values, state);
+        for g in groups.iter_mut().filter(|g| !g.open.is_empty()) {
+            g.t += 1;
+        }
     }
-    stats.vectors += vectors;
-    stats.early_exits += u64::from(early_exit);
-    Ok(())
 }
 
 /// Runs one contiguous shard of the fault list, beginning at fault-list
@@ -996,8 +1045,11 @@ fn run_shard<W: PackedWord>(
     for (c, (chunk, slots)) in faults.chunks(per_chunk).zip(times.chunks_mut(per_chunk)).enumerate()
     {
         sweep.check_cancelled()?;
+        scratch.forces.load(tape, chunk, per_chunk)?;
         plan.load(first + c * per_chunk, chunk.len(), &mut scratch.state);
-        run_chunk::<W>(tape, source, plan, chunk, slots, &mut captured, &mut scratch)?;
+        let lanes = W::Mask::first_n(chunk.len());
+        let mut group = [LaneGroup::new(source, lanes, W::LANES - 1, &plan.repeats)];
+        run_chunk(tape, plan, &mut group, chunk, slots, &mut captured, &mut scratch);
     }
     if let Some(start) = start {
         sweep.flush(&scratch.stats, elapsed_us(start));
@@ -1085,12 +1137,9 @@ fn resume_packed(
 pub const PROBE_LANES: usize = PackedValue::LANES / 2;
 
 /// The packed engines' [`SimBackend::first_detecting_tape_obs`]: the
-/// candidates, 32 per 64-lane pass, each in a lane pair — the faulty
-/// machine (`fault` injected) in a low lane, its good machine 32 lanes up,
-/// both driven by that candidate's own vector every clock. A pass stops
-/// once its lowest detecting candidate has no undecided candidate below
-/// it (a candidate whose stream has ended undetected counts as "no"); the
-/// next 32 candidates get a pass only when this one found no winner.
+/// candidates, 32 per 64-lane pass, each a lane group of its own — the
+/// faulty machine (`fault` injected) in a low lane, its good machine 32
+/// lanes up. The next 32 get a pass only when this one found no winner.
 fn first_detecting_packed(
     tape: &GateTape,
     candidates: &[&dyn VectorSource],
@@ -1100,11 +1149,8 @@ fn first_detecting_packed(
     let sweep = SweepObs::new(obs);
     let start = sweep.is_active().then(Instant::now);
     let mut scratch = ShardScratch::<PackedValue>::new(tape);
-    let mut probe = Probe {
-        copies: [fault; PROBE_LANES],
-        inputs: vec![PackedValue::ALL_X; tape.num_inputs()],
-        vector: TestVector::zeros(tape.num_inputs().max(1)),
-    };
+    let reset = MachineState::reset();
+    let plan = PassPlan { from: &reset, rows: Vec::new(), capture: &[], repeats: Vec::new() };
     let mut scan = || {
         for (b, batch) in candidates.chunks(PROBE_LANES).enumerate() {
             sweep.check_cancelled()?;
@@ -1114,8 +1160,19 @@ fn first_detecting_packed(
                 validate(tape.num_inputs(), tape.num_nodes(), c, &[fault]).err().map(|e| (i, e))
             });
             let valid = &batch[..invalid.as_ref().map_or(batch.len(), |(i, _)| *i)];
-            if let Some(k) = probe.pass(tape, valid, &mut scratch)? {
-                return Ok(Some(b * PROBE_LANES + k));
+            if !valid.is_empty() {
+                scratch.forces.load(tape, &[fault; PROBE_LANES][..valid.len()], PROBE_LANES)?;
+                scratch.state.fill(PackedValue::ALL_X);
+                let runs: Vec<_> = valid.iter().map(|c| repeated_runs(&c.walks())).collect();
+                let mut groups: Vec<_> = (0..valid.len())
+                    .map(|c| LaneGroup::new(valid[c], 1u64 << c, c + PROBE_LANES, &runs[c]))
+                    .collect();
+                let mut times = [None; PROBE_LANES];
+                let none = &mut Captured::default();
+                run_chunk(tape, &plan, &mut groups, &[], &mut times, none, &mut scratch);
+                if let Some(k) = times.iter().position(Option::is_some) {
+                    return Ok(Some(b * PROBE_LANES + k));
+                }
             }
             if let Some((_, e)) = invalid {
                 return Err(e);
@@ -1128,106 +1185,6 @@ fn first_detecting_packed(
         sweep.flush(&scratch.stats, elapsed_us(start));
     }
     found
-}
-
-/// Reusable buffers of a candidate-parallel probe: the fault copies the
-/// force table loads into the low lanes, the per-lane primary-input words
-/// and one vector buffer the candidates write into — so a clock
-/// allocates nothing.
-struct Probe {
-    copies: [Fault; PROBE_LANES],
-    inputs: Vec<PackedValue>,
-    vector: TestVector,
-}
-
-impl Probe {
-    /// One pass over up to 32 valid candidates from reset; the index of
-    /// the first one that detects the fault, if any. When every candidate
-    /// reports the same [`Walks`] (Procedure 2's omission batches), the
-    /// pass fast-forwards repeated walks under the undecided lane pairs,
-    /// as [`run_chunk`] does under its undetected lanes.
-    fn pass(
-        &mut self,
-        tape: &GateTape,
-        candidates: &[&dyn VectorSource],
-        scratch: &mut ShardScratch<PackedValue>,
-    ) -> Result<Option<usize>, SimError> {
-        let k = candidates.len();
-        if k == 0 {
-            return Ok(None);
-        }
-        scratch.forces.load(tape, &self.copies[..k], PROBE_LANES)?;
-        scratch.values.fill(PackedValue::ALL_X);
-        scratch.state.fill(PackedValue::ALL_X);
-        let ShardScratch { forces, values, state, saved, stats } = scratch;
-        stats.chunks += 1;
-        stats.forced_runs += forces.forced_runs;
-        let mut lens = [0usize; PROBE_LANES];
-        for (len, c) in lens.iter_mut().zip(candidates) {
-            *len = c.num_vectors();
-        }
-        let longest = lens.iter().copied().max().unwrap_or(0);
-        let walks = candidates[0].walks();
-        let repeats = if candidates[1..].iter().all(|c| c.walks() == walks) {
-            repeated_runs(&walks)
-        } else {
-            Vec::new()
-        };
-        let mut cursor = WalkCursor::new(&repeats);
-        // Candidates still able to win: undetected so far, stream not
-        // ended, and below the lowest detecting candidate `best`.
-        let mut undecided = u64::first_n(k);
-        let mut best = None;
-        let mut t = 0;
-        loop {
-            if t == cursor.next {
-                let live = undecided | (undecided << PROBE_LANES);
-                if let Some(end) = cursor.at(t, state, saved, live, usize::MAX, stats) {
-                    t = end;
-                    continue;
-                }
-            }
-            // A stream that ended undetected is a "no".
-            undecided.for_each_lane(|c| {
-                if lens[c] <= t {
-                    undecided &= !(1u64 << c);
-                }
-            });
-            if undecided == 0 {
-                stats.early_exits += u64::from(t < longest);
-                return Ok(best);
-            }
-            self.inputs.fill(PackedValue::ALL_X);
-            undecided.for_each_lane(|c| {
-                candidates[c].vector_into(t, &mut self.vector);
-                let pair = (1u64 << c) | (1u64 << (c + PROBE_LANES));
-                for (i, w) in self.inputs.iter_mut().enumerate() {
-                    if self.vector.get(i) {
-                        w.ones |= pair;
-                    } else {
-                        w.zeros |= pair;
-                    }
-                }
-            });
-            let inputs = &self.inputs;
-            evaluate(tape, forces, state, values, |i| inputs[i]);
-            stats.vectors += 1;
-            // Lane pair compare: faulty lane `c` against good lane `c + 32`.
-            let mut diff = 0u64;
-            for &o in tape.outputs() {
-                let w = values[o as usize];
-                diff |= ((w.ones >> PROBE_LANES) & w.zeros) | ((w.zeros >> PROBE_LANES) & w.ones);
-            }
-            let newly = diff & undecided;
-            if newly != 0 {
-                let lowest = newly.trailing_zeros() as usize;
-                best = Some(lowest);
-                undecided &= u64::first_n(lowest);
-            }
-            latch(tape, forces, values, state);
-            t += 1;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------

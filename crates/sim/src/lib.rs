@@ -26,7 +26,7 @@
 //!   executes the compiled [`GateTape`] (flat CSR fanin arrays + byte
 //!   opcodes, compiled once per circuit and shareable via
 //!   [`SimBackend::detection_times_tape`]); the node-graph oracle of the
-//!   seed implementation survives in [`reference`] purely as a
+//!   seed implementation survives in [`reference`](mod@reference) purely as a
 //!   differential-test baseline. All engines fuse the fault-free machine
 //!   into the fault passes (no precollected PO trace), report first
 //!   detection times (the `udet(f)` of Procedure 1) and consume

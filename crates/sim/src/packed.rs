@@ -228,6 +228,11 @@ pub trait PackedWord: Copy + PartialEq + Send + Sync + 'static {
     #[must_use]
     fn differs(self, rhs: Self) -> Self::Mask;
 
+    /// `rhs`'s value in every lane of `lanes` and `self`'s in the rest —
+    /// how the engines write one lane group's inputs or state.
+    #[must_use]
+    fn select(self, rhs: Self, lanes: Self::Mask) -> Self;
+
     /// Applies a force word: every lane where `mask` holds 1 or 0 takes
     /// that value, every lane where `mask` is `X` keeps `self`'s. This is
     /// how the engines inject a chunk's stuck-at faults, one lane each.
@@ -424,6 +429,13 @@ impl PackedWord for PackedValue {
         (self.ones ^ rhs.ones) | (self.zeros ^ rhs.zeros)
     }
 
+    fn select(self, rhs: Self, lanes: u64) -> Self {
+        PackedValue {
+            ones: (self.ones & !lanes) | (rhs.ones & lanes),
+            zeros: (self.zeros & !lanes) | (rhs.zeros & lanes),
+        }
+    }
+
     fn force(self, mask: Self) -> Self {
         PackedValue {
             ones: (self.ones & !mask.zeros) | mask.ones,
@@ -554,6 +566,13 @@ impl<const N: usize> PackedWord for PackedVec<N> {
 
     fn differs(self, rhs: Self) -> [u64; N] {
         std::array::from_fn(|i| (self.ones[i] ^ rhs.ones[i]) | (self.zeros[i] ^ rhs.zeros[i]))
+    }
+
+    fn select(self, rhs: Self, lanes: [u64; N]) -> Self {
+        let pick = |a: [u64; N], b: [u64; N]| {
+            std::array::from_fn(|i| (a[i] & !lanes[i]) | (b[i] & lanes[i]))
+        };
+        PackedVec { ones: pick(self.ones, rhs.ones), zeros: pick(self.zeros, rhs.zeros) }
     }
 
     fn force(self, mask: Self) -> Self {
@@ -759,6 +778,26 @@ mod tests {
                     let mut lanes = Vec::new();
                     x.differs(y).for_each_lane(|l| lanes.push(l));
                     assert_eq!(lanes, if a == b { vec![] } else { vec![lane] }, "{a} vs {b}");
+                }
+            }
+        }
+        check::<PackedValue>();
+        check::<PackedValue256>();
+    }
+
+    #[test]
+    fn select_takes_the_masked_lanes_and_keeps_the_rest() {
+        fn check<W: PackedWord>() {
+            for (i, a) in ALL.into_iter().enumerate() {
+                for (j, b) in ALL.into_iter().enumerate() {
+                    let lane = W::LANES - 1 - 3 * i - j;
+                    let (mut x, y) = (W::splat(a), W::splat(b));
+                    let mask = W::Mask::first_n(lane + 1).subtract(W::Mask::first_n(lane));
+                    let picked = x.select(y, mask);
+                    x.set_lane(lane, b);
+                    assert!(picked == x, "lane {lane} takes {b}, the rest keep {a}");
+                    assert!(x.select(y, W::Mask::EMPTY) == x);
+                    assert!(x.select(y, W::Mask::first_n(W::LANES)) == y);
                 }
             }
         }

@@ -5,7 +5,7 @@
 //! **not**: it walks the [`Circuit`] node graph exactly the way the seed
 //! implementation did — per gate it dereferences the
 //! [`Node`](bist_netlist::Node), matches on its
-//! [`NodeKind`](bist_netlist::NodeKind) and folds over its fanin `Vec` —
+//! [`NodeKind`] and folds over its fanin `Vec` —
 //! so the differential suite can prove that tape compilation plus the
 //! tape-executing engines never change a single detection time. It is a
 //! test oracle, not a throughput path; keep it boring.

@@ -7,7 +7,7 @@
 //! test 32 candidates per pass (faulty machines in the low lanes, each
 //! candidate's good machine 32 lanes up), so the cases cover the shapes
 //! Procedure 2 submits: growing windows of mixed length, equal-length
-//! omission candidates (which fast-forward repeated memory walks when the
+//! omission candidates (both fast-forward repeated memory walks when the
 //! expansion repeats them), more than one pass, no winner, and every kind
 //! of fault site.
 
@@ -118,16 +118,18 @@ fn omission_shaped_candidates_agree_with_the_scan() {
     }
 }
 
-/// Expansions that repeat their walks (`n ≥ 2`): the streamed omission
-/// batches Procedure 2 submits report equal walks, so the packed probe
-/// fast-forwards repeated walks under the undecided lane pairs; window
-/// batches of mixed length do not. Both must stay the sequential scan,
-/// and the omission batches must really skip.
+/// Expansions that repeat their walks (`n ≥ 2`): in the packed probe
+/// every candidate is a lane group that fast-forwards its own repeated
+/// walks, so the omission batches Procedure 2 submits (equal walks) and
+/// its growing windows (walks of every length up to the window's) both
+/// skip. Both must stay the sequential scan, and both must really skip.
 #[test]
 fn repeated_walk_batches_agree_with_the_scan() {
     let mut rng = StdRng::seed_from_u64(0x5c1b);
     let registry = Arc::new(Registry::new());
     let obs = Obs::with_registry(Arc::clone(&registry));
+    let window_registry = Arc::new(Registry::new());
+    let window_obs = Obs::with_registry(Arc::clone(&window_registry));
     for name in ["s27", "a298"] {
         let circuit = suite_circuit(name);
         let tape = GateTape::compile(&circuit);
@@ -147,11 +149,18 @@ fn repeated_walk_batches_agree_with_the_scan() {
                 let windows: Vec<ExpansionIter<'_>> =
                     (0..=end).map(|k| expansion.stream(&current).window(end - k, end)).collect();
                 check(&tape, &sources(&windows), fault, &format!("{name} n={n} window")).unwrap();
+                if windows.len() > 1 {
+                    // Mixed lengths: the candidates' walks differ.
+                    PackedBackend
+                        .first_detecting_tape_obs(&tape, &sources(&windows), fault, &window_obs)
+                        .unwrap();
+                }
             }
         }
     }
-    let snap = registry.snapshot();
-    assert!(snap.counter("sim.walks_skipped").unwrap_or(0) > 0, "omission probes must skip");
+    let skipped = |registry: &Registry| registry.snapshot().counter("sim.walks_skipped");
+    assert!(skipped(&registry).unwrap_or(0) > 0, "omission probes must skip");
+    assert!(skipped(&window_registry).unwrap_or(0) > 0, "window probes must skip");
 }
 
 #[test]

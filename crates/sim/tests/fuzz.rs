@@ -366,16 +366,27 @@ fn check_walks(
         }
 
         // Procedure 2's batches: every omission of the loaded sequence
-        // (equal walks, so the probe fast-forwards) and growing windows
-        // (mixed lengths, so it does not).
-        let omissions: Vec<_> =
+        // (equal walks), growing windows (walks of mixed length), and each
+        // window next to its walk-hiding twin, so candidates that skip and
+        // candidates that cannot share one word.
+        let omitting: Vec<_> =
             (0..loaded.len()).map(|u| expansion.stream(&loaded).without(u)).collect();
         let end = rng.gen_range(0..loaded.len());
-        let windows: Vec<_> =
+        let growing: Vec<_> =
             (0..=end).map(|k| expansion.stream(&loaded).window(end - k, end)).collect();
-        for (shape, batch) in [("omissions", &omissions), ("windows", &windows)] {
-            let candidates: Vec<&dyn VectorSource> =
-                batch.iter().map(|c| c as &dyn VectorSource).collect();
+        let twins: Vec<_> = growing.iter().map(|w| Opaque(w)).collect();
+        let omissions: Vec<&dyn VectorSource> =
+            omitting.iter().map(|c| c as &dyn VectorSource).collect();
+        let windows: Vec<&dyn VectorSource> =
+            growing.iter().map(|c| c as &dyn VectorSource).collect();
+        let mixed: Vec<&dyn VectorSource> = growing
+            .iter()
+            .zip(&twins)
+            .flat_map(|(w, twin)| [w as &dyn VectorSource, twin as &dyn VectorSource])
+            .collect();
+        for (shape, candidates) in
+            [("omissions", &omissions), ("windows", &windows), ("mixed", &mixed)]
+        {
             for _ in 0..2 {
                 let fault = faults[rng.gen_range(0..faults.len())];
                 let want = candidates.iter().position(|c| {
@@ -384,7 +395,7 @@ fn check_walks(
                 });
                 for engine in grid {
                     assert_eq!(
-                        engine.first_detecting_tape_obs(&tape, &candidates, fault, obs),
+                        engine.first_detecting_tape_obs(&tape, candidates, fault, obs),
                         Ok(want),
                         "{} first_detecting on {name}, {what} {shape}, fault {fault}",
                         engine.name()

@@ -193,7 +193,7 @@ pub(crate) fn compact_on(
                     })
                     .filter(|r| !r.faults().is_empty()),
             );
-            current = current.without(u);
+            current.remove(u);
             // Restart the scan over the shortened sequence.
             continue 'outer;
         }

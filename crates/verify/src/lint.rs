@@ -4,13 +4,13 @@
 //! Two entry points share one code table:
 //!
 //! * [`lint_source`] runs on raw `.bench` text via the lenient
-//!   [`parse_bench_raw`](bist_netlist::parser::parse_bench_raw) layer, so
+//!   [`parse_bench_raw`] layer, so
 //!   it can *diagnose* netlists the strict parser would refuse —
 //!   duplicate drivers, combinational cycles, undriven nets, degenerate
 //!   arities — instead of stopping at the first defect. Only outright
 //!   syntax junk (unparseable lines, unknown gate kinds) is an error.
 //! * [`lint_circuit`] runs on an already-validated
-//!   [`Circuit`](bist_netlist::Circuit). Construction has excluded the
+//!   [`Circuit`]. Construction has excluded the
 //!   error-class defects, so only the warning-class analyses (dead
 //!   logic, duplicate fanin, constant always-X nets, duplicate cones)
 //!   can fire.
